@@ -116,6 +116,7 @@ def _echo(key, value) -> None:
 def _resolve_run_config(args) -> dict:
     cfg = dict(RUN_DEFAULTS)
     problems = []
+    file_keys = set()
     if getattr(args, "config", None):
         try:
             with open(args.config) as f:
@@ -124,6 +125,9 @@ def _resolve_run_config(args) -> dict:
             raise DataError(f"cannot read --config file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise UsageError([f"config file: invalid JSON ({exc})"]) from None
+        if not isinstance(file_cfg, dict):
+            raise UsageError(["config file: expected a JSON object"])
+        file_keys = set(file_cfg)
         for key, value in file_cfg.items():
             if key == "vocab_sizes":
                 continue  # derived, accepted on re-load for provenance
@@ -142,14 +146,8 @@ def _resolve_run_config(args) -> dict:
     if cfg["synth"] is not None:
         if cfg["synth"] != "default":
             problems.append(f"synth: only 'default' is defined, got {cfg['synth']!r}")
-        explicit = {k for k in SYNTH_SCALE_DEFAULTS
-                    if getattr(args, k, None) is not None}
-        if getattr(args, "config", None):
-            try:
-                with open(args.config) as f:
-                    explicit |= set(json.load(f))
-            except (OSError, json.JSONDecodeError):
-                pass
+        explicit = file_keys | {k for k in SYNTH_SCALE_DEFAULTS
+                                if getattr(args, k, None) is not None}
         for key, value in SYNTH_SCALE_DEFAULTS.items():
             if key not in explicit:
                 cfg[key] = value

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, asdict
 
@@ -191,6 +192,8 @@ def parse_criteo_line(line: str, vocab: FieldVocab, n_dense: int,
                 raw = float(token)
             except ValueError:
                 raise DataError(f"dense field {i}: not a number: {token!r}") from None
+            if not math.isfinite(raw):
+                raise DataError(f"dense field {i}: not finite: {token!r}")
         else:
             raw = 0.0  # missing dense value -> 0 before normalization
         dense[i] = normalize_dense(raw)

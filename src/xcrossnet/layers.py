@@ -2,8 +2,11 @@
 
 Every stage is a pure function of (input, parameters) returning the output
 plus a cache of the activations the hand-derived backward pass needs.
-Parameters live in small dataclasses; the same dataclasses double as
-gradient carriers (a gradient has exactly the shapes of its parameter).
+Parameters live in small dataclasses. The dense stages' backward passes
+return their parameter gradients in the same dataclasses (a gradient has
+exactly the shapes of its parameter); the embedding's backward pass does
+not, because its gradient is nonzero only on the rows the instance looked
+up: it returns those ids and their gradient rows.
 
 Stages, in pipeline order:
 
@@ -178,9 +181,6 @@ class Embedding:
     def init(cls, vocab_sizes, embed_dim: int, rng: np.random.Generator) -> "Embedding":
         return cls([rng.normal(0.0, 0.01, (v, embed_dim)) for v in vocab_sizes])
 
-    def zeros_like(self) -> "Embedding":
-        return Embedding([np.zeros_like(t) for t in self.tables])
-
 
 @dataclass
 class EmbedCache:
@@ -204,15 +204,19 @@ def embed_forward(ids, emb: Embedding) -> tuple[np.ndarray, EmbedCache]:
     return np.stack(rows), EmbedCache(ids)
 
 
-def embed_backward(cache: EmbedCache, grad_e: np.ndarray, emb: Embedding) -> Embedding:
-    """Route each field's gradient row back to the looked-up table row.
+def embed_backward(cache: EmbedCache, grad_e: np.ndarray,
+                   emb: Embedding) -> tuple[np.ndarray, np.ndarray]:
+    """The lookup's gradient in row-sparse form: (ids, rows).
 
-    Rows that were not looked up get an exact zero gradient.
+    Table i's gradient is rows[i] at row ids[i] and exactly zero on every
+    other row, so it costs O(N * K) whatever the vocab sizes.
     """
-    grads = emb.zeros_like()
-    for i in range(emb.n_fields):
-        grads.tables[i][cache.ids[i]] += grad_e[i]
-    return grads
+    grad_e = np.asarray(grad_e, dtype=np.float64)
+    if grad_e.shape != (emb.n_fields, emb.embed_dim):
+        raise DimensionError(
+            f"embed_backward: grad has shape {grad_e.shape}, "
+            f"expected {(emb.n_fields, emb.embed_dim)}")
+    return cache.ids, grad_e
 
 
 # ---------------------------------------------------------------------------

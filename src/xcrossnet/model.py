@@ -10,7 +10,7 @@ parameter vector bit-for-bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
@@ -98,6 +98,21 @@ class ParamEntry:
     name: str
     values: np.ndarray  # a direct reference to the layer's parameter array
     grad: np.ndarray    # same shape, owned by the registry
+    # A row-sparse entry's grad is zero outside the rows recorded in
+    # `touched` since the last zero_grads; add gradient through add_row.
+    row_sparse: bool = False
+    touched: list[int] = field(default_factory=list)
+
+    def add_row(self, row: int, grad_row: np.ndarray) -> None:
+        self.grad[row] += grad_row
+        self.touched.append(row)
+
+    def rows(self):
+        """Index of the rows that may hold gradient: the sorted touched rows
+        of a row-sparse entry, every row of any other."""
+        if not self.row_sparse:
+            return slice(None)
+        return np.unique(np.asarray(self.touched, dtype=np.intp))
 
 class ParamRegistry:
     """Deterministic flat enumeration of every parameter array.
@@ -106,6 +121,11 @@ class ParamRegistry:
     order, product theta then order-1 weights, concat weight then bias,
     MLP (w0, b0, ...), output weight, output bias. All flat views use
     C-order raveling of the underlying arrays.
+
+    The embedding tables are row-sparse entries: a batch's gradient lives
+    on the rows it looked up, and zero_grads, scale_grads and the
+    optimizer touch only those rows (see ParamEntry.rows). Every other
+    entry is handled whole.
     """
 
     def __init__(self, entries: list[ParamEntry]):
@@ -126,11 +146,12 @@ class ParamRegistry:
 
     def zero_grads(self) -> None:
         for e in self.entries:
-            e.grad[...] = 0.0
+            e.grad[e.rows()] = 0.0
+            e.touched.clear()
 
     def scale_grads(self, factor: float) -> None:
         for e in self.entries:
-            e.grad *= factor
+            e.grad[e.rows()] *= factor
 
     def get_flat(self) -> np.ndarray:
         return np.concatenate([e.values.ravel() for e in self.entries])
@@ -201,14 +222,14 @@ class XCrossNetModel:
     def _build_registry(self) -> ParamRegistry:
         entries = []
 
-        def add(name, arr):
-            entries.append(ParamEntry(name, arr, np.zeros_like(arr)))
+        def add(name, arr, row_sparse=False):
+            entries.append(ParamEntry(name, arr, np.zeros_like(arr), row_sparse))
 
         for l in range(self.cross.depth):
             add(f"cross.w{l}", self.cross.weights[l])
             add(f"cross.b{l}", self.cross.biases[l])
         for i in range(self.embedding.n_fields):
-            add(f"embed.field{i}", self.embedding.tables[i])
+            add(f"embed.field{i}", self.embedding.tables[i], row_sparse=True)
         add("product.theta", self.product.theta)
         add("product.order1", self.product.order1)
         add("concat.w", self.concat.weight)
@@ -237,7 +258,9 @@ class XCrossNetModel:
 
         The sigmoid/logloss chain collapses to (prob - label) at the logit,
         so the pass starts there; callers zero_grad() before a batch and
-        divide by the batch size afterwards to get the mean gradient.
+        divide by the batch size afterwards to get the mean gradient. Each
+        embedding table gets the instance's gradient on its looked-up row
+        only, and the registry records that row as touched.
         """
         grad_logit = cache.prob - label
         grad_h0, mlp_grads = layers.mlp_backward_logit(cache.mlp, grad_logit, self.mlp)
@@ -245,7 +268,7 @@ class XCrossNetModel:
             cache.concat, grad_h0, self.concat)
         grad_e, product_grads = layers.product_backward(
             cache.product, grad_op, self.product)
-        embed_grads = layers.embed_backward(cache.embed, grad_e, self.embedding)
+        ids, embed_rows = layers.embed_backward(cache.embed, grad_e, self.embedding)
         _, cross_grads = layers.cross_backward(cache.cross, grad_oc, self.cross)
 
         reg = self.registry
@@ -253,7 +276,7 @@ class XCrossNetModel:
             reg[f"cross.w{l}"].grad += cross_grads.weights[l]
             reg[f"cross.b{l}"].grad += cross_grads.biases[l]
         for i in range(self.embedding.n_fields):
-            reg[f"embed.field{i}"].grad += embed_grads.tables[i]
+            reg[f"embed.field{i}"].add_row(int(ids[i]), embed_rows[i])
         reg["product.theta"].grad += product_grads.theta
         reg["product.order1"].grad += product_grads.order1
         reg["concat.w"].grad += concat_grads.weight
@@ -345,13 +368,21 @@ def load_checkpoint(path) -> XCrossNetModel:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint header: {exc}") from None
-    if header.get("format") != CHECKPOINT_MAGIC:
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
         raise CheckpointError("not a model checkpoint (bad format marker)")
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {header.get('version')!r}, "
             f"this build reads version {CHECKPOINT_VERSION}")
-    config = ModelConfig.from_dict(header["config"])
+    if not isinstance(header.get("config"), dict):
+        raise CheckpointError("checkpoint header has no config object")
+    try:
+        config = ModelConfig.from_dict(header["config"])
+        problems = config.validate()
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed checkpoint config: {exc}") from None
+    if problems:
+        raise CheckpointError("invalid checkpoint config: " + "; ".join(problems))
     model = XCrossNetModel.zeros(config)
     expected = model.registry.total_size()
     if header.get("registry") != model.registry.names():

@@ -4,6 +4,13 @@ Regularization is the squared L2 norm over every registry parameter
 (biases and embedding tables included), applied in coupled form: the
 2 * lambda * theta term is added to the gradient before the Adam moment
 updates.
+
+Adam is lazy on the embedding tables (LazyAdam): a step updates only the
+rows the batch looked up, with their moments, and leaves every other row
+and its moments as they were. The coupled L2 term therefore reaches a
+table row only on steps whose batch touches it. Every other parameter is
+updated whole on every step, as in plain Adam. When a batch touches every
+row, the step is bitwise the plain Adam step.
 """
 
 from __future__ import annotations
@@ -66,23 +73,29 @@ class AdamState:
 def adam_step(registry, state: AdamState, lr: float, lam: float = 0.0) -> None:
     """One Adam update from the gradients currently in the registry.
 
+    On the rows entry.rows() selects (see the module docstring):
+
     g   <- grad + 2 * lam * theta
     m   <- beta1 * m + (1 - beta1) * g
     v   <- beta2 * v + (1 - beta2) * g^2
     theta <- theta - lr * (m / (1 - beta1^t)) / (sqrt(v / (1 - beta2^t)) + eps)
+
+    t counts steps, not the updates a row has had.
     """
     state.t += 1
     c1 = 1.0 - state.beta1 ** state.t
     c2 = 1.0 - state.beta2 ** state.t
     for k, entry in enumerate(registry):
-        g = entry.grad + 2.0 * lam * entry.values if lam else entry.grad
-        state.m[k] *= state.beta1
-        state.m[k] += (1.0 - state.beta1) * g
-        state.v[k] *= state.beta2
-        state.v[k] += (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[k] / c1
-        v_hat = state.v[k] / c2
-        entry.values -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        rows = entry.rows()
+        theta = entry.values[rows]
+        g = entry.grad[rows]
+        if lam:
+            g = g + 2.0 * lam * theta
+        m = state.m[k][rows] * state.beta1 + (1.0 - state.beta1) * g
+        v = state.v[k][rows] * state.beta2 + (1.0 - state.beta2) * (g * g)
+        state.m[k][rows] = m
+        state.v[k][rows] = v
+        entry.values[rows] = theta - lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
 
 
 def batch_loss_and_grad(model, batch) -> float:

@@ -246,15 +246,14 @@ def gradcheck_model(model, batch, eps: float = 1e-5, skip_floor: float = 1e-10,
     sides are below skip_floor are treated as agreeing (embedding rows the
     batch never touches are the common case). perturb_group, when set,
     injects an offset into that group's analytic gradient so callers can
-    confirm the comparison actually detects wrong gradients.
+    confirm the comparison actually detects wrong gradients; the offset goes
+    into the compared copy, not the registry.
     """
     registry = model.registry
     theta0 = registry.get_flat()
     analytic_loss = batch_loss_and_grad(model, batch)
     if not math.isfinite(analytic_loss):
         raise NumericError("loss is non-finite at the gradcheck point")
-    if perturb_group is not None:
-        registry[perturb_group].grad += 1e-2
     analytic = registry.get_grad_flat()
 
     def probe(theta):
@@ -269,6 +268,8 @@ def gradcheck_model(model, batch, eps: float = 1e-5, skip_floor: float = 1e-10,
     for entry in registry:
         size = entry.values.size
         a = analytic[offset:offset + size]
+        if entry.name == perturb_group:
+            a = a + 1e-2
         f = numeric[offset:offset + size]
         err = 0.0
         for j in range(size):

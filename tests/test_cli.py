@@ -109,6 +109,26 @@ class TestTrain:
         assert code == 2
         assert "learning_rate" in err
 
+    def test_config_file_not_an_object_is_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[1, 2]")
+        code, _, err = run_cli(["train", "--config", str(cfg_path),
+                                "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert "JSON object" in err
+
+    def test_synth_keeps_config_file_keys(self, tmp_path):
+        # keys the --config file sets are not replaced by the synth-scale
+        # defaults; keys it leaves out are
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"batch_size": 128, "embed_dim": 6}))
+        args = cli.build_parser().parse_args(
+            ["train", "--synth", "default", "--config", str(cfg_path),
+             "--out", str(tmp_path)])
+        cfg = cli._resolve_run_config(args)
+        assert cfg["batch_size"] == 128 and cfg["embed_dim"] == 6
+        assert cfg["product_size"] == cli.SYNTH_SCALE_DEFAULTS["product_size"]
+
     def test_flags_override_config_file(self, synth_dir, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
@@ -226,6 +246,19 @@ class TestPredict:
         assert all(0.0 < p < 1.0 for p in preds)
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
+    def test_non_finite_dense_token_exits_3(self, trained_dir, tmp_path,
+                                            capsys, token):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(f"1\t0.5\t{token}\t1.0\t0.0\tc1\tc2\tc3\tc0\n")
+        out = tmp_path / "p.txt"
+        code, _, err = run_cli(
+            ["predict", "--checkpoint", str(trained_dir / "checkpoint.xcn"),
+             "--data", str(bad), "--out", str(out)], capsys)
+        assert code == 3
+        assert "dense field 1" in err
+        assert not out.exists()
+
 
 class TestGradcheck:
     def test_default_config_passes(self, capsys):
@@ -261,6 +294,25 @@ class TestInspect:
         assert int(pairs["params.total"]) == counts["total"]
         assert float(pairs["balance_index.cross_only"]) == 0.52
         assert float(pairs["balance_index.include_input"]) == 0.65
+
+    @pytest.mark.parametrize("edit", [
+        lambda c: c.update(learning_rate=0.1),  # unknown key
+        lambda c: c.pop("dense_fields"),         # missing key
+        lambda c: c.update(embed_dim=-3),        # bad dimension
+    ], ids=["unknown_key", "missing_dense_fields", "negative_embed_dim"])
+    def test_malformed_config_header_exits_3(self, tmp_path, capsys, edit):
+        model = XCrossNetModel.init(ModelConfig(
+            dense_fields=2, sparse_fields=2, vocab_sizes=(3, 3), embed_dim=2,
+            product_size=2, cross_depth=1, mlp_widths=(4,)))
+        path = tmp_path / "c.xcn"
+        save_checkpoint(model, path)
+        header, _, blob = path.read_bytes().partition(b"\n")
+        header = json.loads(header)
+        edit(header["config"])
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        code, _, err = run_cli(["inspect", "--checkpoint", str(path)], capsys)
+        assert code == 3
+        assert "checkpoint config" in err
 
     def test_unknown_checkpoint_format(self, tmp_path, capsys):
         bad = tmp_path / "bad.xcn"

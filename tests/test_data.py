@@ -49,6 +49,11 @@ class TestParse:
         with pytest.raises(DataError):
             data.parse_criteo_line("1\tfoo\t2\ta\tx\n", VOCAB2, 2, 2)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_dense_value(self, token):
+        with pytest.raises(DataError, match="dense field 1"):
+            data.parse_criteo_line(f"1\t2\t{token}\ta\tx\n", VOCAB2, 2, 2)
+
 
 class TestBuildVocab:
     def test_all_unique_tokens_drop_out(self):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xcrossnet import layers, oracle
@@ -162,18 +162,39 @@ class TestEmbedding:
             layers.embed_forward(np.array([-1]), emb)
 
     def test_untouched_rows_zero_gradient(self):
+        # backward returns (ids, rows); scattered into dense tables it must
+        # match finite differences of <grad_e, E(tables)>, which are exactly
+        # zero on the rows that were not looked up
         rng = np.random.default_rng(9)
         emb = layers.Embedding.init([5, 6], 3, rng)
         ids = np.array([2, 4])
         _, cache = layers.embed_forward(ids, emb)
         grad_e = rng.normal(size=(2, 3))
-        grads = layers.embed_backward(cache, grad_e, emb)
-        for i, table_grad in enumerate(grads.tables):
-            for row in range(table_grad.shape[0]):
-                if row == ids[i]:
-                    assert np.array_equal(table_grad[row], grad_e[i])
-                else:
-                    assert np.array_equal(table_grad[row], np.zeros(3))
+        got_ids, rows = layers.embed_backward(cache, grad_e, emb)
+        assert np.array_equal(got_ids, ids)
+        assert np.array_equal(rows, grad_e)
+        dense = [np.zeros_like(t) for t in emb.tables]
+        for i, table_grad in enumerate(dense):
+            table_grad[got_ids[i]] += rows[i]
+
+        def f(flat):
+            tables = [flat[:15].reshape(5, 3), flat[15:].reshape(6, 3)]
+            e, _ = layers.embed_forward(ids, layers.Embedding(tables))
+            return float(np.sum(grad_e * e))
+
+        flat = np.concatenate([t.ravel() for t in emb.tables])
+        numeric = oracle.finite_diff(f, flat)
+        analytic = np.concatenate([t.ravel() for t in dense])
+        untouched = analytic == 0.0
+        assert untouched.sum() == flat.size - 6
+        assert np.array_equal(numeric[untouched], analytic[untouched])
+        assert rel_err(analytic, numeric) < 1e-8
+
+    def test_backward_shape_mismatch(self):
+        emb = layers.Embedding([np.zeros((4, 3)), np.zeros((2, 3))])
+        _, cache = layers.embed_forward(np.array([3, 1]), emb)
+        with pytest.raises(DimensionError):
+            layers.embed_backward(cache, np.zeros((2, 2)), emb)
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +460,14 @@ class TestMlp:
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=6),
        st.integers(min_value=0, max_value=2 ** 31 - 1))
 @settings(max_examples=40, deadline=None)
+@example(m=6, depth=6, seed=39916799)
 def test_rank_one_equivalence_property(m, depth, seed):
+    # bounded relative to the largest element: an element that comes from
+    # cancellation (5e-5 beside 1.3 in the pinned case) has an
+    # ill-conditioned relative error of its own
     rng = np.random.default_rng(seed)
     stack = random_stack(rng, m, depth)
     d = rng.uniform(-1, 1, m)
     fast, _ = layers.cross_forward(d, stack)
     naive = oracle.naive_cross_forward(d, stack)
-    assert rel_err(fast, naive) < 1e-12
+    assert np.max(np.abs(fast - naive)) <= 1e-12 * np.max(np.abs(naive))

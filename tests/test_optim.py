@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xcrossnet import data, optim, oracle
+from xcrossnet import data, layers, optim, oracle
 from xcrossnet.errors import DataError, NumericError
 from xcrossnet.model import ModelConfig, ParamEntry, ParamRegistry, XCrossNetModel
 
@@ -142,6 +143,114 @@ class TestAdam:
             optim.adam_step(m.registry, state, lr=0.01, lam=0.0)
             assert state.t == step + 1
             assert all(np.all(v >= 0) for v in state.v)
+
+
+def dense_adam_step(registry, m, v, t, lr, lam, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Plain Adam with coupled L2 on every row of every entry."""
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for k, entry in enumerate(registry):
+        g = entry.grad + 2.0 * lam * entry.values
+        m[k] *= beta1
+        m[k] += (1.0 - beta1) * g
+        v[k] *= beta2
+        v[k] += (1.0 - beta2) * (g * g)
+        entry.values -= lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
+
+
+WIDE = ModelConfig(dense_fields=3, sparse_fields=3, vocab_sizes=(50, 40, 30),
+                   embed_dim=3, product_size=3, cross_depth=1,
+                   mlp_widths=(6,), seed=8)
+
+
+class TestRowSparseUpdate:
+    def test_touched_rows_match_dense_reference(self):
+        # lambda = 0: each table's gradient equals a dense table built with
+        # np.add.at over the per-instance embedding gradients in instance
+        # order, then scaled; a previous batch's rows are zeroed again
+        m = XCrossNetModel.init(WIDE)
+        rng = np.random.default_rng(12)
+        optim.batch_loss_and_grad(m, tiny_batch(rng, n=8, config=WIDE))
+        batch = tiny_batch(rng, n=9, config=WIDE)
+        batch.sparse[:, 0] = np.minimum(batch.sparse[:, 0], 4)  # repeated ids
+        optim.batch_loss_and_grad(m, batch)
+
+        grad_e = []
+        for i in range(len(batch)):
+            _, cache = m.forward(batch.instance(i))
+            gh0, _ = layers.mlp_backward_logit(
+                cache.mlp, cache.prob - batch.labels[i], m.mlp)
+            _, gop, _ = layers.concat_cross_backward(cache.concat, gh0, m.concat)
+            grad_e.append(layers.product_backward(cache.product, gop, m.product)[0])
+        grad_e = np.stack(grad_e)
+        for f, vocab in enumerate(WIDE.vocab_sizes):
+            expected = np.zeros((vocab, WIDE.embed_dim))
+            np.add.at(expected, batch.sparse[:, f], grad_e[:, f])
+            expected *= 1.0 / len(batch)
+            entry = m.registry[f"embed.field{f}"]
+            assert np.array_equal(entry.grad, expected)
+            assert np.array_equal(entry.rows(), np.unique(batch.sparse[:, f]))
+
+    def test_untouched_rows_and_moments_do_not_move(self):
+        m = XCrossNetModel.init(WIDE)
+        state = optim.AdamState.init(m.registry)
+        rng = np.random.default_rng(13)
+        for _ in range(3):
+            optim.batch_loss_and_grad(m, tiny_batch(rng, n=20, config=WIDE))
+            optim.adam_step(m.registry, state, lr=0.01, lam=0.1)
+        batch = tiny_batch(rng, n=4, config=WIDE)
+        names = m.registry.names()
+        before = [(e.values.copy(), state.m[k].copy(), state.v[k].copy())
+                  for k, e in enumerate(m.registry)]
+        optim.batch_loss_and_grad(m, batch)
+        optim.adam_step(m.registry, state, lr=0.01, lam=0.1)
+        for f in range(WIDE.sparse_fields):
+            k = names.index(f"embed.field{f}")
+            values, mom1, mom2 = before[k]
+            touched = np.zeros(len(values), dtype=bool)
+            touched[batch.sparse[:, f]] = True
+            for old, new in ((values, m.registry[names[k]].values),
+                             (mom1, state.m[k]), (mom2, state.v[k])):
+                assert np.array_equal(new[~touched], old[~touched])
+                assert not np.any(new[touched] == old[touched])
+
+    def test_every_row_touched_equals_dense_adam(self):
+        # vocab 4 and a batch that looks up every id of every field: k lazy
+        # steps give the bits of k plain Adam steps
+        config = dataclasses.replace(TINY, vocab_sizes=(4,) * 4)
+        rng = np.random.default_rng(14)
+        lazy, dense = XCrossNetModel.init(config), XCrossNetModel.init(config)
+        state = optim.AdamState.init(lazy.registry)
+        m_ref = [np.zeros_like(e.values) for e in dense.registry]
+        v_ref = [np.zeros_like(e.values) for e in dense.registry]
+        for t in range(1, 6):
+            batch = tiny_batch(rng, n=8, config=config)
+            batch.sparse[:] = np.column_stack(
+                [rng.permutation(np.arange(8) % 4) for _ in range(4)])
+            optim.batch_loss_and_grad(lazy, batch)
+            optim.adam_step(lazy.registry, state, lr=0.01, lam=1e-3)
+            optim.batch_loss_and_grad(dense, batch)
+            dense_adam_step(dense.registry, m_ref, v_ref, t, lr=0.01, lam=1e-3)
+        assert np.array_equal(lazy.registry.get_flat(), dense.registry.get_flat())
+        assert all(np.array_equal(a, b) for a, b in zip(state.m, m_ref))
+        assert all(np.array_equal(a, b) for a, b in zip(state.v, v_ref))
+
+    def test_step_memory_below_one_table(self):
+        # a training step allocates O(batch) for the embedding, never a
+        # vocab-sized table
+        config = dataclasses.replace(WIDE, vocab_sizes=(100_000,) * 3)
+        m = XCrossNetModel.init(config)
+        state = optim.AdamState.init(m.registry)
+        batch = tiny_batch(np.random.default_rng(15), n=64, config=config)
+        table_bytes = m.embedding.tables[0].nbytes
+        tracemalloc.start()
+        try:
+            optim.batch_loss_and_grad(m, batch)
+            optim.adam_step(m.registry, state, lr=0.01, lam=1e-4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table_bytes
 
 
 class TestFit:
