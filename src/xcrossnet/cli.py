@@ -113,7 +113,9 @@ def _echo(key, value) -> None:
     print(f"{key}={value}")
 
 
-def _resolve_run_config(args) -> dict:
+def _resolve_run_config(args) -> tuple[dict, optim.TrainConfig]:
+    """The merged run settings (defaults, --config file, flags) and the
+    validated training config built from them."""
     cfg = dict(RUN_DEFAULTS)
     problems = []
     file_keys = set()
@@ -166,7 +168,7 @@ def _resolve_run_config(args) -> dict:
             problems.append(f"{key}: must be >= 1")
     if problems:
         raise UsageError(problems)
-    return cfg
+    return cfg, train_cfg
 
 
 def _split_rows(lines: list[str], valid_fraction: float):
@@ -223,7 +225,7 @@ def _load_training_data(cfg):
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve_run_config(args)
+    cfg, train_cfg = _resolve_run_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_ds, valid_ds, vocab, vocab_sizes, provenance = _load_training_data(cfg)
@@ -241,10 +243,6 @@ def cmd_train(args) -> int:
     problems = model_cfg.validate()
     if problems:
         raise UsageError(problems)
-    train_cfg = optim.TrainConfig(
-        lr=float(cfg["lr"]), batch_size=int(cfg["batch_size"]),
-        l2=float(cfg["l2"]), epochs=int(cfg["epochs"]),
-        seed=int(cfg["seed"]), eval_every=int(cfg["eval_every"]))
 
     resolved = dict(cfg)
     resolved["vocab_sizes"] = list(vocab_sizes)

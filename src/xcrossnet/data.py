@@ -84,9 +84,6 @@ class Dataset:
     def n_sparse(self) -> int:
         return self.sparse.shape[1]
 
-    def instance(self, i: int) -> Instance:
-        return Instance(self.dense[i], self.sparse[i], int(self.labels[i]))
-
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices)
         return Dataset(self.dense[idx], self.sparse[idx], self.labels[idx])

@@ -8,6 +8,12 @@ exactly the shapes of its parameter); the embedding's backward pass does
 not, because its gradient is nonzero only on the rows the instance looked
 up: it returns those ids and their gradient rows.
 
+The back half is batch-major: ConcatCross and Mlp take (B, .) arrays, one
+instance per row, and their backward passes return (B, .) input gradients
+and parameter gradients summed over the batch. CrossStack, Embedding and
+ProductLayer still take one instance at a time; the model stacks their
+outputs before the concat.
+
 Stages, in pipeline order:
 
   CrossStack    dense input d, recursion  c_{l+1} = d * <c_l, w_l> + b_l,
@@ -17,7 +23,7 @@ Stages, in pipeline order:
                 sums |sum_i theta[t,i] * e_i|^2 over field embeddings
   ConcatCross   one more cross recursion over the concatenation of the
                 dense and sparse stage outputs
-  Mlp           ReLU hidden layers, scalar sigmoid output
+  Mlp           ReLU hidden layers, one sigmoid output per row
 
 The cross recursions use the rank-one shortcut: d * c^T * w == d * <c, w>,
 a scalar scale instead of an M x M matrix (the naive matrix route lives in
@@ -31,16 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .data import stable_sigmoid
 from .errors import DataError, DimensionError
-
-
-def sigmoid(z: float) -> float:
-    # Stable in both tails; saturates to exact 0/1 only past ~|z| = 37,
-    # which callers that need strict (0, 1) must clamp themselves.
-    if z >= 0.0:
-        return 1.0 / (1.0 + np.exp(-z))
-    ez = np.exp(z)
-    return float(ez / (1.0 + ez))
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +298,17 @@ def product_backward(cache: ProductCache, grad_out: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# concat + cross on the combined representation
+# concat + cross on the combined representation (batch-major)
 # ---------------------------------------------------------------------------
+
+
+def _as_rows(x, stage: str) -> np.ndarray:
+    """Coerce to a (B, D) float64 array holding one instance per row."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise DimensionError(
+            f"{stage}: expected a (batch, dim) array, got shape {x.shape}")
+    return x
 
 
 @dataclass
@@ -326,51 +333,58 @@ class ConcatCross:
     def init(cls, input_dim: int, rng: np.random.Generator) -> "ConcatCross":
         return cls(rng.normal(0.0, 0.01, input_dim), np.zeros(input_dim))
 
-    def zeros_like(self) -> "ConcatCross":
-        return ConcatCross(np.zeros_like(self.weight), np.zeros_like(self.bias))
-
 
 @dataclass
 class ConcatCache:
-    x0: np.ndarray
-    split: int    # boundary between the dense and sparse segments of x0
-    scalar: float
+    x0: np.ndarray       # (B, D)
+    split: int           # boundary between the dense and sparse segments of x0
+    scalars: np.ndarray  # (B,), s = X0 @ w
 
 
 def concat_cross_forward(oc: np.ndarray, op: np.ndarray,
                          cc: ConcatCross) -> tuple[np.ndarray, ConcatCache]:
-    """x1 = x0 * <x0, w> + b over x0 = [oc; op]; returns ([x0; x1], cache)."""
-    oc = linalg.as_vec(oc)
-    op = linalg.as_vec(op)
-    if oc.shape[0] + op.shape[0] != cc.input_dim:
+    """X1 = X0 * s[:, None] + b with s = X0 @ w, over X0 = [OC, OP].
+
+    OC is (B, Dc) and OP is (B, Dp); returns ([X0, X1] of shape
+    (B, 2 * (Dc + Dp)), cache).
+    """
+    oc = _as_rows(oc, "concat_cross_forward")
+    op = _as_rows(op, "concat_cross_forward")
+    if oc.shape[0] != op.shape[0] or oc.shape[1] + op.shape[1] != cc.input_dim:
         raise DimensionError(
-            f"concat_cross_forward: {oc.shape[0]} + {op.shape[0]} inputs "
+            f"concat_cross_forward: inputs {oc.shape} and {op.shape} "
             f"vs weight dim {cc.input_dim}")
-    x0 = np.concatenate([oc, op])
-    s = linalg.dot(x0, cc.weight)
-    x1 = linalg.axpy(s, x0, cc.bias)
-    return np.concatenate([x0, x1]), ConcatCache(x0, oc.shape[0], s)
+    x0 = np.concatenate([oc, op], axis=1)
+    s = x0 @ cc.weight
+    x1 = x0 * s[:, None] + cc.bias
+    return np.concatenate([x0, x1], axis=1), ConcatCache(x0, oc.shape[1], s)
 
 
 def concat_cross_backward(cache: ConcatCache, grad_out: np.ndarray,
                           cc: ConcatCross) -> tuple[np.ndarray, np.ndarray, ConcatCross]:
-    """Splits the x0 gradient back into its (oc, op) segments."""
-    dim = cc.input_dim
-    if grad_out.shape[0] != 2 * dim:
+    """Row gradients split back into their (B, Dc) and (B, Dp) segments.
+
+    Per row, with x1 = x0 * s + b and s = <x0, w>:
+
+        db = g1,   ds = <g1, x0>,   dw = ds * x0,   dx0 = g0 + g1 * s + ds * w
+
+    The parameter gradients are summed over the batch (dw as X0^T @ ds).
+    """
+    rows, dim = cache.x0.shape
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    if grad_out.shape != (rows, 2 * dim):
         raise DimensionError(
-            f"concat_cross_backward: grad has dim {grad_out.shape[0]}, "
-            f"expected {2 * dim}")
-    g0, g1 = grad_out[:dim], grad_out[dim:]
-    grads = cc.zeros_like()
-    grads.bias[:] = g1
-    ds = linalg.dot(g1, cache.x0)
-    grads.weight[:] = ds * cache.x0
-    grad_x0 = g0 + g1 * cache.scalar + ds * cc.weight
-    return grad_x0[:cache.split], grad_x0[cache.split:], grads
+            f"concat_cross_backward: grad has shape {grad_out.shape}, "
+            f"expected {(rows, 2 * dim)}")
+    g0, g1 = grad_out[:, :dim], grad_out[:, dim:]
+    ds = np.einsum("bd,bd->b", g1, cache.x0)
+    grads = ConcatCross(cache.x0.T @ ds, g1.sum(axis=0))
+    grad_x0 = g0 + g1 * cache.scalars[:, None] + ds[:, None] * cc.weight
+    return grad_x0[:, :cache.split], grad_x0[:, cache.split:], grads
 
 
 # ---------------------------------------------------------------------------
-# MLP head
+# MLP head (batch-major)
 # ---------------------------------------------------------------------------
 
 
@@ -410,67 +424,56 @@ class Mlp:
         out_weight = rng.uniform(-bound, bound, fan_in)
         return cls(weights, biases, out_weight, np.zeros(1))
 
-    def zeros_like(self) -> "Mlp":
-        return Mlp([np.zeros_like(w) for w in self.weights],
-                   [np.zeros_like(b) for b in self.biases],
-                   np.zeros_like(self.out_weight), np.zeros_like(self.out_bias))
-
 
 @dataclass
 class MlpCache:
-    h0: np.ndarray
-    pre_acts: list[np.ndarray]   # z_i before ReLU
-    hiddens: list[np.ndarray]    # h_i after ReLU (h_0 is the input)
-    logit: float
-    prob: float
+    pre_acts: list[np.ndarray]  # Z_i (B, widths[i]) before ReLU
+    hiddens: list[np.ndarray]   # H_i after ReLU; H_0 is the (B, D) input
+    logits: np.ndarray          # (B,)
+    probs: np.ndarray           # (B,)
 
 
-def mlp_forward(h0: np.ndarray, mlp: Mlp) -> tuple[float, MlpCache]:
-    h0 = linalg.as_vec(h0)
-    if h0.shape[0] != mlp.input_dim:
+def mlp_forward(h0: np.ndarray, mlp: Mlp) -> tuple[np.ndarray, MlpCache]:
+    """The head over the rows of H0 (B, D); returns the (B,) probabilities."""
+    h = _as_rows(h0, "mlp_forward")
+    if h.shape[1] != mlp.input_dim:
         raise DimensionError(
-            f"mlp_forward: input has dim {h0.shape[0]}, expected {mlp.input_dim}")
-    h = h0
-    pre_acts, hiddens = [], [h0]
+            f"mlp_forward: input has dim {h.shape[1]}, expected {mlp.input_dim}")
+    pre_acts, hiddens = [], [h]
     for w, b in zip(mlp.weights, mlp.biases):
-        z = w @ h + b
+        z = h @ w.T + b
         h = np.maximum(z, 0.0)
         pre_acts.append(z)
         hiddens.append(h)
-    logit = linalg.dot(mlp.out_weight, h) + float(mlp.out_bias[0])
-    prob = sigmoid(logit)
-    return prob, MlpCache(h0, pre_acts, hiddens, logit, prob)
+    logits = h @ mlp.out_weight + mlp.out_bias[0]
+    probs = stable_sigmoid(logits)
+    return probs, MlpCache(pre_acts, hiddens, logits, probs)
 
 
-def _mlp_backward_from_logit(cache: MlpCache, grad_logit: float,
-                             mlp: Mlp) -> tuple[np.ndarray, Mlp]:
-    """Shared reverse pass given the gradient at the pre-sigmoid logit."""
-    grads = mlp.zeros_like()
-    h_last = cache.hiddens[-1]
-    grads.out_weight[:] = grad_logit * h_last
-    grads.out_bias[0] = grad_logit
-    gh = grad_logit * mlp.out_weight
-    for i in range(len(mlp.weights) - 1, -1, -1):
+def mlp_backward_logit(cache: MlpCache, grad_logit: np.ndarray,
+                       mlp: Mlp) -> tuple[np.ndarray, Mlp]:
+    """Backward pass from the (B,) gradient at the logits.
+
+    The training loss enters here: the logloss/sigmoid chain simplifies
+    algebraically to prob - label at the logit, which avoids the
+    (prob * (1 - prob)) cancellation entirely. Returns the (B, D) input
+    gradient and the parameter gradients summed over the batch, each
+    weight's as one GEMM, GZ^T @ H.
+    """
+    g = np.asarray(grad_logit, dtype=np.float64)
+    if g.shape != cache.logits.shape:
+        raise DimensionError(
+            f"mlp_backward_logit: grad has shape {g.shape}, "
+            f"expected {cache.logits.shape}")
+    n_layers = len(mlp.weights)
+    weights, biases = [None] * n_layers, [None] * n_layers
+    out_weight = cache.hiddens[-1].T @ g
+    out_bias = np.array([g.sum()])
+    gh = g[:, None] * mlp.out_weight
+    for i in range(n_layers - 1, -1, -1):
         # ReLU subgradient at exactly 0 is taken as 0
         gz = gh * (cache.pre_acts[i] > 0.0)
-        grads.weights[i][:] = np.outer(gz, cache.hiddens[i])
-        grads.biases[i][:] = gz
-        gh = mlp.weights[i].T @ gz
-    return gh, grads
-
-
-def mlp_backward(cache: MlpCache, grad_out: float, mlp: Mlp) -> tuple[np.ndarray, Mlp]:
-    """Backward pass with grad_out taken w.r.t. the sigmoid output."""
-    grad_logit = grad_out * cache.prob * (1.0 - cache.prob)
-    return _mlp_backward_from_logit(cache, grad_logit, mlp)
-
-
-def mlp_backward_logit(cache: MlpCache, grad_logit: float,
-                       mlp: Mlp) -> tuple[np.ndarray, Mlp]:
-    """Backward pass with the gradient given directly at the logit.
-
-    The training loss uses this entry point: the logloss/sigmoid chain
-    simplifies algebraically to prob - label at the logit, which avoids
-    the (prob * (1 - prob)) cancellation entirely.
-    """
-    return _mlp_backward_from_logit(cache, grad_logit, mlp)
+        weights[i] = gz.T @ cache.hiddens[i]
+        biases[i] = gz.sum(axis=0)
+        gh = gz @ mlp.weights[i]
+    return gh, Mlp(weights, biases, out_weight, out_bias)

@@ -1,4 +1,4 @@
-"""Evaluation metrics: rank-based AUC with tie handling, held-out logloss."""
+"""Evaluation metrics: rank-based AUC with tie handling, clamped logloss."""
 
 from __future__ import annotations
 
@@ -6,7 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingleClassError
+from .errors import DataError, SingleClassError
+
+PRED_CLAMP = 1e-7  # predictions are clamped to [eps, 1-eps] inside the loss only
+
+# Rows per forward pass in predict_dataset. The activations of one chunk are
+# held at once; at the Criteo shapes 512 rows keep them to a few MB.
+PREDICT_CHUNK = 512
 
 
 @dataclass
@@ -24,6 +30,19 @@ class EvalReport:
             f"n_pos={self.n_pos}",
             f"n_neg={self.n_neg}",
         ]
+
+
+def logloss(preds, labels) -> float:
+    """Mean binary cross-entropy with clamped predictions; never NaN/Inf."""
+    preds = np.asarray(preds, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    if preds.ndim != 1 or preds.shape != labels.shape:
+        raise ValueError(f"preds {preds.shape} vs labels {labels.shape}")
+    if preds.shape[0] == 0:
+        raise DataError("logloss of an empty prediction vector")
+    p = np.clip(preds, PRED_CLAMP, 1.0 - PRED_CLAMP)
+    terms = labels * np.log(p) + (1.0 - labels) * np.log1p(-p)
+    return float(-np.mean(terms))
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
@@ -65,16 +84,17 @@ def auc(preds, labels) -> float:
 
 
 def predict_dataset(model, dataset) -> np.ndarray:
-    """Forward the whole dataset (read-only), preserving instance order."""
-    preds = np.empty(len(dataset))
-    for i in range(len(dataset)):
-        preds[i], _ = model.forward(dataset.instance(i))
+    """Forward the whole dataset (read-only) in chunks of PREDICT_CHUNK
+    rows, preserving instance order. No cache outlives its chunk."""
+    n = len(dataset)
+    preds = np.empty(n)
+    for start in range(0, n, PREDICT_CHUNK):
+        rows = np.arange(start, min(start + PREDICT_CHUNK, n))
+        preds[rows], _ = model.forward(dataset.subset(rows))
     return preds
 
 
 def evaluate(model, dataset) -> EvalReport:
-    from .optim import logloss  # late import; optim also calls evaluate
-
     preds = predict_dataset(model, dataset)
     n_pos = int(np.count_nonzero(dataset.labels == 1.0))
     n_neg = len(dataset) - n_pos

@@ -9,7 +9,9 @@ parameter vector bit-for-bit.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass, asdict, field
 
 import numpy as np
@@ -24,6 +26,9 @@ CHECKPOINT_VERSION = 1
 #: balance index: "include_input" counts the copied raw input segment
 #: (M * (depth + 1)); "cross_only" counts just the cross vectors (M * depth).
 BALANCE_CONVENTIONS = ("include_input", "cross_only")
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 @dataclass
 class ModelConfig:
@@ -45,8 +50,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.vocab_sizes = tuple(int(v) for v in self.vocab_sizes)
-        self.mlp_widths = tuple(int(w) for w in self.mlp_widths)
+        # entries are kept as given: validate() rejects non-integers
+        self.vocab_sizes = tuple(self.vocab_sizes)
+        self.mlp_widths = tuple(self.mlp_widths)
 
     @classmethod
     def criteo_default(cls, vocab_sizes, seed: int = 0) -> "ModelConfig":
@@ -64,26 +70,35 @@ class ModelConfig:
         return 2 * self.x0_dim
 
     def validate(self) -> list[str]:
-        """Collect every problem instead of stopping at the first."""
+        """Collect every problem instead of stopping at the first.
+
+        Every dimension, every entry of vocab_sizes and mlp_widths, and the
+        seed must be a Python int (bool is not accepted).
+        """
         problems = []
-        if self.dense_fields < 1:
-            problems.append("dense_fields: must be >= 1")
-        if self.sparse_fields < 1:
-            problems.append("sparse_fields: must be >= 1")
+        for name in ("dense_fields", "sparse_fields", "embed_dim", "product_size",
+                     "cross_depth"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                problems.append(f"{name}: must be an integer, got {value!r}")
+            elif value < 1:
+                problems.append(f"{name}: must be >= 1")
         if len(self.vocab_sizes) != self.sparse_fields:
             problems.append(
                 f"vocab_sizes: got {len(self.vocab_sizes)} entries for "
                 f"{self.sparse_fields} sparse fields")
-        if any(v < 1 for v in self.vocab_sizes):
+        if not all(_is_int(v) for v in self.vocab_sizes):
+            problems.append(f"vocab_sizes: entries must be integers, got "
+                            f"{list(self.vocab_sizes)!r}")
+        elif any(v < 1 for v in self.vocab_sizes):
             problems.append("vocab_sizes: every field needs at least one category")
-        if self.embed_dim < 1:
-            problems.append("embed_dim: must be >= 1")
-        if self.product_size < 1:
-            problems.append("product_size: must be >= 1")
-        if self.cross_depth < 1:
-            problems.append("cross_depth: must be >= 1")
-        if any(w < 1 for w in self.mlp_widths):
+        if not all(_is_int(w) for w in self.mlp_widths):
+            problems.append(f"mlp_widths: entries must be integers, got "
+                            f"{list(self.mlp_widths)!r}")
+        elif any(w < 1 for w in self.mlp_widths):
             problems.append("mlp_widths: widths must be >= 1")
+        if not _is_int(self.seed):
+            problems.append(f"seed: must be an integer, got {self.seed!r}")
         return problems
 
     def to_dict(self) -> dict:
@@ -243,47 +258,68 @@ class XCrossNetModel:
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, instance) -> tuple[float, "ModelCache"]:
-        """Probability in (0, 1) for one instance, plus the backward cache."""
-        oc, cross_cache = layers.cross_forward(instance.dense, self.cross)
-        e, embed_cache = layers.embed_forward(instance.sparse, self.embedding)
-        op, product_cache = layers.product_forward(e, self.product)
-        h0, concat_cache = layers.concat_cross_forward(oc, op, self.concat)
-        prob, mlp_cache = layers.mlp_forward(h0, self.mlp)
-        return prob, ModelCache(cross_cache, embed_cache, product_cache,
-                                concat_cache, mlp_cache, prob)
+    def forward(self, batch) -> tuple[np.ndarray, "ModelCache"]:
+        """Probabilities in (0, 1) for the B rows of a batch, plus the cache.
 
-    def backward(self, cache: "ModelCache", label: float) -> None:
-        """Accumulate the single-instance logloss gradient into the registry.
-
-        The sigmoid/logloss chain collapses to (prob - label) at the logit,
-        so the pass starts there; callers zero_grad() before a batch and
-        divide by the batch size afterwards to get the mean gradient. Each
-        embedding table gets the instance's gradient on its looked-up row
-        only, and the registry records that row as touched.
+        batch has (B, M) `dense` and (B, N) `sparse` columns, as a
+        data.Dataset does; one instance is the B = 1 case. The cross,
+        embedding and product stages run row by row; their outputs are
+        stacked, and the concat cross and the MLP head run once over the
+        batch. Returns the (B,) probabilities.
         """
-        grad_logit = cache.prob - label
+        cross_caches, embed_caches, product_caches = [], [], []
+        oc_rows, op_rows = [], []
+        for dense, sparse in zip(batch.dense, batch.sparse):
+            oc, cross_cache = layers.cross_forward(dense, self.cross)
+            e, embed_cache = layers.embed_forward(sparse, self.embedding)
+            op, product_cache = layers.product_forward(e, self.product)
+            cross_caches.append(cross_cache)
+            embed_caches.append(embed_cache)
+            product_caches.append(product_cache)
+            oc_rows.append(oc)
+            op_rows.append(op)
+        h0, concat_cache = layers.concat_cross_forward(
+            np.stack(oc_rows), np.stack(op_rows), self.concat)
+        probs, mlp_cache = layers.mlp_forward(h0, self.mlp)
+        return probs, ModelCache(cross_caches, embed_caches, product_caches,
+                                 concat_cache, mlp_cache)
+
+    def backward(self, cache: "ModelCache", labels) -> None:
+        """Accumulate the batch's summed logloss gradient into the registry.
+
+        The sigmoid/logloss chain collapses to (prob - label) at each row's
+        logit, so the pass starts there. The MLP head and the concat cross
+        run once over the batch and their gradients, summed over its rows,
+        are added once. The product, embedding and cross stages then run
+        row by row in ascending order; each embedding table gets a row's
+        gradient on its looked-up row only, and the registry records that
+        row as touched. Callers zero_grad() before a batch and
+        scale_grads(1 / B) afterwards to get the mean gradient.
+        """
+        grad_logit = cache.mlp.probs - np.asarray(labels, dtype=np.float64)
         grad_h0, mlp_grads = layers.mlp_backward_logit(cache.mlp, grad_logit, self.mlp)
         grad_oc, grad_op, concat_grads = layers.concat_cross_backward(
             cache.concat, grad_h0, self.concat)
-        grad_e, product_grads = layers.product_backward(
-            cache.product, grad_op, self.product)
-        ids, embed_rows = layers.embed_backward(cache.embed, grad_e, self.embedding)
-        _, cross_grads = layers.cross_backward(cache.cross, grad_oc, self.cross)
 
         reg = self.registry
-        for l in range(self.cross.depth):
-            reg[f"cross.w{l}"].grad += cross_grads.weights[l]
-            reg[f"cross.b{l}"].grad += cross_grads.biases[l]
-        for i in range(self.embedding.n_fields):
-            reg[f"embed.field{i}"].add_row(int(ids[i]), embed_rows[i])
-        reg["product.theta"].grad += product_grads.theta
-        reg["product.order1"].grad += product_grads.order1
+        for i in range(len(cache.cross)):
+            grad_e, product_grads = layers.product_backward(
+                cache.product[i], grad_op[i], self.product)
+            ids, embed_rows = layers.embed_backward(
+                cache.embed[i], grad_e, self.embedding)
+            _, cross_grads = layers.cross_backward(cache.cross[i], grad_oc[i], self.cross)
+            for l in range(self.cross.depth):
+                reg[f"cross.w{l}"].grad += cross_grads.weights[l]
+                reg[f"cross.b{l}"].grad += cross_grads.biases[l]
+            for f in range(self.embedding.n_fields):
+                reg[f"embed.field{f}"].add_row(int(ids[f]), embed_rows[f])
+            reg["product.theta"].grad += product_grads.theta
+            reg["product.order1"].grad += product_grads.order1
         reg["concat.w"].grad += concat_grads.weight
         reg["concat.b"].grad += concat_grads.bias
-        for i in range(len(self.mlp.weights)):
-            reg[f"mlp.w{i}"].grad += mlp_grads.weights[i]
-            reg[f"mlp.b{i}"].grad += mlp_grads.biases[i]
+        for l in range(len(self.mlp.weights)):
+            reg[f"mlp.w{l}"].grad += mlp_grads.weights[l]
+            reg[f"mlp.b{l}"].grad += mlp_grads.biases[l]
         reg["mlp.out_w"].grad += mlp_grads.out_weight
         reg["mlp.out_b"].grad += mlp_grads.out_bias
 
@@ -305,12 +341,11 @@ class XCrossNetModel:
 
 @dataclass
 class ModelCache:
-    cross: layers.CrossCache
-    embed: layers.EmbedCache
-    product: layers.ProductCache
-    concat: layers.ConcatCache
-    mlp: layers.MlpCache
-    prob: float
+    cross: list[layers.CrossCache]      # one per row
+    embed: list[layers.EmbedCache]      # one per row
+    product: list[layers.ProductCache]  # one per row
+    concat: layers.ConcatCache          # the whole batch
+    mlp: layers.MlpCache                # the whole batch
 
 class _ZeroDraws:
     """Stand-in generator whose draws are all zero (for shape allocation)."""
@@ -347,6 +382,9 @@ def balance_index(config: ModelConfig, convention: str = "include_input") -> flo
 # exact.
 
 def save_checkpoint(model: XCrossNetModel, path) -> None:
+    """Write the checkpoint atomically: the bytes go to a temporary file
+    beside `path`, which then replaces it, so a save that fails or is
+    interrupted leaves any previous file at `path` as it was."""
     header = {
         "format": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
@@ -354,11 +392,20 @@ def save_checkpoint(model: XCrossNetModel, path) -> None:
         "param_counts": model.num_parameters(),
         "registry": model.registry.names(),
     }
-    flat = model.registry.get_flat().astype("<f8")
-    with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        f.write(b"\n")
-        f.write(flat.tobytes())
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+            f.write(b"\n")
+            f.write(model.registry.get_flat().astype("<f8").tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 def load_checkpoint(path) -> XCrossNetModel:
     with open(path, "rb") as f:

@@ -1,4 +1,5 @@
-"""Logloss objective with L2 regularization, Adam, and the training loop.
+"""Logloss objective (metrics.logloss) with L2 regularization, Adam, and
+the training loop.
 
 Regularization is the squared L2 norm over every registry parameter
 (biases and embedding tables included), applied in coupled form: the
@@ -23,26 +24,7 @@ import numpy as np
 
 from . import data as data_mod
 from .errors import DataError, NumericError
-
-PRED_CLAMP = 1e-7  # predictions are clamped to [eps, 1-eps] inside the loss only
-
-
-def logloss(preds, labels) -> float:
-    """Mean binary cross-entropy with clamped predictions; never NaN/Inf."""
-    preds = np.asarray(preds, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if preds.ndim != 1 or preds.shape != labels.shape:
-        raise ValueError(f"preds {preds.shape} vs labels {labels.shape}")
-    if preds.shape[0] == 0:
-        raise DataError("logloss of an empty prediction vector")
-    p = np.clip(preds, PRED_CLAMP, 1.0 - PRED_CLAMP)
-    terms = labels * np.log(p) + (1.0 - labels) * np.log1p(-p)
-    return float(-np.mean(terms))
-
-
-def _instance_logloss(pred: float, label: float) -> float:
-    p = min(max(pred, PRED_CLAMP), 1.0 - PRED_CLAMP)
-    return -(label * math.log(p) + (1.0 - label) * math.log1p(-p))
+from .metrics import evaluate, logloss
 
 
 def objective(loss: float, registry, lam: float) -> float:
@@ -101,19 +83,15 @@ def adam_step(registry, state: AdamState, lr: float, lam: float = 0.0) -> None:
 def batch_loss_and_grad(model, batch) -> float:
     """Mean logloss over the batch; mean gradient left in the registry.
 
-    Instances are processed and their gradients reduced in ascending index
-    order, so the result is a pure function of the batch content.
+    One forward and one backward pass over the whole batch: the backward
+    pass sums the gradient over the rows, then it is scaled by 1 / B. The
+    result is a pure function of the batch content.
     """
     model.zero_grad()
-    n = len(batch)
-    total = 0.0
-    for i in range(n):
-        inst = batch.instance(i)
-        prob, cache = model.forward(inst)
-        model.backward(cache, inst.label)
-        total += _instance_logloss(prob, inst.label)
-    model.registry.scale_grads(1.0 / n)
-    return total / n
+    probs, cache = model.forward(batch)
+    model.backward(cache, batch.labels)
+    model.registry.scale_grads(1.0 / len(batch))
+    return logloss(probs, batch.labels)
 
 
 @dataclass
@@ -150,8 +128,6 @@ def fit(model, train: "data_mod.Dataset", config: TrainConfig,
     extra record additionally carries val_auc / val_logloss. Epoch e is
     shuffled by default_rng((config.seed, e)).
     """
-    from .metrics import evaluate  # metrics depends on optim.logloss
-
     if len(train) == 0:
         raise DataError("cannot fit on an empty dataset")
     if train.n_dense != model.config.dense_fields or \

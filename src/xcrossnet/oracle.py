@@ -23,9 +23,9 @@ from . import linalg
 from .data import Dataset, batch_iter, stable_sigmoid
 from .errors import NumericError
 from .layers import CrossStack
-from .metrics import auc
+from .metrics import auc, logloss
 from .model import ParamEntry, ParamRegistry
-from .optim import AdamState, adam_step, batch_loss_and_grad, _instance_logloss
+from .optim import AdamState, adam_step, batch_loss_and_grad
 
 
 # ---------------------------------------------------------------------------
@@ -186,22 +186,14 @@ def relative_error(analytic: float, numeric: float, floor: float = 1e-10) -> flo
 
 def batch_logloss(model, batch) -> float:
     """Forward-only mean clamped logloss (the function finite_diff probes)."""
-    total = 0.0
-    for i in range(len(batch)):
-        inst = batch.instance(i)
-        prob, _ = model.forward(inst)
-        total += _instance_logloss(prob, inst.label)
-    return total / len(batch)
+    probs, _ = model.forward(batch)
+    return logloss(probs, batch.labels)
 
 
 def relu_kink_risk(model, batch, floor: float = 1e-4) -> bool:
     """True if any MLP pre-activation sits within floor of the ReLU kink."""
-    for i in range(len(batch)):
-        _, cache = model.forward(batch.instance(i))
-        for z in cache.mlp.pre_acts:
-            if np.any(np.abs(z) < floor):
-                return True
-    return False
+    _, cache = model.forward(batch)
+    return any(np.any(np.abs(z) < floor) for z in cache.mlp.pre_acts)
 
 
 def gradcheck_point(config, seed: int, instances: int = 3,
@@ -228,9 +220,8 @@ def gradcheck_point(config, seed: int, instances: int = 3,
             [rng.integers(0, v, instances) for v in config.vocab_sizes])
         labels = rng.integers(0, 2, instances).astype(np.float64)
         batch = Dataset(dense, sparse, labels)
-        logits = [model.forward(batch.instance(i))[1].mlp.logit
-                  for i in range(instances)]
-        if max(abs(z) for z in logits) <= logit_cap and \
+        logits = model.forward(batch)[1].mlp.logits
+        if np.max(np.abs(logits)) <= logit_cap and \
                 not relu_kink_risk(model, batch):
             return model, batch
     raise NumericError(

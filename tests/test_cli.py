@@ -125,7 +125,7 @@ class TestTrain:
         args = cli.build_parser().parse_args(
             ["train", "--synth", "default", "--config", str(cfg_path),
              "--out", str(tmp_path)])
-        cfg = cli._resolve_run_config(args)
+        cfg, _ = cli._resolve_run_config(args)
         assert cfg["batch_size"] == 128 and cfg["embed_dim"] == 6
         assert cfg["product_size"] == cli.SYNTH_SCALE_DEFAULTS["product_size"]
 
@@ -299,7 +299,13 @@ class TestInspect:
         lambda c: c.update(learning_rate=0.1),  # unknown key
         lambda c: c.pop("dense_fields"),         # missing key
         lambda c: c.update(embed_dim=-3),        # bad dimension
-    ], ids=["unknown_key", "missing_dense_fields", "negative_embed_dim"])
+        lambda c: c.update(dense_fields=2.5),    # non-integer dimension
+        lambda c: c.update(cross_depth=True),    # bool dimension
+        lambda c: c.update(vocab_sizes=[3, 2.5]),
+        lambda c: c.update(mlp_widths=[4.0]),
+    ], ids=["unknown_key", "missing_dense_fields", "negative_embed_dim",
+            "float_dense_fields", "bool_cross_depth", "float_vocab_size",
+            "float_mlp_width"])
     def test_malformed_config_header_exits_3(self, tmp_path, capsys, edit):
         model = XCrossNetModel.init(ModelConfig(
             dense_fields=2, sparse_fields=2, vocab_sizes=(3, 3), embed_dim=2,

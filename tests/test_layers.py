@@ -285,66 +285,81 @@ class TestProductLayer:
 class TestConcatCross:
     def test_zero_weight(self):
         cc = layers.ConcatCross(np.zeros(4), np.zeros(4))
-        out, _ = layers.concat_cross_forward(np.array([1.0, 2.0]),
-                                             np.array([3.0, 4.0]), cc)
-        assert np.array_equal(out, np.array([1.0, 2.0, 3.0, 4.0, 0, 0, 0, 0]))
+        out, _ = layers.concat_cross_forward(np.array([[1.0, 2.0]]),
+                                             np.array([[3.0, 4.0]]), cc)
+        assert np.array_equal(out, np.array([[1.0, 2.0, 3.0, 4.0, 0, 0, 0, 0]]))
 
     def test_worked_example(self):
         cc = layers.ConcatCross(np.array([1.0, 0.0]), np.zeros(2))
-        out, _ = layers.concat_cross_forward(np.array([1.0]), np.array([2.0]), cc)
-        assert np.array_equal(out, np.array([1.0, 2.0, 1.0, 2.0]))
+        out, _ = layers.concat_cross_forward(np.array([[1.0], [3.0]]),
+                                             np.array([[2.0], [5.0]]), cc)
+        assert np.array_equal(out, np.array([[1.0, 2.0, 1.0, 2.0],
+                                             [3.0, 5.0, 9.0, 15.0]]))
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(14)
         dim = 6
         cc = layers.ConcatCross(rng.uniform(-1, 1, dim), rng.uniform(-1, 1, dim))
-        oc, op = rng.normal(size=4), rng.normal(size=2)
+        oc, op = rng.normal(size=(3, 4)), rng.normal(size=(3, 2))
         fast, _ = layers.concat_cross_forward(oc, op, cc)
-        x0 = np.concatenate([oc, op])
         stack = layers.CrossStack([cc.weight], [cc.bias])
-        assert rel_err(fast, oracle.naive_cross_forward(x0, stack)) < 1e-12
+        for row in range(3):
+            x0 = np.concatenate([oc[row], op[row]])
+            assert rel_err(fast[row], oracle.naive_cross_forward(x0, stack)) < 1e-12
+
+    def test_dim_mismatch(self):
+        cc = layers.ConcatCross(np.zeros(3), np.zeros(3))
+        with pytest.raises(DimensionError):
+            layers.concat_cross_forward(np.zeros((2, 2)), np.zeros((2, 2)), cc)
+        with pytest.raises(DimensionError):
+            layers.concat_cross_forward(np.zeros((2, 2)), np.zeros((3, 1)), cc)
+        with pytest.raises(DimensionError):
+            layers.concat_cross_forward(np.zeros(2), np.zeros(1), cc)
 
     def test_identity_segment_passthrough(self):
         # upstream gradient only on the x0 half flows through unchanged
         rng = np.random.default_rng(15)
         dim = 5
         cc = layers.ConcatCross(rng.normal(size=dim), rng.normal(size=dim))
-        oc, op = rng.normal(size=3), rng.normal(size=2)
+        oc, op = rng.normal(size=(2, 3)), rng.normal(size=(2, 2))
         _, cache = layers.concat_cross_forward(oc, op, cc)
-        g0 = rng.normal(size=dim)
-        upstream = np.concatenate([g0, np.zeros(dim)])
+        g0 = rng.normal(size=(2, dim))
+        upstream = np.concatenate([g0, np.zeros((2, dim))], axis=1)
         goc, gop, _ = layers.concat_cross_backward(cache, upstream, cc)
-        assert np.array_equal(np.concatenate([goc, gop]), g0)
+        assert np.array_equal(np.concatenate([goc, gop], axis=1), g0)
 
     def test_zero_upstream(self):
         rng = np.random.default_rng(16)
         cc = layers.ConcatCross(rng.normal(size=3), rng.normal(size=3))
-        _, cache = layers.concat_cross_forward(rng.normal(size=2),
-                                               rng.normal(size=1), cc)
-        goc, gop, grads = layers.concat_cross_backward(cache, np.zeros(6), cc)
-        assert np.array_equal(goc, np.zeros(2))
-        assert np.array_equal(gop, np.zeros(1))
+        _, cache = layers.concat_cross_forward(rng.normal(size=(2, 2)),
+                                               rng.normal(size=(2, 1)), cc)
+        goc, gop, grads = layers.concat_cross_backward(cache, np.zeros((2, 6)), cc)
+        assert np.array_equal(goc, np.zeros((2, 2)))
+        assert np.array_equal(gop, np.zeros((2, 1)))
         assert np.array_equal(grads.weight, np.zeros(3))
 
     def test_finite_differences(self):
+        # a batch of 3 rows: parameter gradients are summed over the rows
         rng = np.random.default_rng(17)
-        n_oc, n_op = 4, 3
+        rows, n_oc, n_op = 3, 4, 3
         dim = n_oc + n_op
         w, b = rng.uniform(-1, 1, dim), rng.uniform(-1, 1, dim)
-        oc, op = rng.normal(size=n_oc), rng.normal(size=n_op)
-        g = rng.normal(size=2 * dim)
+        oc, op = rng.normal(size=(rows, n_oc)), rng.normal(size=(rows, n_op))
+        g = rng.normal(size=(rows, 2 * dim))
+        cuts = np.cumsum([oc.size, op.size, dim])
 
         def f(flat):
-            oc_, op_, w_, b_ = np.split(flat, [n_oc, n_oc + n_op, n_oc + n_op + dim])
-            out, _ = layers.concat_cross_forward(oc_, op_,
-                                                 layers.ConcatCross(w_, b_))
-            return float(out @ g)
+            oc_, op_, w_, b_ = np.split(flat, cuts)
+            out, _ = layers.concat_cross_forward(
+                oc_.reshape(rows, n_oc), op_.reshape(rows, n_op),
+                layers.ConcatCross(w_, b_))
+            return float(np.sum(out * g))
 
         cc = layers.ConcatCross(w, b)
         _, cache = layers.concat_cross_forward(oc, op, cc)
         goc, gop, grads = layers.concat_cross_backward(cache, g, cc)
-        analytic = np.concatenate([goc, gop, grads.weight, grads.bias])
-        numeric = oracle.finite_diff(f, np.concatenate([oc, op, w, b]))
+        analytic = np.concatenate([goc.ravel(), gop.ravel(), grads.weight, grads.bias])
+        numeric = oracle.finite_diff(f, np.concatenate([oc.ravel(), op.ravel(), w, b]))
         assert rel_err(analytic, numeric) < 1e-6
 
 
@@ -367,67 +382,80 @@ def random_mlp(rng, input_dim, widths, scale=0.8):
 class TestMlp:
     def test_all_zero_gives_half(self):
         mlp = layers.Mlp([np.zeros((3, 2))], [np.zeros(3)], np.zeros(3), np.zeros(1))
-        prob, _ = layers.mlp_forward(np.array([0.7, -0.3]), mlp)
-        assert prob == 0.5
+        probs, _ = layers.mlp_forward(np.array([[0.7, -0.3], [1.0, 2.0]]), mlp)
+        assert np.array_equal(probs, [0.5, 0.5])
 
     def test_relu_dead_path(self):
         # one hidden unit, weight 1, input -5: hidden dies, output is
         # sigmoid(output bias)
         mlp = layers.Mlp([np.array([[1.0]])], [np.zeros(1)],
                          np.array([1.0]), np.array([0.3]))
-        prob, cache = layers.mlp_forward(np.array([-5.0]), mlp)
-        assert cache.hiddens[-1][0] == 0.0
-        assert prob == layers.sigmoid(0.3)
+        probs, cache = layers.mlp_forward(np.array([[-5.0]]), mlp)
+        assert cache.hiddens[-1][0, 0] == 0.0
+        assert probs[0] == 1.0 / (1.0 + np.exp(-0.3))
 
     def test_no_hidden_layers(self):
         mlp = layers.Mlp([], [], np.array([2.0, -1.0]), np.array([0.5]))
-        prob, cache = layers.mlp_forward(np.array([1.0, 1.0]), mlp)
-        assert prob == layers.sigmoid(1.5)
-        assert cache.logit == 1.5
+        probs, cache = layers.mlp_forward(np.array([[1.0, 1.0], [0.0, 2.0]]), mlp)
+        assert np.array_equal(cache.logits, [1.5, -1.5])
+        assert probs[0] == 1.0 / (1.0 + np.exp(-1.5))
+        assert probs[1] == np.exp(-1.5) / (1.0 + np.exp(-1.5))
 
     def test_output_strictly_inside_unit_interval(self):
         # float64 sigmoid saturates past |z| ~ 37; assert strictness on the
         # representable range the layer contract covers
         rng = np.random.default_rng(18)
         mlp = random_mlp(rng, 4, (6,))
-        for _ in range(200):
-            prob, cache = layers.mlp_forward(rng.uniform(-2, 2, 4), mlp)
-            assert 0.0 < prob < 1.0
+        probs, _ = layers.mlp_forward(rng.uniform(-2, 2, (200, 4)), mlp)
+        assert np.all((probs > 0.0) & (probs < 1.0))
+
+    def test_dim_mismatch(self):
+        mlp = random_mlp(np.random.default_rng(22), 3, (4,))
+        with pytest.raises(DimensionError):
+            layers.mlp_forward(np.zeros((2, 4)), mlp)
+        with pytest.raises(DimensionError):
+            layers.mlp_forward(np.zeros(3), mlp)
+        _, cache = layers.mlp_forward(np.zeros((2, 3)), mlp)
+        with pytest.raises(DimensionError):
+            layers.mlp_backward_logit(cache, np.zeros(3), mlp)
 
     def test_finite_differences(self):
+        # d(sum_r u_r * prob_r) over a batch of 3 rows: the logit gradient
+        # is u * prob * (1 - prob), and parameter gradients sum the rows
         rng = np.random.default_rng(19)
-        input_dim, widths = 4, (5, 3)
-        for attempt in range(20):
+        rows, input_dim, widths = 3, 4, (5, 3)
+        u = rng.normal(size=rows)
+        for attempt in range(50):
             mlp = random_mlp(rng, input_dim, widths)
-            h0 = rng.uniform(-1, 1, input_dim)
+            h0 = rng.uniform(-1, 1, (rows, input_dim))
             _, cache = layers.mlp_forward(h0, mlp)
             if all(np.min(np.abs(z)) > 1e-3 for z in cache.pre_acts) and \
-                    abs(cache.logit) < 6:
+                    np.max(np.abs(cache.logits)) < 6:
                 break
 
-        shapes = [(input_dim,)] + [w.shape for w in mlp.weights] + \
+        shapes = [h0.shape] + [w.shape for w in mlp.weights] + \
                  [b.shape for b in mlp.biases] + [mlp.out_weight.shape, (1,)]
         sizes = [int(np.prod(s)) for s in shapes]
 
         def f(flat):
             parts = np.split(flat, np.cumsum(sizes)[:-1])
-            h0_ = parts[0]
+            h0_ = parts[0].reshape(shapes[0])
             n_layers = len(mlp.weights)
             ws = [parts[1 + i].reshape(shapes[1 + i]) for i in range(n_layers)]
             bs = [parts[1 + n_layers + i] for i in range(n_layers)]
             out_w = parts[1 + 2 * n_layers]
             out_b = parts[2 + 2 * n_layers]
-            prob, _ = layers.mlp_forward(h0_, layers.Mlp(ws, bs, out_w, out_b))
-            return prob
+            probs, _ = layers.mlp_forward(h0_, layers.Mlp(ws, bs, out_w, out_b))
+            return float(probs @ u)
 
-        _, cache = layers.mlp_forward(h0, mlp)
-        gh0, grads = layers.mlp_backward(cache, 1.0, mlp)
+        probs, cache = layers.mlp_forward(h0, mlp)
+        gh0, grads = layers.mlp_backward_logit(cache, u * probs * (1.0 - probs), mlp)
         analytic = np.concatenate(
-            [gh0] + [w.ravel() for w in grads.weights] +
+            [gh0.ravel()] + [w.ravel() for w in grads.weights] +
             [b.ravel() for b in grads.biases] +
             [grads.out_weight, grads.out_bias])
         theta = np.concatenate(
-            [h0] + [w.ravel() for w in mlp.weights] +
+            [h0.ravel()] + [w.ravel() for w in mlp.weights] +
             [b.ravel() for b in mlp.biases] + [mlp.out_weight, mlp.out_bias])
         numeric = oracle.finite_diff(f, theta)
         assert rel_err(analytic, numeric) < 1e-6
@@ -435,21 +463,10 @@ class TestMlp:
     def test_zero_upstream(self):
         rng = np.random.default_rng(20)
         mlp = random_mlp(rng, 3, (4,))
-        _, cache = layers.mlp_forward(rng.normal(size=3), mlp)
-        gh0, grads = layers.mlp_backward(cache, 0.0, mlp)
-        assert np.array_equal(gh0, np.zeros(3))
+        _, cache = layers.mlp_forward(rng.normal(size=(2, 3)), mlp)
+        gh0, grads = layers.mlp_backward_logit(cache, np.zeros(2), mlp)
+        assert np.array_equal(gh0, np.zeros((2, 3)))
         assert np.array_equal(grads.out_weight, np.zeros(4))
-
-    def test_logit_entry_point_consistency(self):
-        # grad at logit g equals grad at output g / sigma'(z)
-        rng = np.random.default_rng(21)
-        mlp = random_mlp(rng, 3, (4,))
-        h0 = rng.normal(size=3)
-        _, cache = layers.mlp_forward(h0, mlp)
-        gh_logit, _ = layers.mlp_backward_logit(cache, 1.0, mlp)
-        gh_out, _ = layers.mlp_backward(cache, 1.0, mlp)
-        sig_prime = cache.prob * (1.0 - cache.prob)
-        assert np.allclose(gh_out, gh_logit * sig_prime, rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------

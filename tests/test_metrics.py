@@ -103,6 +103,21 @@ class TestEvaluate:
         b = metrics.evaluate(model, ds)
         assert (a.auc, a.logloss) == (b.auc, b.logloss)
 
+    def test_chunked_predictions_match_one_batch(self):
+        # 1,100 rows span three PREDICT_CHUNK-row forward passes
+        model = XCrossNetModel.init(self.CONFIG)
+        model.registry.set_flat(np.random.default_rng(3).uniform(
+            -0.5, 0.5, model.registry.total_size()))
+        rng = np.random.default_rng(4)
+        n = 2 * metrics.PREDICT_CHUNK + 76
+        ds = data.Dataset(rng.uniform(-1, 1, (n, 2)), rng.integers(0, 3, (n, 2)),
+                          rng.integers(0, 2, n).astype(float))
+        chunked = metrics.predict_dataset(model, ds)
+        whole, _ = model.forward(ds)
+        assert np.allclose(chunked, whole, rtol=1e-12, atol=0.0)
+        head = metrics.predict_dataset(model, ds.subset(np.arange(100)))
+        assert np.allclose(head, whole[:100], rtol=1e-12, atol=0.0)
+
     def test_logloss_matches_optim_exactly(self):
         model = XCrossNetModel.init(self.CONFIG)
         ds = self.small_dataset([1, 0, 0, 1])

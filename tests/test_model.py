@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from xcrossnet import data, optim, oracle
+from xcrossnet import model as model_mod
 from xcrossnet.errors import CheckpointError, DataError, DimensionError
 from xcrossnet.model import (ModelConfig, XCrossNetModel, balance_index,
                              load_checkpoint, save_checkpoint)
@@ -45,6 +46,17 @@ class TestInit:
         assert counts["concat"] == 2 * (13 * 5 + 2 * 100)
         assert counts["total"] == sum(v for k, v in counts.items() if k != "total")
 
+    @pytest.mark.parametrize("field, value", [
+        ("dense_fields", 2.5), ("embed_dim", True), ("seed", "0"),
+        ("vocab_sizes", (5, 5, 5.0, 5)), ("mlp_widths", (8.5,)),
+    ])
+    def test_wrongly_typed_config_rejected(self, field, value):
+        import dataclasses
+        bad = dataclasses.replace(SMALL, **{field: value})
+        problems = bad.validate()
+        assert len(problems) == 1 and problems[0].startswith(f"{field}:")
+        assert getattr(bad, field) == value  # kept as given, not truncated
+
     def test_invalid_config_reports_all_problems(self):
         bad = ModelConfig(dense_fields=0, sparse_fields=2, vocab_sizes=(1,),
                           embed_dim=0, product_size=1, cross_depth=1,
@@ -85,49 +97,67 @@ class TestRegistry:
 class TestForwardBackward:
     def test_zero_model_predicts_half(self):
         m = XCrossNetModel.zeros(SMALL)
-        batch = random_batch(SMALL, np.random.default_rng(1), n=1)
-        prob, _ = m.forward(batch.instance(0))
-        assert prob == 0.5
+        batch = random_batch(SMALL, np.random.default_rng(1), n=3)
+        probs, _ = m.forward(batch)
+        assert np.array_equal(probs, [0.5, 0.5, 0.5])
 
     def test_forward_is_pure(self):
         m = XCrossNetModel.init(SMALL)
-        inst = random_batch(SMALL, np.random.default_rng(2), n=1).instance(0)
-        p1, _ = m.forward(inst)
-        p2, _ = m.forward(inst)
-        assert p1 == p2
+        batch = random_batch(SMALL, np.random.default_rng(2), n=3)
+        p1, _ = m.forward(batch)
+        p2, _ = m.forward(batch)
+        assert np.array_equal(p1, p2)
+
+    def test_batch_forward_matches_rows_one_at_a_time(self):
+        m = XCrossNetModel.init(SMALL)
+        m.registry.set_flat(np.random.default_rng(8).uniform(
+            -0.3, 0.3, m.registry.total_size()))
+        batch = random_batch(SMALL, np.random.default_rng(9), n=17)
+        probs, cache = m.forward(batch)
+        assert probs.shape == (17,)
+        for i in range(len(batch)):
+            one, one_cache = m.forward(batch.subset([i]))
+            assert abs(one[0] - probs[i]) <= 1e-12 * abs(probs[i])
+            assert abs(one_cache.mlp.logits[0] - cache.mlp.logits[i]) <= \
+                1e-12 * max(abs(cache.mlp.logits[i]), 1.0)
 
     def test_logit_gradient_is_prob_minus_label(self):
         m = XCrossNetModel.init(SMALL)
-        inst = random_batch(SMALL, np.random.default_rng(3), n=1).instance(0)
-        prob, cache = m.forward(inst)
+        batch = random_batch(SMALL, np.random.default_rng(3), n=1)
+        probs, cache = m.forward(batch)
         m.zero_grad()
-        m.backward(cache, 1.0)
+        m.backward(cache, [1.0])
         # out_bias sees the logit gradient directly
-        assert m.registry["mlp.out_b"].grad[0] == prob - 1.0
+        assert m.registry["mlp.out_b"].grad[0] == probs[0] - 1.0
 
     def test_saturated_correct_prediction_has_tiny_gradient(self):
         m = XCrossNetModel.init(SMALL)
         m.registry["mlp.out_b"].values[0] = 40.0  # force prob ~ 1
-        inst = random_batch(SMALL, np.random.default_rng(4), n=1).instance(0)
-        prob, cache = m.forward(inst)
+        batch = random_batch(SMALL, np.random.default_rng(4), n=1)
+        _, cache = m.forward(batch)
         m.zero_grad()
-        m.backward(cache, 1.0)
+        m.backward(cache, [1.0])
         assert abs(m.registry["mlp.out_b"].grad[0]) < 1e-12
 
     def test_batch_gradient_is_mean_of_instances(self):
+        # the batched back half sums rows inside GEMMs, in an order of its
+        # own, so the batch gradient matches the mean of B = 1 gradients to
+        # rounding, not bit for bit
         m = XCrossNetModel.init(SMALL)
-        batch = random_batch(SMALL, np.random.default_rng(5), n=3)
+        m.registry.set_flat(np.random.default_rng(10).uniform(
+            -0.3, 0.3, m.registry.total_size()))
+        batch = random_batch(SMALL, np.random.default_rng(5), n=7)
         optim.batch_loss_and_grad(m, batch)
         batched = m.registry.get_grad_flat()
 
         manual = np.zeros_like(batched)
         for i in range(len(batch)):
             m.zero_grad()
-            prob, cache = m.forward(batch.instance(i))
-            m.backward(cache, batch.instance(i).label)
-            manual = manual + m.registry.get_grad_flat()
+            _, cache = m.forward(batch.subset([i]))
+            m.backward(cache, batch.labels[i:i + 1])
+            manual += m.registry.get_grad_flat()
         manual *= 1.0 / len(batch)
-        assert np.array_equal(batched, manual)
+        assert np.max(np.abs(batched - manual)) <= 1e-12 * np.max(np.abs(manual))
 
     def test_gradient_reduction_order_invariance(self):
         # per-instance gradients reduced in ascending index order are the
@@ -137,8 +167,8 @@ class TestForwardBackward:
 
         def grad_of(i):
             m.zero_grad()
-            _, cache = m.forward(batch.instance(i))
-            m.backward(cache, batch.instance(i).label)
+            _, cache = m.forward(batch.subset([i]))
+            m.backward(cache, batch.labels[i:i + 1])
             return m.registry.get_grad_flat()
 
         forward_order = [grad_of(i) for i in range(len(batch))]
@@ -160,16 +190,16 @@ class TestForwardBackward:
     def test_dimension_fuzzing(self):
         m = XCrossNetModel.init(SMALL)
         rng = np.random.default_rng(7)
-        bad_dense = data.Instance(rng.normal(size=5), np.zeros(4, dtype=np.int64), 0)
+
+        def one_row(dense, sparse):
+            return data.Dataset(dense[None, :], sparse[None, :], np.zeros(1))
+
         with pytest.raises(DimensionError):
-            m.forward(bad_dense)
-        bad_sparse = data.Instance(rng.normal(size=3), np.zeros(2, dtype=np.int64), 0)
+            m.forward(one_row(rng.normal(size=5), np.zeros(4, dtype=np.int64)))
         with pytest.raises(DimensionError):
-            m.forward(bad_sparse)
-        oov = data.Instance(rng.normal(size=3),
-                            np.array([0, 0, 0, 9], dtype=np.int64), 0)
+            m.forward(one_row(rng.normal(size=3), np.zeros(2, dtype=np.int64)))
         with pytest.raises(DataError):
-            m.forward(oov)
+            m.forward(one_row(rng.normal(size=3), np.array([0, 0, 0, 9])))
 
 
 class TestCheckpoint:
@@ -203,6 +233,37 @@ class TestCheckpoint:
         (tmp_path / "bad.xcn").write_bytes(patched + b"\n" + blob)
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "bad.xcn")
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        m = XCrossNetModel.init(SMALL)
+        path = tmp_path / "model.xcn"
+        save_checkpoint(m, path)
+        before = path.read_bytes()
+        m.registry.set_flat(np.ones(m.registry.total_size()))
+
+        class TornFile:
+            """Writes a prefix of the first chunk, then fails."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, chunk):
+                self.f.write(chunk[:10])
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(model_mod, "open",
+                            lambda *a, **k: TornFile(open(*a, **k)), raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint(m, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.xcn"]
 
     def test_garbage_header(self, tmp_path):
         (tmp_path / "bad.xcn").write_bytes(b"\x00\x01\x02 not json\n1234")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xcrossnet import data, layers, optim, oracle
+from xcrossnet import data, layers, metrics, optim, oracle
 from xcrossnet.errors import DataError, NumericError
 from xcrossnet.model import ModelConfig, ParamEntry, ParamRegistry, XCrossNetModel
 
@@ -33,10 +33,10 @@ def fsum_logloss(preds, labels):
 
 class TestLogloss:
     def test_half_predictions_give_ln2(self):
-        assert abs(optim.logloss([0.5, 0.5], [1, 0]) - math.log(2)) < 1e-15
+        assert abs(metrics.logloss([0.5, 0.5], [1, 0]) - math.log(2)) < 1e-15
 
     def test_perfect_predictions_clamped(self):
-        loss = optim.logloss([1.0, 0.0], [1, 0])
+        loss = metrics.logloss([1.0, 0.0], [1, 0])
         assert math.isfinite(loss)
         assert 0 < loss < 2e-7
 
@@ -45,13 +45,13 @@ class TestLogloss:
         for _ in range(20):
             preds = rng.uniform(0, 1, 64)
             labels = rng.integers(0, 2, 64).astype(float)
-            a = optim.logloss(preds, labels)
+            a = metrics.logloss(preds, labels)
             b = fsum_logloss(preds, labels)
             assert abs(a - b) / abs(b) < 1e-12
 
     def test_empty_input(self):
         with pytest.raises(DataError):
-            optim.logloss([], [])
+            metrics.logloss([], [])
 
     @given(st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=64),
            st.data())
@@ -59,7 +59,7 @@ class TestLogloss:
     def test_never_non_finite(self, preds, data_):
         labels = data_.draw(st.lists(st.sampled_from([0.0, 1.0]),
                                      min_size=len(preds), max_size=len(preds)))
-        assert math.isfinite(optim.logloss(preds, labels))
+        assert math.isfinite(metrics.logloss(preds, labels))
 
 
 class TestObjective:
@@ -166,8 +166,9 @@ WIDE = ModelConfig(dense_fields=3, sparse_fields=3, vocab_sizes=(50, 40, 30),
 class TestRowSparseUpdate:
     def test_touched_rows_match_dense_reference(self):
         # lambda = 0: each table's gradient equals a dense table built with
-        # np.add.at over the per-instance embedding gradients in instance
-        # order, then scaled; a previous batch's rows are zeroed again
+        # np.add.at over the per-row embedding gradients of the batched
+        # stages, in row order, then scaled; a previous batch's rows are
+        # zeroed again
         m = XCrossNetModel.init(WIDE)
         rng = np.random.default_rng(12)
         optim.batch_loss_and_grad(m, tiny_batch(rng, n=8, config=WIDE))
@@ -175,14 +176,11 @@ class TestRowSparseUpdate:
         batch.sparse[:, 0] = np.minimum(batch.sparse[:, 0], 4)  # repeated ids
         optim.batch_loss_and_grad(m, batch)
 
-        grad_e = []
-        for i in range(len(batch)):
-            _, cache = m.forward(batch.instance(i))
-            gh0, _ = layers.mlp_backward_logit(
-                cache.mlp, cache.prob - batch.labels[i], m.mlp)
-            _, gop, _ = layers.concat_cross_backward(cache.concat, gh0, m.concat)
-            grad_e.append(layers.product_backward(cache.product, gop, m.product)[0])
-        grad_e = np.stack(grad_e)
+        probs, cache = m.forward(batch)
+        gh0, _ = layers.mlp_backward_logit(cache.mlp, probs - batch.labels, m.mlp)
+        _, gop, _ = layers.concat_cross_backward(cache.concat, gh0, m.concat)
+        grad_e = np.stack([layers.product_backward(cache.product[i], gop[i], m.product)[0]
+                           for i in range(len(batch))])
         for f, vocab in enumerate(WIDE.vocab_sizes):
             expected = np.zeros((vocab, WIDE.embed_dim))
             np.add.at(expected, batch.sparse[:, f], grad_e[:, f])
