@@ -143,7 +143,11 @@ def _resolve_run_config(args) -> tuple[dict, optim.TrainConfig]:
             cfg[key] = flag_value
     if isinstance(cfg["mlp_widths"], str):
         cfg["mlp_widths"] = _parse_widths(cfg["mlp_widths"])
-    cfg["mlp_widths"] = tuple(int(w) for w in cfg["mlp_widths"])
+    if isinstance(cfg["mlp_widths"], (list, tuple)):
+        cfg["mlp_widths"] = tuple(cfg["mlp_widths"])
+    else:
+        problems.append(f"mlp_widths: expected a list of integers, "
+                        f"got {cfg['mlp_widths']!r}")
 
     if cfg["synth"] is not None:
         if cfg["synth"] != "default":
@@ -161,10 +165,14 @@ def _resolve_run_config(args) -> tuple[dict, optim.TrainConfig]:
                                   l2=float(cfg["l2"]), epochs=int(cfg["epochs"]),
                                   seed=int(cfg["seed"]), eval_every=int(cfg["eval_every"]))
     problems.extend(train_cfg.validate())
-    # model dims are validated after the data determines vocab sizes
+    # the model config is validated whole once the data determines vocab
+    # sizes; the field counts are checked first because parsing uses them
     for key in ("dense_fields", "sparse_fields", "embed_dim", "product_size",
                 "cross_depth"):
-        if int(cfg[key]) < 1:
+        value = cfg[key]
+        if not isinstance(value, int) or isinstance(value, bool):
+            problems.append(f"{key}: must be an integer, got {value!r}")
+        elif value < 1:
             problems.append(f"{key}: must be >= 1")
     if problems:
         raise UsageError(problems)
@@ -230,15 +238,16 @@ def cmd_train(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     train_ds, valid_ds, vocab, vocab_sizes, provenance = _load_training_data(cfg)
 
+    # passed as given, so that validate() rejects non-integer dimensions
     model_cfg = ModelConfig(
-        dense_fields=int(cfg["dense_fields"]),
-        sparse_fields=int(cfg["sparse_fields"]),
+        dense_fields=cfg["dense_fields"],
+        sparse_fields=cfg["sparse_fields"],
         vocab_sizes=tuple(vocab_sizes),
-        embed_dim=int(cfg["embed_dim"]),
-        product_size=int(cfg["product_size"]),
-        cross_depth=int(cfg["cross_depth"]),
-        mlp_widths=tuple(cfg["mlp_widths"]),
-        seed=int(cfg["seed"]),
+        embed_dim=cfg["embed_dim"],
+        product_size=cfg["product_size"],
+        cross_depth=cfg["cross_depth"],
+        mlp_widths=cfg["mlp_widths"],
+        seed=cfg["seed"],
     )
     problems = model_cfg.validate()
     if problems:

@@ -5,29 +5,28 @@ plus a cache of the activations the hand-derived backward pass needs.
 Parameters live in small dataclasses. The dense stages' backward passes
 return their parameter gradients in the same dataclasses (a gradient has
 exactly the shapes of its parameter); the embedding's backward pass does
-not, because its gradient is nonzero only on the rows the instance looked
-up: it returns those ids and their gradient rows.
+not, because its gradient is nonzero only on the rows the batch looked up:
+it returns those ids and their gradient rows.
 
-The back half is batch-major: ConcatCross and Mlp take (B, .) arrays, one
-instance per row, and their backward passes return (B, .) input gradients
-and parameter gradients summed over the batch. CrossStack, Embedding and
-ProductLayer still take one instance at a time; the model stacks their
-outputs before the concat.
+Every stage is batch-major: it takes (B, .) arrays, one instance per row,
+and its backward pass returns (B, .) input gradients and parameter
+gradients summed over the batch, written as GEMMs over the whole batch.
 
 Stages, in pipeline order:
 
-  CrossStack    dense input d, recursion  c_{l+1} = d * <c_l, w_l> + b_l,
-                output [d; c_1; ...; c_L]
-  Embedding     per-field lookup of category ids into K-dim rows
+  CrossStack    dense input D (B, M), recursion  C_{l+1} = D * s_l + b_l
+                with s_l = C_l @ w_l, output [D, C_1, ..., C_L]
+  Embedding     per-field lookup of (B, N) category ids into (B, N, K)
   ProductLayer  first-order sums <w1[t,i], e_i> and factored second-order
                 sums |sum_i theta[t,i] * e_i|^2 over field embeddings
   ConcatCross   one more cross recursion over the concatenation of the
                 dense and sparse stage outputs
   Mlp           ReLU hidden layers, one sigmoid output per row
 
-The cross recursions use the rank-one shortcut: d * c^T * w == d * <c, w>,
-a scalar scale instead of an M x M matrix (the naive matrix route lives in
-`oracle` and is only used to check this one).
+The cross recursions use the rank-one shortcut: per row, d * c^T * w ==
+d * <c, w>, so a layer's scale over the batch is the row-wise product
+s = C @ w instead of an M x M matrix per row (the naive matrix route lives
+in `oracle` and is only used to check this one).
 """
 
 from __future__ import annotations
@@ -36,9 +35,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .data import stable_sigmoid
 from .errors import DataError, DimensionError
+
+
+def _as_rows(x, stage: str) -> np.ndarray:
+    """Coerce to a (B, D) float64 array holding one instance per row."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2:
+        raise DimensionError(
+            f"{stage}: expected a (batch, dim) array, got shape {x.shape}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -75,45 +82,41 @@ class CrossStack:
         biases = [np.zeros(input_dim) for _ in range(depth)]
         return cls(weights, biases)
 
-    def zeros_like(self) -> "CrossStack":
-        return CrossStack([np.zeros_like(w) for w in self.weights],
-                          [np.zeros_like(b) for b in self.biases])
-
 
 @dataclass
 class CrossCache:
-    d: np.ndarray
-    cross_vecs: list[np.ndarray]  # [c_1, ..., c_L]
-    scalars: list[float]          # s_l = <c_l, w_l> with c_0 = d
+    d: np.ndarray                 # (B, M)
+    cross_vecs: list[np.ndarray]  # [C_1, ..., C_L], each (B, M)
+    scalars: list[np.ndarray]     # s_l = C_l @ w_l, each (B,), with C_0 = D
 
 
 def cross_forward(d: np.ndarray, stack: CrossStack) -> tuple[np.ndarray, CrossCache]:
-    """Run the cross recursion; returns ([d; c_1; ...; c_L], cache).
+    """Run the cross recursion over the rows of D (B, M).
 
-    Each layer costs O(M): one dot for the scalar s_l, one scale-and-add.
+    Returns ([D, C_1, ..., C_L] of shape (B, M * (L + 1)), cache). Each
+    layer costs O(B * M): one matrix-vector product for the row scales
+    s_l = C_l @ w_l, one scale-and-add C_{l+1} = D * s_l[:, None] + b_l.
     """
-    d = linalg.as_vec(d)
-    if stack.depth and d.shape[0] != stack.input_dim:
+    d = _as_rows(d, "cross_forward")
+    if stack.depth and d.shape[1] != stack.input_dim:
         raise DimensionError(
-            f"cross_forward: input has dim {d.shape[0]}, stack expects {stack.input_dim}")
+            f"cross_forward: input has dim {d.shape[1]}, stack expects {stack.input_dim}")
     prev = d
     cross_vecs: list[np.ndarray] = []
-    scalars: list[float] = []
+    scalars: list[np.ndarray] = []
     for w, b in zip(stack.weights, stack.biases):
-        s = linalg.dot(prev, w)
-        c = linalg.axpy(s, d, b)  # d * s + b
+        s = prev @ w
+        prev = d * s[:, None] + b
         scalars.append(s)
-        cross_vecs.append(c)
-        prev = c
-    out = np.concatenate([d] + cross_vecs) if cross_vecs else d.copy()
-    return out, CrossCache(d, cross_vecs, scalars)
+        cross_vecs.append(prev)
+    return np.concatenate([d] + cross_vecs, axis=1), CrossCache(d, cross_vecs, scalars)
 
 
 def cross_backward(cache: CrossCache, grad_out: np.ndarray,
                    stack: CrossStack) -> tuple[np.ndarray, CrossStack]:
     """Reverse-mode pass through the cross recursion.
 
-    With c_{l+1} = d * s_l + b_l and s_l = <c_l, w_l> (c_0 = d):
+    Per row, with c_{l+1} = d * s_l + b_l and s_l = <c_l, w_l> (c_0 = d):
 
         db_l   = g_{l+1}
         ds_l   = <g_{l+1}, d>
@@ -123,30 +126,30 @@ def cross_backward(cache: CrossCache, grad_out: np.ndarray,
 
     where g_{l+1} is the accumulated gradient on c_{l+1}: the slice of
     grad_out for that segment plus whatever flowed back from deeper layers.
+    Returns the (B, M) input gradient and the parameter gradients summed
+    over the batch: dw_l = C_l^T @ ds and db_l = G_{l+1}.sum(0).
     """
-    m = cache.d.shape[0]
+    rows, m = cache.d.shape
     depth = stack.depth
-    if grad_out.shape[0] != m * (depth + 1):
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    if grad_out.shape != (rows, m * (depth + 1)):
         raise DimensionError(
-            f"cross_backward: grad has dim {grad_out.shape[0]}, "
-            f"expected {m * (depth + 1)}")
-    segs = grad_out.reshape(depth + 1, m)
-    grads = stack.zeros_like()
-    grad_d = segs[0].copy()
-    running = np.zeros(m)  # gradient flowing back onto c_{l+1} from deeper layers
+            f"cross_backward: grad has shape {grad_out.shape}, "
+            f"expected {(rows, m * (depth + 1))}")
+    segs = grad_out.reshape(rows, depth + 1, m)
+    weights, biases = [None] * depth, [None] * depth
+    grad_d = segs[:, 0].copy()
+    running = 0.0  # gradient flowing back onto C_{l+1} from deeper layers
     for l in range(depth - 1, -1, -1):
-        g_next = segs[l + 1] + running
+        g_next = segs[:, l + 1] + running
         prev = cache.cross_vecs[l - 1] if l >= 1 else cache.d
-        grads.biases[l] = g_next
-        ds = linalg.dot(g_next, cache.d)
-        grads.weights[l] = ds * prev
-        grad_prev = ds * stack.weights[l]
-        grad_d += g_next * cache.scalars[l]
-        if l >= 1:
-            running = grad_prev
-        else:
-            grad_d += grad_prev
-    return grad_d, grads
+        ds = np.einsum("bm,bm->b", g_next, cache.d)
+        weights[l] = prev.T @ ds
+        biases[l] = g_next.sum(axis=0)
+        grad_d += g_next * cache.scalars[l][:, None]
+        running = ds[:, None] * stack.weights[l]
+    grad_d += running  # the chain through C_0 = D
+    return grad_d, CrossStack(weights, biases)
 
 
 # ---------------------------------------------------------------------------
@@ -182,38 +185,40 @@ class Embedding:
 
 @dataclass
 class EmbedCache:
-    ids: np.ndarray
+    ids: np.ndarray  # (B, N)
 
 
 def embed_forward(ids, emb: Embedding) -> tuple[np.ndarray, EmbedCache]:
-    """Look up one row per field; returns (E of shape (N, K), cache)."""
+    """Look up every row's id per field; returns (E of shape (B, N, K), cache)."""
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.shape != (emb.n_fields,):
+    if ids.ndim != 2 or ids.shape[1] != emb.n_fields:
         raise DimensionError(
-            f"embed_forward: got {ids.shape} ids for {emb.n_fields} fields")
-    rows = []
+            f"embed_forward: got ids of shape {ids.shape} for {emb.n_fields} fields")
+    e = np.empty((ids.shape[0], emb.n_fields, emb.embed_dim))
     for i, table in enumerate(emb.tables):
-        c = int(ids[i])
-        if not 0 <= c < table.shape[0]:
+        col = ids[:, i]
+        bad = (col < 0) | (col >= table.shape[0])
+        if bad.any():
             raise DataError(
-                f"embed_forward: id {c} out of range for field {i} "
+                f"embed_forward: id {col[bad][0]} out of range for field {i} "
                 f"(vocab {table.shape[0]}); map unknowns to 0 at ingestion")
-        rows.append(table[c])
-    return np.stack(rows), EmbedCache(ids)
+        np.take(table, col, axis=0, out=e[:, i])
+    return e, EmbedCache(ids)
 
 
 def embed_backward(cache: EmbedCache, grad_e: np.ndarray,
                    emb: Embedding) -> tuple[np.ndarray, np.ndarray]:
     """The lookup's gradient in row-sparse form: (ids, rows).
 
-    Table i's gradient is rows[i] at row ids[i] and exactly zero on every
-    other row, so it costs O(N * K) whatever the vocab sizes.
+    Table i's gradient is the sum of rows[b, i] over the batch rows b at
+    table row ids[b, i], and exactly zero on every other row, so it costs
+    O(B * N * K) whatever the vocab sizes.
     """
     grad_e = np.asarray(grad_e, dtype=np.float64)
-    if grad_e.shape != (emb.n_fields, emb.embed_dim):
+    expected = (cache.ids.shape[0], emb.n_fields, emb.embed_dim)
+    if grad_e.shape != expected:
         raise DimensionError(
-            f"embed_backward: grad has shape {grad_e.shape}, "
-            f"expected {(emb.n_fields, emb.embed_dim)}")
+            f"embed_backward: grad has shape {grad_e.shape}, expected {expected}")
     return cache.ids, grad_e
 
 
@@ -253,62 +258,64 @@ class ProductLayer:
         order1 = rng.normal(0.0, 0.01, (size, n_fields, embed_dim))
         return cls(theta, order1)
 
-    def zeros_like(self) -> "ProductLayer":
-        return ProductLayer(np.zeros_like(self.theta), np.zeros_like(self.order1))
-
 
 @dataclass
 class ProductCache:
-    e: np.ndarray  # (N, K)
-    u: np.ndarray  # (T, K), u[t] = sum_i theta[t, i] * e[i]
+    e: np.ndarray   # (B, N, K)
+    et: np.ndarray  # (N, B * K), the fields-major copy of e
+    u: np.ndarray   # (T, B * K), u[t, (b, k)] = sum_i theta[t, i] * e[b, i, k]
 
 
 def product_forward(e: np.ndarray, pl: ProductLayer) -> tuple[np.ndarray, ProductCache]:
-    """Returns ([p1_1..p1_T, p2_1..p2_T], cache)."""
+    """Returns ([P1, P2] of shape (B, 2T), cache) for E of shape (B, N, K).
+
+    U = theta @ E is one GEMM over the (N, B * K) fields-major layout and
+    P1 = E_flat @ order1_flat^T one over the (B, N * K) row layout.
+    """
     e = np.asarray(e, dtype=np.float64)
-    if e.shape != pl.order1.shape[1:]:
+    t, n, k = pl.order1.shape
+    if e.ndim != 3 or e.shape[1:] != (n, k):
         raise DimensionError(
-            f"product_forward: embeddings {e.shape} vs layer fields "
-            f"{pl.order1.shape[1:]}")
-    u = pl.theta @ e                              # (T, K)
-    p2 = np.einsum("tk,tk->t", u, u)
-    p1 = np.einsum("tnk,nk->t", pl.order1, e)
-    return np.concatenate([p1, p2]), ProductCache(e, u)
+            f"product_forward: embeddings {e.shape} vs layer fields {(n, k)}")
+    rows = e.shape[0]
+    et = e.transpose(1, 0, 2).reshape(n, rows * k)
+    u = pl.theta @ et
+    p2 = np.square(u).reshape(t, rows, k).sum(axis=2).T
+    p1 = e.reshape(rows, n * k) @ pl.order1.reshape(t, n * k).T
+    return np.concatenate([p1, p2], axis=1), ProductCache(e, et, u)
 
 
 def product_backward(cache: ProductCache, grad_out: np.ndarray,
                      pl: ProductLayer) -> tuple[np.ndarray, ProductLayer]:
-    """Gradients of the product layer.
+    """Gradients of the product layer, each one GEMM over the batch.
 
-    dp2_t/du_t = 2 u_t, so  dtheta[t, i] = 2 g2_t <u_t, e_i>  and the
-    second-order path into e_i is  2 g2_t theta[t, i] u_t; the first-order
-    path is linear in both order1 and e.
+    Per row, dp2_t/du_t = 2 u_t, so  dtheta[t, i] = 2 g2_t <u_t, e_i>  and
+    the second-order path into e_i is  2 g2_t theta[t, i] u_t; the
+    first-order path is linear in both order1 and e. Over the batch, with
+    GU = 2 * G2 * U in the (T, B * K) layout:
+
+        dtheta = GU @ E_fields^T             (T, N)
+        dorder1 = G1^T @ E_flat              (T, N * K)
+        grad_E = theta^T @ GU + G1 @ order1_flat
     """
+    rows, n, k = cache.e.shape
     t = pl.size
-    if grad_out.shape[0] != 2 * t:
+    grad_out = np.asarray(grad_out, dtype=np.float64)
+    if grad_out.shape != (rows, 2 * t):
         raise DimensionError(
-            f"product_backward: grad has dim {grad_out.shape[0]}, expected {2 * t}")
-    g1, g2 = grad_out[:t], grad_out[t:]
-    grads = pl.zeros_like()
-    gu = 2.0 * g2[:, None] * cache.u              # (T, K)
-    grads.theta[:] = gu @ cache.e.T
-    grads.order1[:] = g1[:, None, None] * cache.e[None, :, :]
-    grad_e = pl.theta.T @ gu + np.einsum("t,tnk->nk", g1, pl.order1)
+            f"product_backward: grad has shape {grad_out.shape}, expected {(rows, 2 * t)}")
+    g1, g2 = grad_out[:, :t], grad_out[:, t:]
+    gu = (2.0 * g2.T[:, :, None] * cache.u.reshape(t, rows, k)).reshape(t, rows * k)
+    grads = ProductLayer(gu @ cache.et.T,
+                         (g1.T @ cache.e.reshape(rows, n * k)).reshape(t, n, k))
+    grad_e = (pl.theta.T @ gu).reshape(n, rows, k).transpose(1, 0, 2) + \
+        (g1 @ pl.order1.reshape(t, n * k)).reshape(rows, n, k)
     return grad_e, grads
 
 
 # ---------------------------------------------------------------------------
-# concat + cross on the combined representation (batch-major)
+# concat + cross on the combined representation
 # ---------------------------------------------------------------------------
-
-
-def _as_rows(x, stage: str) -> np.ndarray:
-    """Coerce to a (B, D) float64 array holding one instance per row."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise DimensionError(
-            f"{stage}: expected a (batch, dim) array, got shape {x.shape}")
-    return x
 
 
 @dataclass
@@ -384,7 +391,7 @@ def concat_cross_backward(cache: ConcatCache, grad_out: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# MLP head (batch-major)
+# MLP head
 # ---------------------------------------------------------------------------
 
 

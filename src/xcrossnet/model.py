@@ -110,17 +110,24 @@ class ModelConfig:
 
 @dataclass
 class ParamEntry:
+    """One registry parameter: its values and its gradient.
+
+    A row-sparse entry's grad is zero outside the rows recorded in
+    `touched` since the last zero_grads; gradient goes in through
+    add_rows, which records the rows it adds to.
+    """
+
     name: str
     values: np.ndarray  # a direct reference to the layer's parameter array
     grad: np.ndarray    # same shape, owned by the registry
-    # A row-sparse entry's grad is zero outside the rows recorded in
-    # `touched` since the last zero_grads; add gradient through add_row.
     row_sparse: bool = False
     touched: list[int] = field(default_factory=list)
 
-    def add_row(self, row: int, grad_row: np.ndarray) -> None:
-        self.grad[row] += grad_row
-        self.touched.append(row)
+    def add_rows(self, ids: np.ndarray, rows: np.ndarray) -> None:
+        """grad[ids[j]] += rows[j] for every j, in order (np.add.at), and
+        record the ids as touched."""
+        np.add.at(self.grad, ids, rows)
+        self.touched.extend(ids.tolist())
 
     def rows(self):
         """Index of the rows that may hold gradient: the sorted touched rows
@@ -262,59 +269,47 @@ class XCrossNetModel:
         """Probabilities in (0, 1) for the B rows of a batch, plus the cache.
 
         batch has (B, M) `dense` and (B, N) `sparse` columns, as a
-        data.Dataset does; one instance is the B = 1 case. The cross,
-        embedding and product stages run row by row; their outputs are
-        stacked, and the concat cross and the MLP head run once over the
-        batch. Returns the (B,) probabilities.
+        data.Dataset does; one instance is the B = 1 case. Each of the five
+        stages runs once over the whole batch. Returns the (B,)
+        probabilities.
         """
-        cross_caches, embed_caches, product_caches = [], [], []
-        oc_rows, op_rows = [], []
-        for dense, sparse in zip(batch.dense, batch.sparse):
-            oc, cross_cache = layers.cross_forward(dense, self.cross)
-            e, embed_cache = layers.embed_forward(sparse, self.embedding)
-            op, product_cache = layers.product_forward(e, self.product)
-            cross_caches.append(cross_cache)
-            embed_caches.append(embed_cache)
-            product_caches.append(product_cache)
-            oc_rows.append(oc)
-            op_rows.append(op)
-        h0, concat_cache = layers.concat_cross_forward(
-            np.stack(oc_rows), np.stack(op_rows), self.concat)
+        oc, cross_cache = layers.cross_forward(batch.dense, self.cross)
+        e, embed_cache = layers.embed_forward(batch.sparse, self.embedding)
+        op, product_cache = layers.product_forward(e, self.product)
+        h0, concat_cache = layers.concat_cross_forward(oc, op, self.concat)
         probs, mlp_cache = layers.mlp_forward(h0, self.mlp)
-        return probs, ModelCache(cross_caches, embed_caches, product_caches,
+        return probs, ModelCache(cross_cache, embed_cache, product_cache,
                                  concat_cache, mlp_cache)
 
     def backward(self, cache: "ModelCache", labels) -> None:
         """Accumulate the batch's summed logloss gradient into the registry.
 
         The sigmoid/logloss chain collapses to (prob - label) at each row's
-        logit, so the pass starts there. The MLP head and the concat cross
-        run once over the batch and their gradients, summed over its rows,
-        are added once. The product, embedding and cross stages then run
-        row by row in ascending order; each embedding table gets a row's
-        gradient on its looked-up row only, and the registry records that
-        row as touched. Callers zero_grad() before a batch and
-        scale_grads(1 / B) afterwards to get the mean gradient.
+        logit, so the pass starts there. Each stage's backward pass runs
+        once over the batch, and its parameter gradients, summed over the
+        rows, are added to the registry once. Each embedding table gets
+        every row's gradient on that row's looked-up id, added in row order
+        through ParamEntry.add_rows, which records the ids as touched.
+        Callers zero_grad() before a batch and scale_grads(1 / B) afterwards
+        to get the mean gradient.
         """
         grad_logit = cache.mlp.probs - np.asarray(labels, dtype=np.float64)
         grad_h0, mlp_grads = layers.mlp_backward_logit(cache.mlp, grad_logit, self.mlp)
         grad_oc, grad_op, concat_grads = layers.concat_cross_backward(
             cache.concat, grad_h0, self.concat)
+        grad_e, product_grads = layers.product_backward(
+            cache.product, grad_op, self.product)
+        ids, embed_rows = layers.embed_backward(cache.embed, grad_e, self.embedding)
+        _, cross_grads = layers.cross_backward(cache.cross, grad_oc, self.cross)
 
         reg = self.registry
-        for i in range(len(cache.cross)):
-            grad_e, product_grads = layers.product_backward(
-                cache.product[i], grad_op[i], self.product)
-            ids, embed_rows = layers.embed_backward(
-                cache.embed[i], grad_e, self.embedding)
-            _, cross_grads = layers.cross_backward(cache.cross[i], grad_oc[i], self.cross)
-            for l in range(self.cross.depth):
-                reg[f"cross.w{l}"].grad += cross_grads.weights[l]
-                reg[f"cross.b{l}"].grad += cross_grads.biases[l]
-            for f in range(self.embedding.n_fields):
-                reg[f"embed.field{f}"].add_row(int(ids[f]), embed_rows[f])
-            reg["product.theta"].grad += product_grads.theta
-            reg["product.order1"].grad += product_grads.order1
+        for l in range(self.cross.depth):
+            reg[f"cross.w{l}"].grad += cross_grads.weights[l]
+            reg[f"cross.b{l}"].grad += cross_grads.biases[l]
+        for f in range(self.embedding.n_fields):
+            reg[f"embed.field{f}"].add_rows(ids[:, f], embed_rows[:, f])
+        reg["product.theta"].grad += product_grads.theta
+        reg["product.order1"].grad += product_grads.order1
         reg["concat.w"].grad += concat_grads.weight
         reg["concat.b"].grad += concat_grads.bias
         for l in range(len(self.mlp.weights)):
@@ -341,11 +336,13 @@ class XCrossNetModel:
 
 @dataclass
 class ModelCache:
-    cross: list[layers.CrossCache]      # one per row
-    embed: list[layers.EmbedCache]      # one per row
-    product: list[layers.ProductCache]  # one per row
-    concat: layers.ConcatCache          # the whole batch
-    mlp: layers.MlpCache                # the whole batch
+    """One cache per stage, each covering the whole batch."""
+
+    cross: layers.CrossCache
+    embed: layers.EmbedCache
+    product: layers.ProductCache
+    concat: layers.ConcatCache
+    mlp: layers.MlpCache
 
 class _ZeroDraws:
     """Stand-in generator whose draws are all zero (for shape allocation)."""

@@ -5,7 +5,14 @@ materializes the full rank-one matrix the fast path avoids, the product
 oracle runs the O(N^2 K) double sum the fast path factors, gradients come
 from central finite differences, and the polynomial oracle expands the
 cross recursion symbolically into monomials. Loop orders deliberately
-differ from the fast implementations where there is a choice.
+differ from the fast implementations where there is a choice. The naive
+cross and product oracles take one instance; tests compare them with each
+row of a batch.
+
+The per-field order-count closed form for a monomial's coefficient (the
+sum over fields k of the choice tuples that pick field k exactly alpha_k
+times) matches this expansion for m = 1 field, matches it up to a factor
+of m for m = 2, and diverges for m >= 3.
 
 These paths may be exponential in small bounded sizes; they are test
 equipment, not production code.
@@ -19,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .data import Dataset, batch_iter, stable_sigmoid
 from .errors import NumericError
 from .layers import CrossStack
@@ -35,11 +41,11 @@ from .optim import AdamState, adam_step, batch_loss_and_grad
 
 def naive_cross_forward(d: np.ndarray, stack: CrossStack) -> np.ndarray:
     """The cross recursion with the M x M outer-product matrix materialized."""
-    d = linalg.as_vec(d)
+    d = np.asarray(d, dtype=np.float64)
     prev = d
     segments = [d]
     for w, b in zip(stack.weights, stack.biases):
-        mat = linalg.outer(d, prev)  # O(M^2) on purpose
+        mat = np.outer(d, prev)  # O(M^2) on purpose
         c = mat @ w + b
         segments.append(c)
         prev = c
@@ -82,7 +88,7 @@ def expand_cross_polynomial(weights) -> list[Monomial]:
     returned polynomial at any d must reproduce the numeric chain.
     Enumerates all m^len(weights) field choices; guarded against blowup.
     """
-    weights = [linalg.as_vec(w) for w in weights]
+    weights = [np.asarray(w, dtype=np.float64) for w in weights]
     m = weights[0].shape[0]
     n_forms = len(weights)
     if m ** n_forms > EXPANSION_TERM_CAP:
@@ -102,52 +108,13 @@ def expand_cross_polynomial(weights) -> list[Monomial]:
 
 
 def evaluate_monomials(monomials, d) -> float:
-    d = linalg.as_vec(d)
+    d = np.asarray(d, dtype=np.float64)
     total = 0.0
     for mono in monomials:
         term = mono.coefficient
         for j, power in enumerate(mono.exponents):
             term *= d[j] ** power
         total += term
-    return total
-
-
-def coefficient_via_order_sums(weights, alpha) -> float:
-    """The order-bookkeeping closed form for a monomial coefficient.
-
-    Computes  sum_{k=1..m} sum_{I: count_k(I) = alpha_k} prod_i w_i[I_i]
-    where I ranges over per-form field choices (tuples in {0..m-1}^n_forms)
-    and count_k(I) is how often field k is chosen. This is the closed form
-    written with per-field order counts rather than joint ones; see the
-    oracle tests for where it matches the exact expansion (m = 1 exactly,
-    m = 2 up to a factor of m) and where it diverges (m >= 3, where the
-    per-field constraint admits cross-field contamination terms).
-    """
-    weights = [linalg.as_vec(w) for w in weights]
-    m = weights[0].shape[0]
-    alpha = list(alpha)
-    if len(alpha) != m:
-        raise ValueError(f"alpha has {len(alpha)} entries for {m} fields")
-    if any(a < 0 or a != int(a) for a in alpha):
-        raise ValueError(f"alpha entries must be non-negative integers: {alpha}")
-    n_forms = len(weights)
-    if sum(alpha) != n_forms:
-        raise ValueError(
-            f"|alpha| = {sum(alpha)} must equal the number of forms {n_forms}")
-    if m ** n_forms > EXPANSION_TERM_CAP:
-        raise ValueError(
-            f"would enumerate {m}^{n_forms} choice tuples; refusing")
-    total = 0.0
-    for picks in itertools.product(range(m), repeat=n_forms):
-        coeff = 1.0
-        for form, j in enumerate(picks):
-            coeff *= weights[form][j]
-        counts = [0] * m
-        for j in picks:
-            counts[j] += 1
-        for k in range(m):
-            if counts[k] == alpha[k]:
-                total += coeff
     return total
 
 

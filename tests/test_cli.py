@@ -129,6 +129,18 @@ class TestTrain:
         assert cfg["batch_size"] == 128 and cfg["embed_dim"] == 6
         assert cfg["product_size"] == cli.SYNTH_SCALE_DEFAULTS["product_size"]
 
+    @pytest.mark.parametrize("key, value", [("embed_dim", 2.5), ("mlp_widths", [4.0])])
+    def test_non_integer_model_dimension_is_usage_error(self, tmp_path, capsys,
+                                                        key, value):
+        # not truncated to an integer: the run stops before training
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        code, _, err = run_cli(["train", "--synth", "default", "--config",
+                                str(cfg_path), "--out", str(tmp_path / "run")], capsys)
+        assert code == 2
+        assert f"{key}:" in err
+        assert not (tmp_path / "run" / "checkpoint.xcn").exists()
+
     def test_flags_override_config_file(self, synth_dir, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xcrossnet import data, layers, metrics, optim, oracle
+from xcrossnet import cli, data, layers, metrics, optim, oracle
 from xcrossnet.errors import DataError, NumericError
 from xcrossnet.model import ModelConfig, ParamEntry, ParamRegistry, XCrossNetModel
 
@@ -179,8 +179,7 @@ class TestRowSparseUpdate:
         probs, cache = m.forward(batch)
         gh0, _ = layers.mlp_backward_logit(cache.mlp, probs - batch.labels, m.mlp)
         _, gop, _ = layers.concat_cross_backward(cache.concat, gh0, m.concat)
-        grad_e = np.stack([layers.product_backward(cache.product[i], gop[i], m.product)[0]
-                           for i in range(len(batch))])
+        grad_e, _ = layers.product_backward(cache.product, gop, m.product)
         for f, vocab in enumerate(WIDE.vocab_sizes):
             expected = np.zeros((vocab, WIDE.embed_dim))
             np.add.at(expected, batch.sparse[:, f], grad_e[:, f])
@@ -326,3 +325,26 @@ class TestFit:
         assert "val_auc" in seen[-1] and "val_logloss" in seen[-1]
         steps = [r["step"] for r in seen]
         assert steps == sorted(steps)
+
+
+def test_synth_model_learns_past_lr_toward_bayes():
+    # the learning gate: 3 epochs of the `train --synth default` model on
+    # the default synth task. Over data seeds 0-9 and 2024 the measured
+    # gaps were AUC - LR 0.039-0.047 and Bayes - AUC 0.007-0.011; the
+    # margins leave room for that spread, not for a model that stops
+    # learning the planted crosses
+    scale = cli.SYNTH_SCALE_DEFAULTS
+    sd = data.synth_generate(data.DEFAULT_SYNTH_SPEC)
+    train, valid = sd.train_dataset(), sd.valid_dataset()
+    config = ModelConfig(
+        dense_fields=train.n_dense, sparse_fields=train.n_sparse,
+        vocab_sizes=sd.vocab().sizes(), embed_dim=scale["embed_dim"],
+        product_size=scale["product_size"], cross_depth=scale["cross_depth"],
+        mlp_widths=scale["mlp_widths"], seed=cli.RUN_DEFAULTS["seed"])
+    model = XCrossNetModel.init(config)
+    optim.fit(model, train, optim.TrainConfig(
+        lr=cli.RUN_DEFAULTS["lr"], batch_size=scale["batch_size"],
+        l2=cli.RUN_DEFAULTS["l2"], epochs=3))
+    val_auc = metrics.evaluate(model, valid).auc
+    assert val_auc - oracle.lr_baseline_auc(train, valid) >= 0.025
+    assert metrics.auc(sd.valid_scores, valid.labels) - val_auc <= 0.02

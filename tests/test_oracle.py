@@ -80,47 +80,6 @@ class TestExpansion:
             assert sum(mono.exponents) == 4
 
 
-class TestOrderSumsCoefficient:
-    """The order-bookkeeping closed form vs the exact expansion.
-
-    Findings, frozen from exhaustive enumeration: for one field the two
-    agree exactly; for two fields the bookkeeping form is exactly twice
-    the exact coefficient on the whole alpha grid (each field's count
-    constraint is implied by the other's, so both k-terms contribute the
-    full coefficient); for three or more fields the per-field constraint
-    no longer pins the joint exponent pattern and cross-field terms leak
-    in, so the two are not even proportional.
-    """
-
-    def test_single_field_reduces_to_product(self):
-        weights = [np.array([2.0]), np.array([3.0]), np.array([5.0])]
-        assert oracle.coefficient_via_order_sums(weights, (3,)) == 30.0
-
-    def test_two_fields_twice_exact_on_full_grid(self):
-        weights = [np.array([1.0, 1.0]), np.array([1.0, 2.0])]
-        exact = {m.exponents: m.coefficient
-                 for m in oracle.expand_cross_polynomial(weights)}
-        for alpha in [(2, 0), (1, 1), (0, 2)]:
-            book = oracle.coefficient_via_order_sums(weights, alpha)
-            assert book == 2.0 * exact[alpha]
-
-    def test_three_fields_diverges(self):
-        weights = [np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])]
-        exact = 13.0  # w0[0] w1[1] + w0[1] w1[0], hand-checked
-        book = oracle.coefficient_via_order_sums(weights, (1, 1, 0))
-        assert book == 98.0  # hand-enumerated: 31 (k=1) + 40 (k=2) + 27 (k=3)
-        assert book != 3.0 * exact
-
-    def test_validation(self):
-        weights = [np.array([1.0, 2.0])]
-        with pytest.raises(ValueError):
-            oracle.coefficient_via_order_sums(weights, (-1, 2))
-        with pytest.raises(ValueError):
-            oracle.coefficient_via_order_sums(weights, (2, 1))  # |alpha| != forms
-        with pytest.raises(ValueError):
-            oracle.coefficient_via_order_sums(weights, (1,))  # wrong length
-
-
 class TestFiniteDiff:
     def test_quadratic_exact(self):
         theta = np.linspace(-2, 2, 9)
