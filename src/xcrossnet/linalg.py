@@ -3,7 +3,8 @@
 Vectors and matrices are plain numpy float64 arrays (1-D and 2-D,
 row-major). The one non-obvious rule: reductions accumulate in ascending
 index order, so repeated runs are bit-identical and regression tests can
-assert exact equality.
+assert exact equality. Only the oracle uses it: the production layers
+are batch-major GEMMs.
 """
 
 from __future__ import annotations

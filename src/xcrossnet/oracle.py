@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .data import Dataset, batch_iter, stable_sigmoid
 from .errors import NumericError
 from .layers import CrossStack
@@ -41,11 +42,11 @@ from .optim import AdamState, adam_step, batch_loss_and_grad
 
 def naive_cross_forward(d: np.ndarray, stack: CrossStack) -> np.ndarray:
     """The cross recursion with the M x M outer-product matrix materialized."""
-    d = np.asarray(d, dtype=np.float64)
+    d = linalg.as_vec(d)
     prev = d
     segments = [d]
     for w, b in zip(stack.weights, stack.biases):
-        mat = np.outer(d, prev)  # O(M^2) on purpose
+        mat = linalg.outer(d, prev)  # O(M^2) on purpose
         c = mat @ w + b
         segments.append(c)
         prev = c
@@ -88,7 +89,7 @@ def expand_cross_polynomial(weights) -> list[Monomial]:
     returned polynomial at any d must reproduce the numeric chain.
     Enumerates all m^len(weights) field choices; guarded against blowup.
     """
-    weights = [np.asarray(w, dtype=np.float64) for w in weights]
+    weights = [linalg.as_vec(w) for w in weights]
     m = weights[0].shape[0]
     n_forms = len(weights)
     if m ** n_forms > EXPANSION_TERM_CAP:
@@ -108,7 +109,7 @@ def expand_cross_polynomial(weights) -> list[Monomial]:
 
 
 def evaluate_monomials(monomials, d) -> float:
-    d = np.asarray(d, dtype=np.float64)
+    d = linalg.as_vec(d)
     total = 0.0
     for mono in monomials:
         term = mono.coefficient
