@@ -2,11 +2,12 @@
 
 Every stage is a pure function of (input, parameters) returning the output
 plus a cache of the activations the hand-derived backward pass needs.
-Parameters live in small dataclasses. The dense stages' backward passes
+Parameters live in small dataclasses whose arrays the model makes views
+into its registry's value vector. The dense stages' backward passes
 return their parameter gradients in the same dataclasses (a gradient has
 exactly the shapes of its parameter); the embedding's backward pass does
 not, because its gradient is nonzero only on the rows the batch looked up:
-it returns those ids and their gradient rows.
+it returns those rows and one summed gradient row for each.
 
 Every stage is batch-major: it takes (B, .) arrays, one instance per row,
 and its backward pass returns (B, .) input gradients and parameter
@@ -16,7 +17,8 @@ Stages, in pipeline order:
 
   CrossStack    dense input D (B, M), recursion  C_{l+1} = D * s_l + b_l
                 with s_l = C_l @ w_l, output [D, C_1, ..., C_L]
-  Embedding     per-field lookup of (B, N) category ids into (B, N, K)
+  Embedding     per-field lookup of (B, N) category ids into (B, N, K),
+                one np.take from the stacked tables
   ProductLayer  first-order sums <w1[t,i], e_i> and factored second-order
                 sums |sum_i theta[t,i] * e_i|^2 over field embeddings
   ConcatCross   one more cross recursion over the concatenation of the
@@ -68,19 +70,9 @@ class CrossStack:
     def input_dim(self) -> int:
         return len(self.weights[0]) if self.weights else 0
 
-    @property
-    def output_dim(self) -> int:
-        return self.input_dim * (self.depth + 1)
-
     def param_count(self) -> int:
         # 2 * M * L: one weight and one bias vector per layer
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
-    @classmethod
-    def init(cls, input_dim: int, depth: int, rng: np.random.Generator) -> "CrossStack":
-        weights = [rng.normal(0.0, 0.01, input_dim) for _ in range(depth)]
-        biases = [np.zeros(input_dim) for _ in range(depth)]
-        return cls(weights, biases)
 
 
 @dataclass
@@ -159,33 +151,30 @@ def cross_backward(cache: CrossCache, grad_out: np.ndarray,
 
 @dataclass
 class Embedding:
-    """One (vocab_i x K) table per categorical field."""
+    """Every field's (vocab_i x K) table, stacked into one (sum vocab, K)
+    block: field i's table is the rows from offsets[i] on."""
 
-    tables: list[np.ndarray]
+    table: np.ndarray
+    vocab_sizes: tuple[int, ...]
+
+    def __post_init__(self):
+        self.offsets = np.cumsum([0, *self.vocab_sizes[:-1]])
 
     @property
     def n_fields(self) -> int:
-        return len(self.tables)
+        return len(self.vocab_sizes)
 
     @property
     def embed_dim(self) -> int:
-        return self.tables[0].shape[1]
-
-    @property
-    def vocab_sizes(self) -> tuple[int, ...]:
-        return tuple(t.shape[0] for t in self.tables)
+        return self.table.shape[1]
 
     def param_count(self) -> int:
-        return sum(t.size for t in self.tables)
-
-    @classmethod
-    def init(cls, vocab_sizes, embed_dim: int, rng: np.random.Generator) -> "Embedding":
-        return cls([rng.normal(0.0, 0.01, (v, embed_dim)) for v in vocab_sizes])
+        return self.table.size
 
 
 @dataclass
 class EmbedCache:
-    ids: np.ndarray  # (B, N)
+    rows: np.ndarray  # (B, N) block rows: each id plus its field's offset
 
 
 def embed_forward(ids, emb: Embedding) -> tuple[np.ndarray, EmbedCache]:
@@ -194,32 +183,35 @@ def embed_forward(ids, emb: Embedding) -> tuple[np.ndarray, EmbedCache]:
     if ids.ndim != 2 or ids.shape[1] != emb.n_fields:
         raise DimensionError(
             f"embed_forward: got ids of shape {ids.shape} for {emb.n_fields} fields")
-    e = np.empty((ids.shape[0], emb.n_fields, emb.embed_dim))
-    for i, table in enumerate(emb.tables):
-        col = ids[:, i]
-        bad = (col < 0) | (col >= table.shape[0])
-        if bad.any():
-            raise DataError(
-                f"embed_forward: id {col[bad][0]} out of range for field {i} "
-                f"(vocab {table.shape[0]}); map unknowns to 0 at ingestion")
-        np.take(table, col, axis=0, out=e[:, i])
-    return e, EmbedCache(ids)
+    bad = (ids < 0) | (ids >= np.asarray(emb.vocab_sizes))
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        raise DataError(
+            f"embed_forward: id {ids[bad[:, i], i][0]} out of range for field {i} "
+            f"(vocab {emb.vocab_sizes[i]}); map unknowns to 0 at ingestion")
+    rows = ids + emb.offsets
+    return np.take(emb.table, rows, axis=0), EmbedCache(rows)
 
 
 def embed_backward(cache: EmbedCache, grad_e: np.ndarray,
                    emb: Embedding) -> tuple[np.ndarray, np.ndarray]:
-    """The lookup's gradient in row-sparse form: (ids, rows).
+    """The lookup's gradient in compact form: (rows, grad).
 
-    Table i's gradient is the sum of rows[b, i] over the batch rows b at
-    table row ids[b, i], and exactly zero on every other row, so it costs
-    O(B * N * K) whatever the vocab sizes.
+    rows holds the distinct block rows the batch looked up, sorted, and
+    grad[j] the sum of grad_e[b, i] over every (b, i) that looked up
+    rows[j], added in batch-row order (np.add.at), so each sum has the bits
+    of the instance-order sum. Every other row's gradient is exactly zero,
+    and the cost is O(B * N * K) whatever the vocab sizes.
     """
     grad_e = np.asarray(grad_e, dtype=np.float64)
-    expected = (cache.ids.shape[0], emb.n_fields, emb.embed_dim)
+    expected = (*cache.rows.shape, emb.embed_dim)
     if grad_e.shape != expected:
         raise DimensionError(
             f"embed_backward: grad has shape {grad_e.shape}, expected {expected}")
-    return cache.ids, grad_e
+    rows, inverse = np.unique(cache.rows.ravel(), return_inverse=True)
+    grad = np.zeros((len(rows), emb.embed_dim))
+    np.add.at(grad, inverse, grad_e.reshape(-1, emb.embed_dim))
+    return rows, grad
 
 
 # ---------------------------------------------------------------------------
@@ -244,19 +236,8 @@ class ProductLayer:
     def size(self) -> int:
         return self.theta.shape[0]
 
-    @property
-    def output_dim(self) -> int:
-        return 2 * self.size
-
     def param_count(self) -> int:
         return self.theta.size + self.order1.size
-
-    @classmethod
-    def init(cls, size: int, n_fields: int, embed_dim: int,
-             rng: np.random.Generator) -> "ProductLayer":
-        theta = rng.normal(0.0, 0.01, (size, n_fields))
-        order1 = rng.normal(0.0, 0.01, (size, n_fields, embed_dim))
-        return cls(theta, order1)
 
 
 @dataclass
@@ -329,16 +310,8 @@ class ConcatCross:
     def input_dim(self) -> int:
         return self.weight.shape[0]
 
-    @property
-    def output_dim(self) -> int:
-        return 2 * self.input_dim
-
     def param_count(self) -> int:
         return self.weight.size + self.bias.size
-
-    @classmethod
-    def init(cls, input_dim: int, rng: np.random.Generator) -> "ConcatCross":
-        return cls(rng.normal(0.0, 0.01, input_dim), np.zeros(input_dim))
 
 
 @dataclass
@@ -417,19 +390,6 @@ class Mlp:
     def param_count(self) -> int:
         n = sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
         return n + self.out_weight.size + self.out_bias.size
-
-    @classmethod
-    def init(cls, input_dim: int, widths, rng: np.random.Generator) -> "Mlp":
-        weights, biases = [], []
-        fan_in = input_dim
-        for width in widths:
-            bound = np.sqrt(6.0 / (fan_in + width))
-            weights.append(rng.uniform(-bound, bound, (width, fan_in)))
-            biases.append(np.zeros(width))
-            fan_in = width
-        bound = np.sqrt(6.0 / (fan_in + 1))
-        out_weight = rng.uniform(-bound, bound, fan_in)
-        return cls(weights, biases, out_weight, np.zeros(1))
 
 
 @dataclass

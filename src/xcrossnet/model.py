@@ -1,18 +1,21 @@
 """Full model assembly: topology, parameter registry, checkpoints.
 
-The registry is the single flat view of every parameter array that the
-optimizer, the finite-difference checks, and the checkpoint writer share.
-Its ordering is fixed and documented (see ParamRegistry); random
-initialization draws happen in exactly that order so a seed pins the whole
-parameter vector bit-for-bit.
+The registry owns every parameter in one flat float64 vector that the
+layers, the optimizer, the finite-difference checks and the checkpoint
+writer share: each layer array is a view into it. Its ordering is fixed and
+documented (see ParamRegistry); random initialization draws happen in
+exactly that order so a seed pins the whole parameter vector bit-for-bit.
+The dense parameters' gradient is a second flat vector; the embedding
+tables' gradient is compact, one row per table row the batch looked up.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -110,49 +113,51 @@ class ModelConfig:
 
 @dataclass
 class ParamEntry:
-    """One registry parameter: its values and its gradient.
-
-    A row-sparse entry's grad is zero outside the rows recorded in
-    `touched` since the last zero_grads; gradient goes in through
-    add_rows, which records the rows it adds to.
-    """
+    """One registry parameter: views of its values and of its gradient."""
 
     name: str
-    values: np.ndarray  # a direct reference to the layer's parameter array
-    grad: np.ndarray    # same shape, owned by the registry
-    row_sparse: bool = False
-    touched: list[int] = field(default_factory=list)
-
-    def add_rows(self, ids: np.ndarray, rows: np.ndarray) -> None:
-        """grad[ids[j]] += rows[j] for every j, in order (np.add.at), and
-        record the ids as touched."""
-        np.add.at(self.grad, ids, rows)
-        self.touched.extend(ids.tolist())
-
-    def rows(self):
-        """Index of the rows that may hold gradient: the sorted touched rows
-        of a row-sparse entry, every row of any other."""
-        if not self.row_sparse:
-            return slice(None)
-        return np.unique(np.asarray(self.touched, dtype=np.intp))
+    values: np.ndarray       # a view into ParamRegistry.values
+    grad: np.ndarray | None  # a view into ParamRegistry.grad; None on a table
+    start: int               # offset of values in ParamRegistry.values
 
 class ParamRegistry:
-    """Deterministic flat enumeration of every parameter array.
+    """Every parameter in one flat float64 vector, in a fixed order.
 
     Ordering: cross stack (w0, b0, w1, b1, ...), embedding tables in field
     order, product theta then order-1 weights, concat weight then bias,
-    MLP (w0, b0, ...), output weight, output bias. All flat views use
-    C-order raveling of the underlying arrays.
+    MLP (w0, b0, ...), output weight, output bias, each C-order raveled.
 
-    The embedding tables are row-sparse entries: a batch's gradient lives
-    on the rows it looked up, and zero_grads, scale_grads and the
-    optimizer touch only those rows (see ParamEntry.rows). Every other
-    entry is handled whole.
+    `values` holds them all; every entry's values, and every layer array,
+    is a view into it. `grad` holds the gradient of every dense entry (all
+    but the embedding tables) in the same order. The embedding tables are
+    adjacent in `values` and form one (sum vocab, K) block, `embed_block`.
+    Their gradient is compact: `embed_rows` holds the sorted distinct block
+    rows the last batch looked up, `embed_grad` one gradient row for each,
+    and every other row's gradient is zero. No table-sized gradient exists.
     """
 
-    def __init__(self, entries: list[ParamEntry]):
-        self.entries = entries
-        self._by_name = {e.name: e for e in entries}
+    def __init__(self, shapes, embed: range = range(0)):
+        """shapes: (name, shape) of every parameter in registry order;
+        embed: the indices of the entries that form the embedding block,
+        which must be adjacent and share their last dimension."""
+        sizes = [math.prod(shape) for _, shape in shapes]
+        starts = np.cumsum([0, *sizes]).tolist()
+        self.values = np.zeros(starts[-1])
+        self.embed = slice(starts[embed.start], starts[embed.stop])
+        skip = self.embed.stop - self.embed.start
+        # written here, so that its pages fault at build, not in a timed step
+        self.grad = np.full(self.values.size - skip, 0.0)
+        k = shapes[embed.start][1][-1] if embed else 1
+        self.embed_block = self.values[self.embed].reshape(-1, k)
+        self.embed_rows = np.zeros(0, dtype=np.intp)
+        self.embed_grad = np.zeros((0, k))
+        self.entries = []
+        for i, ((name, shape), start, size) in enumerate(zip(shapes, starts, sizes)):
+            at = start if start < self.embed.start else start - skip
+            grad = None if i in embed else self.grad[at:at + size].reshape(shape)
+            self.entries.append(ParamEntry(
+                name, self.values[start:start + size].reshape(shape), grad, start))
+        self._by_name = {e.name: e for e in self.entries}
 
     def __iter__(self):
         return iter(self.entries)
@@ -164,46 +169,81 @@ class ParamRegistry:
         return [e.name for e in self.entries]
 
     def total_size(self) -> int:
-        return sum(e.values.size for e in self.entries)
+        return self.values.size
 
-    def zero_grads(self) -> None:
-        for e in self.entries:
-            e.grad[e.rows()] = 0.0
-            e.touched.clear()
+    def dense_parts(self) -> list[tuple[int, int, int]]:
+        """(values offset, grad offset, length) of the dense runs: the
+        entries before the embedding block and those after it."""
+        a, b = self.embed.start, self.embed.stop
+        return [part for part in ((0, 0, a), (b, a, self.values.size - b)) if part[2]]
 
     def scale_grads(self, factor: float) -> None:
-        for e in self.entries:
-            e.grad[e.rows()] *= factor
+        self.grad *= factor
+        self.embed_grad *= factor
 
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([e.values.ravel() for e in self.entries])
+        return self.values.copy()
 
     def get_grad_flat(self) -> np.ndarray:
-        return np.concatenate([e.grad.ravel() for e in self.entries])
+        """The gradient densified to registry order, for gradchecks and tests."""
+        flat = np.zeros(self.values.size)
+        for v, g, n in self.dense_parts():
+            flat[v:v + n] = self.grad[g:g + n]
+        flat[self.embed].reshape(self.embed_block.shape)[self.embed_rows] = self.embed_grad
+        return flat
 
     def set_flat(self, flat: np.ndarray) -> None:
-        if flat.shape != (self.total_size(),):
+        if flat.shape != self.values.shape:
             raise DimensionError(
                 f"set_flat: got {flat.shape}, expected ({self.total_size()},)")
-        offset = 0
-        for e in self.entries:
-            n = e.values.size
-            e.values[...] = flat[offset:offset + n].reshape(e.values.shape)
-            offset += n
+        self.values[...] = flat
+
+def _layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], tuple | None]]:
+    """(name, shape, draw) of every parameter in registry order. draw is
+    ("normal", std), ("uniform", bound) or None for a zero start."""
+    m, n, k, t = (config.dense_fields, config.sparse_fields, config.embed_dim,
+                  config.product_size)
+    specs = []
+    for l in range(config.cross_depth):
+        specs += [(f"cross.w{l}", (m,), ("normal", 0.01)), (f"cross.b{l}", (m,), None)]
+    specs += [(f"embed.field{i}", (v, k), ("normal", 0.01))
+              for i, v in enumerate(config.vocab_sizes)]
+    specs += [("product.theta", (t, n), ("normal", 0.01)),
+              ("product.order1", (t, n, k), ("normal", 0.01)),
+              ("concat.w", (config.x0_dim,), ("normal", 0.01)),
+              ("concat.b", (config.x0_dim,), None)]
+    fan_in = config.mlp_input_dim
+    for i, width in enumerate(config.mlp_widths):
+        bound = np.sqrt(6.0 / (fan_in + width))
+        specs += [(f"mlp.w{i}", (width, fan_in), ("uniform", bound)),
+                  (f"mlp.b{i}", (width,), None)]
+        fan_in = width
+    specs += [("mlp.out_w", (fan_in,), ("uniform", np.sqrt(6.0 / (fan_in + 1)))),
+              ("mlp.out_b", (1,), None)]
+    return specs
 
 class XCrossNetModel:
-    """The four stages wired together, plus the shared parameter registry."""
+    """The four stages wired together, plus the shared parameter registry.
 
-    def __init__(self, config: ModelConfig, cross: layers.CrossStack,
-                 embedding: layers.Embedding, product: layers.ProductLayer,
-                 concat: layers.ConcatCross, mlp: layers.Mlp):
+    Every layer array is a view into the registry's value vector, so an
+    update to the registry is an update to the layers.
+    """
+
+    def __init__(self, config: ModelConfig):
+        """A model of config's shapes with every parameter zero."""
         self.config = config
-        self.cross = cross
-        self.embedding = embedding
-        self.product = product
-        self.concat = concat
-        self.mlp = mlp
-        self.registry = self._build_registry()
+        n_cross = 2 * config.cross_depth
+        self.registry = ParamRegistry([(name, shape) for name, shape, _ in _layout(config)],
+                                      embed=range(n_cross, n_cross + config.sparse_fields))
+        # views in registry order: cross (w, b) pairs, then, after the
+        # tables, theta, order1, concat w and b, MLP (w, b) pairs, out w and b
+        cross = [e.values for e in self.registry.entries[:n_cross]]
+        rest = [e.values for e in self.registry.entries[n_cross + config.sparse_fields:]]
+        self.cross = layers.CrossStack(cross[0::2], cross[1::2])
+        self.embedding = layers.Embedding(self.registry.embed_block, config.vocab_sizes)
+        self.product = layers.ProductLayer(*rest[0:2])
+        self.concat = layers.ConcatCross(*rest[2:4])
+        self.mlp = layers.Mlp(rest[4:-2:2], rest[5:-2:2], *rest[-2:])
 
     # -- construction -------------------------------------------------------
 
@@ -215,53 +255,22 @@ class XCrossNetModel:
         embedding tables (N(0, 0.01)), product theta and order-1 weights
         (N(0, 0.01)), concat weight (N(0, 0.01)), MLP matrices (uniform
         +- sqrt(6 / (fan_in + fan_out))). Biases start at zero and draw
-        nothing.
+        nothing. Normal draws go straight into the value vector (a standard
+        normal scaled in place is bitwise rng.normal(0, std)), so the
+        tables need no temporary.
         """
         problems = config.validate()
         if problems:
             raise ValueError("invalid model config: " + "; ".join(problems))
+        model = cls(config)
         rng = np.random.default_rng(config.seed)
-        cross = layers.CrossStack.init(config.dense_fields, config.cross_depth, rng)
-        embedding = layers.Embedding.init(config.vocab_sizes, config.embed_dim, rng)
-        product = layers.ProductLayer.init(config.product_size, config.sparse_fields,
-                                           config.embed_dim, rng)
-        concat = layers.ConcatCross.init(config.x0_dim, rng)
-        mlp = layers.Mlp.init(config.mlp_input_dim, config.mlp_widths, rng)
-        return cls(config, cross, embedding, product, concat, mlp)
-
-    @classmethod
-    def zeros(cls, config: ModelConfig) -> "XCrossNetModel":
-        """Allocate the right shapes without spending random draws."""
-        zero_rng = _ZeroDraws()
-        cross = layers.CrossStack.init(config.dense_fields, config.cross_depth, zero_rng)
-        embedding = layers.Embedding.init(config.vocab_sizes, config.embed_dim, zero_rng)
-        product = layers.ProductLayer.init(config.product_size, config.sparse_fields,
-                                           config.embed_dim, zero_rng)
-        concat = layers.ConcatCross.init(config.x0_dim, zero_rng)
-        mlp = layers.Mlp.init(config.mlp_input_dim, config.mlp_widths, zero_rng)
-        return cls(config, cross, embedding, product, concat, mlp)
-
-    def _build_registry(self) -> ParamRegistry:
-        entries = []
-
-        def add(name, arr, row_sparse=False):
-            entries.append(ParamEntry(name, arr, np.zeros_like(arr), row_sparse))
-
-        for l in range(self.cross.depth):
-            add(f"cross.w{l}", self.cross.weights[l])
-            add(f"cross.b{l}", self.cross.biases[l])
-        for i in range(self.embedding.n_fields):
-            add(f"embed.field{i}", self.embedding.tables[i], row_sparse=True)
-        add("product.theta", self.product.theta)
-        add("product.order1", self.product.order1)
-        add("concat.w", self.concat.weight)
-        add("concat.b", self.concat.bias)
-        for i in range(len(self.mlp.weights)):
-            add(f"mlp.w{i}", self.mlp.weights[i])
-            add(f"mlp.b{i}", self.mlp.biases[i])
-        add("mlp.out_w", self.mlp.out_weight)
-        add("mlp.out_b", self.mlp.out_bias)
-        return ParamRegistry(entries)
+        for (_, _, draw), entry in zip(_layout(config), model.registry):
+            if draw and draw[0] == "normal":
+                rng.standard_normal(out=entry.values)
+                entry.values *= draw[1]
+            elif draw:
+                entry.values[...] = rng.uniform(-draw[1], draw[1], entry.values.shape)
+        return model
 
     # -- forward / backward -------------------------------------------------
 
@@ -282,16 +291,15 @@ class XCrossNetModel:
                                  concat_cache, mlp_cache)
 
     def backward(self, cache: "ModelCache", labels) -> None:
-        """Accumulate the batch's summed logloss gradient into the registry.
+        """Write the batch's summed logloss gradient into the registry.
 
         The sigmoid/logloss chain collapses to (prob - label) at each row's
         logit, so the pass starts there. Each stage's backward pass runs
-        once over the batch, and its parameter gradients, summed over the
-        rows, are added to the registry once. Each embedding table gets
-        every row's gradient on that row's looked-up id, added in row order
-        through ParamEntry.add_rows, which records the ids as touched.
-        Callers zero_grad() before a batch and scale_grads(1 / B) afterwards
-        to get the mean gradient.
+        once over the batch. Their parameter gradients, summed over the
+        rows, are written into the registry's dense gradient vector in one
+        copy, and the embedding's compact (rows, grad) pair replaces the
+        registry's. The previous gradient is overwritten, not added to.
+        Callers scale_grads(1 / B) afterwards to get the mean gradient.
         """
         grad_logit = cache.mlp.probs - np.asarray(labels, dtype=np.float64)
         grad_h0, mlp_grads = layers.mlp_backward_logit(cache.mlp, grad_logit, self.mlp)
@@ -299,27 +307,18 @@ class XCrossNetModel:
             cache.concat, grad_h0, self.concat)
         grad_e, product_grads = layers.product_backward(
             cache.product, grad_op, self.product)
-        ids, embed_rows = layers.embed_backward(cache.embed, grad_e, self.embedding)
+        rows, embed_grad = layers.embed_backward(cache.embed, grad_e, self.embedding)
         _, cross_grads = layers.cross_backward(cache.cross, grad_oc, self.cross)
 
+        # the dense gradients in registry order
+        parts = [*sum(zip(cross_grads.weights, cross_grads.biases), ()),
+                 product_grads.theta, product_grads.order1,
+                 concat_grads.weight, concat_grads.bias,
+                 *sum(zip(mlp_grads.weights, mlp_grads.biases), ()),
+                 mlp_grads.out_weight, mlp_grads.out_bias]
         reg = self.registry
-        for l in range(self.cross.depth):
-            reg[f"cross.w{l}"].grad += cross_grads.weights[l]
-            reg[f"cross.b{l}"].grad += cross_grads.biases[l]
-        for f in range(self.embedding.n_fields):
-            reg[f"embed.field{f}"].add_rows(ids[:, f], embed_rows[:, f])
-        reg["product.theta"].grad += product_grads.theta
-        reg["product.order1"].grad += product_grads.order1
-        reg["concat.w"].grad += concat_grads.weight
-        reg["concat.b"].grad += concat_grads.bias
-        for l in range(len(self.mlp.weights)):
-            reg[f"mlp.w{l}"].grad += mlp_grads.weights[l]
-            reg[f"mlp.b{l}"].grad += mlp_grads.biases[l]
-        reg["mlp.out_w"].grad += mlp_grads.out_weight
-        reg["mlp.out_b"].grad += mlp_grads.out_bias
-
-    def zero_grad(self) -> None:
-        self.registry.zero_grads()
+        np.concatenate([p.ravel() for p in parts], out=reg.grad)
+        reg.embed_rows, reg.embed_grad = rows, embed_grad
 
     # -- reporting ----------------------------------------------------------
 
@@ -344,15 +343,6 @@ class ModelCache:
     concat: layers.ConcatCache
     mlp: layers.MlpCache
 
-class _ZeroDraws:
-    """Stand-in generator whose draws are all zero (for shape allocation)."""
-
-    def normal(self, loc, scale, size):
-        return np.zeros(size)
-
-    def uniform(self, low, high, size):
-        return np.zeros(size)
-
 def balance_index(config: ModelConfig, convention: str = "include_input") -> float:
     """(dense-out dim / sparse-out dim) / (dense fields / sparse fields).
 
@@ -375,13 +365,15 @@ def balance_index(config: ModelConfig, convention: str = "include_input") -> flo
 #
 # One file: a single JSON header line (format marker, version, config,
 # per-stage parameter counts, registry ordering), a newline, then every
-# parameter as little-endian float64 in registry order. Loading is bitwise
-# exact.
+# parameter as little-endian float64 in registry order: the registry's
+# value vector itself. Loading is bitwise exact.
 
 def save_checkpoint(model: XCrossNetModel, path) -> None:
     """Write the checkpoint atomically: the bytes go to a temporary file
     beside `path`, which then replaces it, so a save that fails or is
-    interrupted leaves any previous file at `path` as it was."""
+    interrupted leaves any previous file at `path` as it was. The payload
+    is written from the value vector without a copy (converted first only
+    on a big-endian host)."""
     header = {
         "format": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
@@ -395,7 +387,7 @@ def save_checkpoint(model: XCrossNetModel, path) -> None:
         with open(tmp, "wb") as f:
             f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
             f.write(b"\n")
-            f.write(model.registry.get_flat().astype("<f8").tobytes())
+            f.write(model.registry.values.astype("<f8", copy=False))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -405,35 +397,41 @@ def save_checkpoint(model: XCrossNetModel, path) -> None:
         raise
 
 def load_checkpoint(path) -> XCrossNetModel:
+    """Read a checkpoint; the payload is read straight into the new
+    model's value vector (through one payload-sized buffer only on a
+    big-endian host)."""
     with open(path, "rb") as f:
         header_line = f.readline()
-        blob = f.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"unreadable checkpoint header: {exc}") from None
-    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
-        raise CheckpointError("not a model checkpoint (bad format marker)")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {header.get('version')!r}, "
-            f"this build reads version {CHECKPOINT_VERSION}")
-    if not isinstance(header.get("config"), dict):
-        raise CheckpointError("checkpoint header has no config object")
-    try:
-        config = ModelConfig.from_dict(header["config"])
-        problems = config.validate()
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"malformed checkpoint config: {exc}") from None
-    if problems:
-        raise CheckpointError("invalid checkpoint config: " + "; ".join(problems))
-    model = XCrossNetModel.zeros(config)
-    expected = model.registry.total_size()
-    if header.get("registry") != model.registry.names():
-        raise CheckpointError("checkpoint registry ordering does not match config")
-    if len(blob) != 8 * expected:
-        raise CheckpointError(
-            f"parameter blob has {len(blob)} bytes, expected {8 * expected}")
-    flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
-    model.registry.set_flat(flat)
+        try:
+            header = json.loads(header_line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"unreadable checkpoint header: {exc}") from None
+        if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
+            raise CheckpointError("not a model checkpoint (bad format marker)")
+        if header.get("version") != CHECKPOINT_VERSION:
+            raise CheckpointError(
+                f"unsupported checkpoint version {header.get('version')!r}, "
+                f"this build reads version {CHECKPOINT_VERSION}")
+        if not isinstance(header.get("config"), dict):
+            raise CheckpointError("checkpoint header has no config object")
+        try:
+            config = ModelConfig.from_dict(header["config"])
+            problems = config.validate()
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"malformed checkpoint config: {exc}") from None
+        if problems:
+            raise CheckpointError("invalid checkpoint config: " + "; ".join(problems))
+        model = XCrossNetModel(config)
+        if header.get("registry") != model.registry.names():
+            raise CheckpointError("checkpoint registry ordering does not match config")
+        values = model.registry.values
+        payload = os.fstat(f.fileno()).st_size - f.tell()
+        if payload != values.nbytes:
+            raise CheckpointError(
+                f"parameter blob has {payload} bytes, expected {values.nbytes}")
+        target = values if values.dtype == np.dtype("<f8") else np.empty(values.shape, "<f8")
+        if f.readinto(memoryview(target).cast("B")) != values.nbytes:
+            raise CheckpointError("parameter blob ended early")
+    if target is not values:
+        values[...] = target
     return model

@@ -209,15 +209,17 @@ class TestEval:
         assert float(pairs["logloss"]) == final["val_logloss"]
 
     def test_corrupted_checkpoint(self, trained_dir, tmp_path, capsys):
+        # a truncated and an over-long payload both exit 3
         blob = (trained_dir / "checkpoint.xcn").read_bytes()
         bad = tmp_path / "bad.xcn"
-        bad.write_bytes(blob[: len(blob) // 2])
         (tmp_path / "vocab.json").write_text(
             (trained_dir / "vocab.json").read_text())
-        code, _, err = run_cli(["eval", "--checkpoint", str(bad),
-                                "--data", "unused.tsv"], capsys)
-        assert code == 3
-        assert "bytes" in err or "checkpoint" in err
+        for payload in (blob[: len(blob) // 2], blob + bytes(8)):
+            bad.write_bytes(payload)
+            code, _, err = run_cli(["eval", "--checkpoint", str(bad),
+                                    "--data", "unused.tsv"], capsys)
+            assert code == 3
+            assert "bytes" in err or "checkpoint" in err
 
     def test_single_class_data(self, trained_dir, tmp_path, capsys):
         rows = []
@@ -285,6 +287,17 @@ class TestGradcheck:
 
     def test_corrupt_negative_control(self, capsys):
         code, out, _ = run_cli(["gradcheck", "--seed", "0", "--corrupt"], capsys)
+        assert code == 1
+        assert kv(out)["gradcheck_pass"] == "false"
+
+    def test_coordinates_at_rounding_level_do_not_fail(self, capsys):
+        # this point's mlp.w0 holds a gradient of -9.8e-9 against a group
+        # maximum of 4.9e-3, where central differences resolve only rounding
+        flags = ["gradcheck", "--mlp-widths", "16,8", "--instances", "6", "--seed", "4"]
+        code, out, _ = run_cli(flags, capsys)
+        assert code == 0
+        assert kv(out)["gradcheck_pass"] == "true"
+        code, out, _ = run_cli(flags + ["--corrupt"], capsys)
         assert code == 1
         assert kv(out)["gradcheck_pass"] == "false"
 

@@ -144,7 +144,8 @@ class TestCrossBackward:
         for _ in range(20):
             m = int(rng.integers(1, 9))
             depth = int(rng.integers(1, 7))
-            stack = layers.CrossStack.init(m, depth, rng)
+            stack = layers.CrossStack([rng.normal(0.0, 0.01, m) for _ in range(depth)],
+                                      [np.zeros(m) for _ in range(depth)])
             assert stack.param_count() == 2 * m * depth
 
 
@@ -190,18 +191,18 @@ def test_polynomial_scalar_chain():
 
 class TestEmbedding:
     def test_lookup(self):
-        emb = layers.Embedding([np.array([[0.1, 0.2], [0.3, 0.4]])])
+        emb = layers.Embedding(np.array([[0.1, 0.2], [0.3, 0.4]]), (2,))
         e, _ = layers.embed_forward(np.array([[1], [0], [1]]), emb)
         assert np.array_equal(e, np.array([[[0.3, 0.4]], [[0.1, 0.2]], [[0.3, 0.4]]]))
 
     def test_zero_table(self):
-        emb = layers.Embedding([np.zeros((4, 3)), np.zeros((2, 3))])
+        emb = layers.Embedding(np.zeros((6, 3)), (4, 2))
         e, _ = layers.embed_forward(np.array([[3, 1], [0, 0]]), emb)
         assert np.array_equal(e, np.zeros((2, 2, 3)))
 
     def test_out_of_vocab(self):
         # a bad id in any row raises, naming its field
-        emb = layers.Embedding([np.zeros((4, 3)), np.zeros((2, 3)), np.zeros((5, 3))])
+        emb = layers.Embedding(np.zeros((11, 3)), (4, 2, 5))
         for row, field, bad_id in [(0, 0, 4), (0, 0, -1), (2, 1, 2), (1, 2, -1),
                                    (2, 2, 5)]:
             ids = np.array([[3, 1, 4], [0, 0, 0], [2, 1, 3]])
@@ -211,44 +212,46 @@ class TestEmbedding:
                 layers.embed_forward(ids, emb)
 
     def test_dim_mismatch(self):
-        emb = layers.Embedding([np.zeros((4, 3)), np.zeros((2, 3))])
+        emb = layers.Embedding(np.zeros((6, 3)), (4, 2))
         with pytest.raises(DimensionError):
             layers.embed_forward(np.array([3, 1]), emb)
         with pytest.raises(DimensionError):
             layers.embed_forward(np.array([[3, 1, 0]]), emb)
 
     def test_untouched_rows_zero_gradient(self):
-        # backward returns (ids, rows); scattered into dense tables (in row
-        # order, with np.add.at for the repeated id) it must match finite
-        # differences of <grad_e, E(tables)>, which are exactly zero on the
-        # table rows no batch row looked up
+        # backward returns the compact (rows, grad). Scattered into the
+        # block it must equal per-field tables built in row order with
+        # np.add.at (bitwise, the repeated ids included) and match finite
+        # differences of <grad_e, E(block)>, which are exactly zero on the
+        # rows no batch row looked up
         rng = np.random.default_rng(9)
-        emb = layers.Embedding.init([5, 6], 3, rng)
+        emb = layers.Embedding(rng.normal(0.0, 0.01, (11, 3)), (5, 6))
         ids = np.array([[2, 4], [0, 4], [2, 1]])
         _, cache = layers.embed_forward(ids, emb)
         grad_e = rng.normal(size=(3, 2, 3))
-        got_ids, rows = layers.embed_backward(cache, grad_e, emb)
-        assert np.array_equal(got_ids, ids)
-        assert np.array_equal(rows, grad_e)
-        dense = [np.zeros_like(t) for t in emb.tables]
+        rows, grad = layers.embed_backward(cache, grad_e, emb)
+        assert np.array_equal(rows, [0, 2, 5 + 1, 5 + 4])  # field 1 starts at row 5
+        dense = [np.zeros((5, 3)), np.zeros((6, 3))]
         for i, table_grad in enumerate(dense):
-            np.add.at(table_grad, got_ids[:, i], rows[:, i])
+            np.add.at(table_grad, ids[:, i], grad_e[:, i])
+        block = np.zeros((11, 3))
+        block[rows] = grad
+        assert np.array_equal(block, np.concatenate(dense))
 
         def f(flat):
-            tables = [flat[:15].reshape(5, 3), flat[15:].reshape(6, 3)]
-            e, _ = layers.embed_forward(ids, layers.Embedding(tables))
+            e, _ = layers.embed_forward(ids, layers.Embedding(flat.reshape(11, 3), (5, 6)))
             return float(np.sum(grad_e * e))
 
-        flat = np.concatenate([t.ravel() for t in emb.tables])
+        flat = emb.table.ravel()
         numeric = oracle.finite_diff(f, flat)
-        analytic = np.concatenate([t.ravel() for t in dense])
+        analytic = block.ravel()
         untouched = analytic == 0.0
         assert untouched.sum() == flat.size - 3 * 4  # rows 0, 2 and 4, 1
         assert np.array_equal(numeric[untouched], analytic[untouched])
         assert rel_err(analytic, numeric) < 1e-8
 
     def test_backward_shape_mismatch(self):
-        emb = layers.Embedding([np.zeros((4, 3)), np.zeros((2, 3))])
+        emb = layers.Embedding(np.zeros((6, 3)), (4, 2))
         _, cache = layers.embed_forward(np.array([[3, 1]]), emb)
         with pytest.raises(DimensionError):
             layers.embed_backward(cache, np.zeros((2, 3)), emb)
@@ -262,22 +265,30 @@ class TestEmbedding:
 def test_embedding_batch_matches_rows_one_at_a_time(n, k, rows, seed):
     rng = np.random.default_rng(seed)
     vocab = rng.integers(1, 6, n)
-    emb = layers.Embedding.init(vocab, k, rng)
+    emb = layers.Embedding(rng.normal(0.0, 0.01, (vocab.sum(), k)), tuple(vocab))
     ids = np.column_stack([rng.integers(0, v, rows) for v in vocab])
     grad_e = rng.normal(size=(rows, n, k))
     e, cache = layers.embed_forward(ids, emb)
-    got_ids, got_rows = layers.embed_backward(cache, grad_e, emb)
+    got_rows, got_grad = layers.embed_backward(cache, grad_e, emb)
+    # the rows' compact gradients added into the block one row at a time
+    # give the batch's bits: the batch adds in row order too
+    block = np.zeros_like(emb.table)
     for r in range(rows):
         e_r, cache_r = layers.embed_forward(ids[r:r + 1], emb)
-        ids_r, rows_r = layers.embed_backward(cache_r, grad_e[r:r + 1], emb)
+        rows_r, grad_r = layers.embed_backward(cache_r, grad_e[r:r + 1], emb)
         assert np.array_equal(e[r:r + 1], e_r)
-        assert np.array_equal(got_ids[r:r + 1], ids_r)
-        assert np.array_equal(got_rows[r:r + 1], rows_r)
+        block[rows_r] += grad_r
+    assert np.array_equal(got_rows, np.unique(ids + emb.offsets))
+    assert np.array_equal(got_grad, block[got_rows])
 
 
 # ---------------------------------------------------------------------------
 # product layer
 # ---------------------------------------------------------------------------
+
+
+def product_layer(rng, t, n, k):
+    return layers.ProductLayer(rng.normal(0.0, 0.01, (t, n)), rng.normal(0.0, 0.01, (t, n, k)))
 
 
 class TestProductLayer:
@@ -302,7 +313,7 @@ class TestProductLayer:
 
     def test_matches_double_sum_oracle(self):
         rng = np.random.default_rng(11)
-        pl = layers.ProductLayer.init(4, 5, 3, rng)
+        pl = product_layer(rng, 4, 5, 3)
         pl.theta[:] = rng.uniform(-1, 1, pl.theta.shape)
         e = rng.uniform(-1, 1, (3, 5, 3))
         out, _ = layers.product_forward(e, pl)
@@ -312,7 +323,7 @@ class TestProductLayer:
                 assert rel_err(out[row, 4 + t], ref, floor=1e-300) < 1e-10
 
     def test_dim_mismatch(self):
-        pl = layers.ProductLayer.init(2, 3, 2, np.random.default_rng(23))
+        pl = product_layer(np.random.default_rng(23), 2, 3, 2)
         with pytest.raises(DimensionError):
             layers.product_forward(np.zeros((3, 2)), pl)
         with pytest.raises(DimensionError):
@@ -332,7 +343,7 @@ class TestProductLayer:
 
     def test_zero_upstream(self):
         rng = np.random.default_rng(12)
-        pl = layers.ProductLayer.init(2, 3, 2, rng)
+        pl = product_layer(rng, 2, 3, 2)
         e = rng.normal(size=(4, 3, 2))
         _, cache = layers.product_forward(e, pl)
         grad_e, grads = layers.product_backward(cache, np.zeros((4, 4)), pl)
@@ -478,14 +489,11 @@ class TestConcatCross:
 
 
 def random_mlp(rng, input_dim, widths, scale=0.8):
-    mlp = layers.Mlp.init(input_dim, widths, rng)
-    for w in mlp.weights:
-        w[:] = rng.uniform(-scale, scale, w.shape)
-    for b in mlp.biases:
-        b[:] = rng.uniform(-scale, scale, b.shape)
-    mlp.out_weight[:] = rng.uniform(-scale, scale, mlp.out_weight.shape)
-    mlp.out_bias[:] = rng.uniform(-scale, scale, 1)
-    return mlp
+    fan_ins = [input_dim, *widths]
+    weights = [rng.uniform(-scale, scale, (w, f)) for w, f in zip(widths, fan_ins)]
+    biases = [rng.uniform(-scale, scale, w) for w in widths]
+    return layers.Mlp(weights, biases, rng.uniform(-scale, scale, fan_ins[-1]),
+                      rng.uniform(-scale, scale, 1))
 
 
 class TestMlp:

@@ -82,7 +82,7 @@ class TestEvaluate:
                             np.array(labels, dtype=float))
 
     def test_zero_model_report(self):
-        model = XCrossNetModel.zeros(self.CONFIG)
+        model = XCrossNetModel(self.CONFIG)
         ds = self.small_dataset([1, 0, 1, 0])
         report = metrics.evaluate(model, ds)
         assert report.auc == 0.5
@@ -90,7 +90,7 @@ class TestEvaluate:
         assert (report.n_pos, report.n_neg) == (2, 2)
 
     def test_single_class_reports_no_auc(self):
-        model = XCrossNetModel.zeros(self.CONFIG)
+        model = XCrossNetModel(self.CONFIG)
         report = metrics.evaluate(model, self.small_dataset([1, 1, 1]))
         assert report.auc is None
         assert math.isfinite(report.logloss)

@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,45 @@ class TestInit:
         a = XCrossNetModel.init(SMALL)
         b = XCrossNetModel.init(SMALL)
         assert np.array_equal(a.registry.get_flat(), b.registry.get_flat())
+
+    def test_init_matches_per_array_reference_draws(self):
+        # the draws the layers made before the flat layout: one rng.normal
+        # or rng.uniform per array, in registry order
+        for config in (SMALL, CRITEO):
+            rng = np.random.default_rng(config.seed)
+            want = []
+            for l in range(config.cross_depth):
+                want += [rng.normal(0.0, 0.01, config.dense_fields),
+                         np.zeros(config.dense_fields)]
+            want += [rng.normal(0.0, 0.01, (v, config.embed_dim))
+                     for v in config.vocab_sizes]
+            t, n, k = config.product_size, config.sparse_fields, config.embed_dim
+            want += [rng.normal(0.0, 0.01, (t, n)), rng.normal(0.0, 0.01, (t, n, k)),
+                     rng.normal(0.0, 0.01, config.x0_dim), np.zeros(config.x0_dim)]
+            fan_in = config.mlp_input_dim
+            for width in config.mlp_widths:
+                bound = np.sqrt(6.0 / (fan_in + width))
+                want += [rng.uniform(-bound, bound, (width, fan_in)), np.zeros(width)]
+                fan_in = width
+            bound = np.sqrt(6.0 / (fan_in + 1))
+            want += [rng.uniform(-bound, bound, fan_in), np.zeros(1)]
+            got = XCrossNetModel.init(config).registry.get_flat()
+            assert got.tobytes() == np.concatenate([w.ravel() for w in want]).tobytes()
+
+    def test_init_allocates_no_table_sized_gradient(self):
+        # vocab 10^5 x 3: the values are the only table-sized allocation
+        import dataclasses
+        config = dataclasses.replace(SMALL, sparse_fields=3, vocab_sizes=(100_000,) * 3)
+        tracemalloc.start()
+        try:
+            m = XCrossNetModel.init(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table_bytes = m.registry["embed.field0"].values.nbytes
+        assert m.registry.values.nbytes <= peak < m.registry.values.nbytes + table_bytes
+        assert m.registry.grad.nbytes < table_bytes
+        assert m.registry.embed_grad.nbytes < table_bytes
 
     def test_different_seed_differs(self):
         import dataclasses
@@ -93,10 +135,25 @@ class TestRegistry:
         with pytest.raises(DimensionError):
             m.registry.set_flat(np.zeros(3))
 
+    def test_layer_arrays_are_views_of_the_value_vector(self):
+        m = XCrossNetModel.init(SMALL)
+        values = m.registry.values
+        arrays = [*m.cross.weights, *m.cross.biases, m.embedding.table,
+                  m.product.theta, m.product.order1, m.concat.weight, m.concat.bias,
+                  *m.mlp.weights, *m.mlp.biases, m.mlp.out_weight, m.mlp.out_bias]
+        assert sum(a.size for a in arrays) == values.size
+        for a in arrays + [e.values for e in m.registry]:
+            assert np.shares_memory(a, values)
+        for e in m.registry:
+            assert e.grad is None or np.shares_memory(e.grad, m.registry.grad)
+        # the dense gradient covers every entry but the embedding tables
+        embed = sum(e.values.size for e in m.registry if e.name.startswith("embed."))
+        assert m.registry.grad.size == values.size - embed
+
 
 class TestForwardBackward:
     def test_zero_model_predicts_half(self):
-        m = XCrossNetModel.zeros(SMALL)
+        m = XCrossNetModel(SMALL)
         batch = random_batch(SMALL, np.random.default_rng(1), n=3)
         probs, _ = m.forward(batch)
         assert np.array_equal(probs, [0.5, 0.5, 0.5])
@@ -125,7 +182,6 @@ class TestForwardBackward:
         m = XCrossNetModel.init(SMALL)
         batch = random_batch(SMALL, np.random.default_rng(3), n=1)
         probs, cache = m.forward(batch)
-        m.zero_grad()
         m.backward(cache, [1.0])
         # out_bias sees the logit gradient directly
         assert m.registry["mlp.out_b"].grad[0] == probs[0] - 1.0
@@ -135,7 +191,6 @@ class TestForwardBackward:
         m.registry["mlp.out_b"].values[0] = 40.0  # force prob ~ 1
         batch = random_batch(SMALL, np.random.default_rng(4), n=1)
         _, cache = m.forward(batch)
-        m.zero_grad()
         m.backward(cache, [1.0])
         assert abs(m.registry["mlp.out_b"].grad[0]) < 1e-12
 
@@ -152,7 +207,6 @@ class TestForwardBackward:
 
         manual = np.zeros_like(batched)
         for i in range(len(batch)):
-            m.zero_grad()
             _, cache = m.forward(batch.subset([i]))
             m.backward(cache, batch.labels[i:i + 1])
             manual += m.registry.get_grad_flat()
@@ -210,14 +264,28 @@ class TestCheckpoint:
         save_checkpoint(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_bytes_match_the_copying_writer(self, tmp_path):
+        # version-1 bytes: the header line, then get_flat() as "<f8"
+        m = XCrossNetModel.init(SMALL)
+        path = tmp_path / "model.xcn"
+        save_checkpoint(m, path)
+        header = {"format": "xcrossnet-checkpoint", "version": 1,
+                  "config": m.config.to_dict(), "param_counts": m.num_parameters(),
+                  "registry": m.registry.names()}
+        want = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + \
+            m.registry.get_flat().astype("<f8").tobytes()
+        assert path.read_bytes() == want
+
     def test_truncated_blob(self, tmp_path):
+        # a payload 16 bytes short or 8 bytes long is refused
         m = XCrossNetModel.init(SMALL)
         path = tmp_path / "model.xcn"
         save_checkpoint(m, path)
         blob = path.read_bytes()
-        (tmp_path / "bad.xcn").write_bytes(blob[:-16])
-        with pytest.raises(CheckpointError):
-            load_checkpoint(tmp_path / "bad.xcn")
+        for bad in (blob[:-16], blob + bytes(8)):
+            (tmp_path / "bad.xcn").write_bytes(bad)
+            with pytest.raises(CheckpointError, match="bytes"):
+                load_checkpoint(tmp_path / "bad.xcn")
 
     def test_unknown_version(self, tmp_path):
         m = XCrossNetModel.init(SMALL)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from xcrossnet import cli, data, layers, metrics, optim, oracle
 from xcrossnet.errors import DataError, NumericError
-from xcrossnet.model import ModelConfig, ParamEntry, ParamRegistry, XCrossNetModel
+from xcrossnet.model import ModelConfig, ParamRegistry, XCrossNetModel
 
 TINY = ModelConfig(dense_fields=4, sparse_fields=4, vocab_sizes=(4,) * 4,
                    embed_dim=4, product_size=4, cross_depth=2,
@@ -64,8 +64,9 @@ class TestLogloss:
 
 class TestObjective:
     def one_param_registry(self, value):
-        arr = np.array([value])
-        return ParamRegistry([ParamEntry("p", arr, np.zeros(1))])
+        reg = ParamRegistry([("p", (1,))])
+        reg["p"].values[0] = value
+        return reg
 
     def test_zero_lambda(self):
         assert optim.objective(1.25, self.one_param_registry(3.0), 0.0) == 1.25
@@ -106,16 +107,16 @@ class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         m = XCrossNetModel.init(TINY)
         before = m.registry.get_flat()
-        m.zero_grad()
+        assert not m.registry.get_grad_flat().any()  # a new registry's gradient
         state = optim.AdamState.init(m.registry)
         optim.adam_step(m.registry, state, lr=0.001, lam=0.0)
         assert np.array_equal(m.registry.get_flat(), before)
 
     def test_first_step_magnitude(self):
         # scalar parameter, g = 1: bias-corrected update is lr / (1 + eps)
-        value = np.array([0.0])
-        grad = np.ones(1)
-        reg = ParamRegistry([ParamEntry("p", value, grad)])
+        reg = ParamRegistry([("p", (1,))])
+        value = reg["p"].values
+        reg["p"].grad[0] = 1.0
         state = optim.AdamState.init(reg)
         optim.adam_step(reg, state, lr=0.001, lam=0.0)
         expected = -0.001 * 1.0 / (1.0 + 1e-8)
@@ -142,20 +143,35 @@ class TestAdam:
             optim.batch_loss_and_grad(m, batch)
             optim.adam_step(m.registry, state, lr=0.01, lam=0.0)
             assert state.t == step + 1
-            assert all(np.all(v >= 0) for v in state.v)
+            assert np.all(state.v >= 0)
 
 
-def dense_adam_step(registry, m, v, t, lr, lam, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Plain Adam with coupled L2 on every row of every entry."""
+def dense_adam_step(registry, m, v, t, lr, lam, lazy=False,
+                    beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam with coupled L2 as one out-of-place expression over the
+    densified gradient and the flat moments m and v: plain Adam on every
+    coordinate, or with lazy=True only on the dense entries and the
+    embedding rows the batch looked up (LazyAdam)."""
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
-    for k, entry in enumerate(registry):
-        g = entry.grad + 2.0 * lam * entry.values
-        m[k] *= beta1
-        m[k] += (1.0 - beta1) * g
-        v[k] *= beta2
-        v[k] += (1.0 - beta2) * (g * g)
-        entry.values -= lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
+    values = registry.values
+    keep = np.ones(values.size, dtype=bool)
+    if lazy:
+        keep[registry.embed] = False
+        keep[registry.embed].reshape(registry.embed_block.shape)[registry.embed_rows] = True
+    idx = np.flatnonzero(keep)
+    theta = values[idx]
+    g = registry.get_grad_flat()[idx]
+    if lam:
+        g = g + 2.0 * lam * theta
+    m[idx] = m[idx] * beta1 + (1.0 - beta1) * g
+    v[idx] = v[idx] * beta2 + (1.0 - beta2) * (g * g)
+    values[idx] = theta - lr * (m[idx] / c1) / (np.sqrt(v[idx] / c2) + eps)
+
+
+def entry_view(flat, entry):
+    """An entry's part of a vector laid out like the registry's values."""
+    return flat[entry.start:entry.start + entry.values.size].reshape(entry.values.shape)
 
 
 WIDE = ModelConfig(dense_fields=3, sparse_fields=3, vocab_sizes=(50, 40, 30),
@@ -180,13 +196,15 @@ class TestRowSparseUpdate:
         gh0, _ = layers.mlp_backward_logit(cache.mlp, probs - batch.labels, m.mlp)
         _, gop, _ = layers.concat_cross_backward(cache.concat, gh0, m.concat)
         grad_e, _ = layers.product_backward(cache.product, gop, m.product)
+        grad = m.registry.get_grad_flat()
         for f, vocab in enumerate(WIDE.vocab_sizes):
             expected = np.zeros((vocab, WIDE.embed_dim))
             np.add.at(expected, batch.sparse[:, f], grad_e[:, f])
             expected *= 1.0 / len(batch)
-            entry = m.registry[f"embed.field{f}"]
-            assert np.array_equal(entry.grad, expected)
-            assert np.array_equal(entry.rows(), np.unique(batch.sparse[:, f]))
+            assert np.array_equal(entry_view(grad, m.registry[f"embed.field{f}"]), expected)
+        # the compact gradient holds exactly the looked-up rows of each field
+        assert np.array_equal(m.registry.embed_rows,
+                              np.unique(batch.sparse + m.embedding.offsets))
 
     def test_untouched_rows_and_moments_do_not_move(self):
         m = XCrossNetModel.init(WIDE)
@@ -197,8 +215,8 @@ class TestRowSparseUpdate:
             optim.adam_step(m.registry, state, lr=0.01, lam=0.1)
         batch = tiny_batch(rng, n=4, config=WIDE)
         names = m.registry.names()
-        before = [(e.values.copy(), state.m[k].copy(), state.v[k].copy())
-                  for k, e in enumerate(m.registry)]
+        before = [(e.values.copy(), entry_view(state.m, e).copy(),
+                   entry_view(state.v, e).copy()) for e in m.registry]
         optim.batch_loss_and_grad(m, batch)
         optim.adam_step(m.registry, state, lr=0.01, lam=0.1)
         for f in range(WIDE.sparse_fields):
@@ -206,8 +224,9 @@ class TestRowSparseUpdate:
             values, mom1, mom2 = before[k]
             touched = np.zeros(len(values), dtype=bool)
             touched[batch.sparse[:, f]] = True
-            for old, new in ((values, m.registry[names[k]].values),
-                             (mom1, state.m[k]), (mom2, state.v[k])):
+            entry = m.registry[names[k]]
+            for old, new in ((values, entry.values), (mom1, entry_view(state.m, entry)),
+                             (mom2, entry_view(state.v, entry))):
                 assert np.array_equal(new[~touched], old[~touched])
                 assert not np.any(new[touched] == old[touched])
 
@@ -218,8 +237,8 @@ class TestRowSparseUpdate:
         rng = np.random.default_rng(14)
         lazy, dense = XCrossNetModel.init(config), XCrossNetModel.init(config)
         state = optim.AdamState.init(lazy.registry)
-        m_ref = [np.zeros_like(e.values) for e in dense.registry]
-        v_ref = [np.zeros_like(e.values) for e in dense.registry]
+        m_ref = np.zeros(dense.registry.total_size())
+        v_ref = np.zeros(dense.registry.total_size())
         for t in range(1, 6):
             batch = tiny_batch(rng, n=8, config=config)
             batch.sparse[:] = np.column_stack(
@@ -229,8 +248,29 @@ class TestRowSparseUpdate:
             optim.batch_loss_and_grad(dense, batch)
             dense_adam_step(dense.registry, m_ref, v_ref, t, lr=0.01, lam=1e-3)
         assert np.array_equal(lazy.registry.get_flat(), dense.registry.get_flat())
-        assert all(np.array_equal(a, b) for a, b in zip(state.m, m_ref))
-        assert all(np.array_equal(a, b) for a, b in zip(state.v, v_ref))
+        assert np.array_equal(state.m, m_ref)
+        assert np.array_equal(state.v, v_ref)
+
+    def test_in_place_step_matches_the_expression_bitwise(self):
+        # three steps at lambda > 0 with batches that miss most table rows:
+        # the in-place dense pass and the gathered row pass give the bits
+        # of the one-expression LazyAdam step, values and moments alike
+        rng = np.random.default_rng(16)
+        fast, ref = XCrossNetModel.init(WIDE), XCrossNetModel.init(WIDE)
+        state = optim.AdamState.init(fast.registry)
+        m_ref = np.zeros(ref.registry.total_size())
+        v_ref = np.zeros(ref.registry.total_size())
+        for t in range(1, 4):
+            batch = tiny_batch(rng, n=6, config=WIDE)
+            optim.batch_loss_and_grad(fast, batch)
+            optim.adam_step(fast.registry, state, lr=0.01, lam=1e-4)
+            optim.batch_loss_and_grad(ref, batch)
+            dense_adam_step(ref.registry, m_ref, v_ref, t, lr=0.01, lam=1e-4, lazy=True)
+        assert fast.registry.values.tobytes() == ref.registry.values.tobytes()
+        assert state.m.tobytes() == m_ref.tobytes()
+        assert state.v.tobytes() == v_ref.tobytes()
+        untouched = v_ref == 0.0
+        assert untouched.any() and not untouched.all()
 
     def test_step_memory_below_one_table(self):
         # a training step allocates O(batch) for the embedding, never a
@@ -239,7 +279,7 @@ class TestRowSparseUpdate:
         m = XCrossNetModel.init(config)
         state = optim.AdamState.init(m.registry)
         batch = tiny_batch(np.random.default_rng(15), n=64, config=config)
-        table_bytes = m.embedding.tables[0].nbytes
+        table_bytes = m.registry["embed.field0"].values.nbytes
         tracemalloc.start()
         try:
             optim.batch_loss_and_grad(m, batch)
