@@ -120,6 +120,10 @@ class ParamEntry:
     grad: np.ndarray | None  # a view into ParamRegistry.grad; None on a table
     start: int               # offset of values in ParamRegistry.values
 
+    def view(self, flat: np.ndarray) -> np.ndarray:
+        """This entry's part of a vector laid out like ParamRegistry.values."""
+        return flat[self.start:self.start + self.values.size].reshape(self.values.shape)
+
 class ParamRegistry:
     """Every parameter in one flat float64 vector, in a fixed order.
 
@@ -149,6 +153,7 @@ class ParamRegistry:
         self.grad = np.full(self.values.size - skip, 0.0)
         k = shapes[embed.start][1][-1] if embed else 1
         self.embed_block = self.values[self.embed].reshape(-1, k)
+        self.grad_runs = (self.grad[:self.embed.start], self.grad[self.embed.start:])
         self.embed_rows = np.zeros(0, dtype=np.intp)
         self.embed_grad = np.zeros((0, k))
         self.entries = []
@@ -171,11 +176,12 @@ class ParamRegistry:
     def total_size(self) -> int:
         return self.values.size
 
-    def dense_parts(self) -> list[tuple[int, int, int]]:
-        """(values offset, grad offset, length) of the dense runs: the
-        entries before the embedding block and those after it."""
+    def split(self, flat: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """Views of a vector laid out like `values`: its two dense runs (the
+        entries before the embedding block and those after it), which line
+        up with `grad_runs`, and its (sum vocab, K) block."""
         a, b = self.embed.start, self.embed.stop
-        return [part for part in ((0, 0, a), (b, a, self.values.size - b)) if part[2]]
+        return (flat[:a], flat[b:]), flat[a:b].reshape(self.embed_block.shape)
 
     def scale_grads(self, factor: float) -> None:
         self.grad *= factor
@@ -187,9 +193,9 @@ class ParamRegistry:
     def get_grad_flat(self) -> np.ndarray:
         """The gradient densified to registry order, for gradchecks and tests."""
         flat = np.zeros(self.values.size)
-        for v, g, n in self.dense_parts():
-            flat[v:v + n] = self.grad[g:g + n]
-        flat[self.embed].reshape(self.embed_block.shape)[self.embed_rows] = self.embed_grad
+        (head, tail), block = self.split(flat)
+        head[...], tail[...] = self.grad_runs
+        block[self.embed_rows] = self.embed_grad
         return flat
 
     def set_flat(self, flat: np.ndarray) -> None:

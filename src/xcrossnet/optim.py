@@ -31,9 +31,9 @@ from . import data as data_mod
 from .errors import DataError, NumericError
 from .metrics import evaluate, logloss
 
-# Elements per in-place Adam chunk: its six arrays (768 KB) stay in a 2 MB L2
-# cache across its 16 operations. On the 0.43M dense Criteo parameters this
-# took 3.9 ms a step against 5.6 ms unchunked (one core of a 2-vCPU Xeon).
+# Elements per in-place Adam chunk: it fixes the size of the two scratch
+# vectors whatever a batch's row count. It is not a speed setting: paired
+# criteo-100k-train runs against one pass per run did not separate.
 ADAM_CHUNK = 16384
 
 
@@ -83,18 +83,15 @@ def adam_step(registry, state: AdamState, lr: float, lam: float = 0.0) -> None:
     state.t += 1
     c1 = 1.0 - state.beta1 ** state.t
     c2 = 1.0 - state.beta2 ** state.t
-    for start, g_start, size in registry.dense_parts():
-        part = slice(start, start + size)
-        _update(registry.values[part], registry.grad[g_start:g_start + size],
-                state.m[part], state.v[part], state, lr, lam, c1, c2)
+    (theta_runs, theta_block), (m_runs, m_block), (v_runs, v_block) = (
+        registry.split(a) for a in (registry.values, state.m, state.v))
+    for parts in zip(theta_runs, registry.grad_runs, m_runs, v_runs):
+        _update(*parts, state, lr, lam, c1, c2)
     rows = registry.embed_rows
-    blocks = [a[registry.embed].reshape(registry.embed_block.shape)
-              for a in (registry.values, state.m, state.v)]
-    theta, m, v = (block[rows] for block in blocks)
+    theta, m, v = theta_block[rows], m_block[rows], v_block[rows]
     _update(theta.ravel(), registry.embed_grad.ravel(), m.ravel(), v.ravel(),
             state, lr, lam, c1, c2)
-    for block, new in zip(blocks, (theta, m, v)):
-        block[rows] = new
+    theta_block[rows], m_block[rows], v_block[rows] = theta, m, v
 
 
 def _update(theta, g, m, v, state: AdamState, lr, lam, c1, c2) -> None:

@@ -291,8 +291,9 @@ class TestGradcheck:
         assert kv(out)["gradcheck_pass"] == "false"
 
     def test_coordinates_at_rounding_level_do_not_fail(self, capsys):
-        # this point's mlp.w0 holds a gradient of -9.8e-9 against a group
-        # maximum of 4.9e-3, where central differences resolve only rounding
+        # this point's mlp.w0 holds a gradient of -9.8e-9 whose central
+        # difference is off by 6.7e-12, rounding: under the 4.4e-11 the
+        # check forgives, but 6.8e-4 of the coordinate
         flags = ["gradcheck", "--mlp-widths", "16,8", "--instances", "6", "--seed", "4"]
         code, out, _ = run_cli(flags, capsys)
         assert code == 0

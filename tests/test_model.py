@@ -149,6 +149,16 @@ class TestRegistry:
         # the dense gradient covers every entry but the embedding tables
         embed = sum(e.values.size for e in m.registry if e.name.startswith("embed."))
         assert m.registry.grad.size == values.size - embed
+        # split and view find the same parts of any vector laid out like values
+        m.registry.set_flat(np.arange(values.size, dtype=np.float64))
+        flat = m.registry.get_flat()
+        for e in m.registry:
+            assert np.array_equal(e.view(flat), e.values)
+        runs, block = m.registry.split(flat)
+        dense = [e.values.ravel() for e in m.registry if e.grad is not None]
+        assert np.array_equal(np.concatenate(runs), np.concatenate(dense))
+        assert [r.size for r in runs] == [g.size for g in m.registry.grad_runs]
+        assert np.array_equal(block, m.embedding.table)
 
 
 class TestForwardBackward:
@@ -235,6 +245,26 @@ class TestForwardBackward:
         model, batch = oracle.gradcheck_point(SMALL, seed=1234)
         worst = oracle.gradcheck_model(model, batch)
         assert max(worst.values()) < 1e-4
+
+    def test_gradcheck_flags_small_coordinates(self, monkeypatch):
+        # a backward pass that drops the gradient coordinates below 1e-7
+        # fails: only differences within the central differences' rounding
+        # (4.4e-11 here) are forgiven, not coordinates 1e-4 below their
+        # group's largest (4.9e-3 in mlp.w0)
+        config = ModelConfig(dense_fields=3, sparse_fields=4, vocab_sizes=(5,) * 4,
+                             embed_dim=5, product_size=6, cross_depth=2,
+                             mlp_widths=(16, 8), seed=4)
+        model, batch = oracle.gradcheck_point(config, seed=4, instances=6)
+        assert max(oracle.gradcheck_model(model, batch).values()) < 1e-4
+        backward = model.backward
+
+        def lossy_backward(cache, labels):
+            backward(cache, labels)
+            grad = model.registry.grad
+            grad[np.abs(grad) < 1e-7 * len(labels)] = 0.0
+
+        monkeypatch.setattr(model, "backward", lossy_backward)
+        assert oracle.gradcheck_model(model, batch)["mlp.w0"] == 1.0
 
     def test_dimension_fuzzing(self):
         m = XCrossNetModel.init(SMALL)

@@ -157,8 +157,9 @@ def dense_adam_step(registry, m, v, t, lr, lam, lazy=False,
     values = registry.values
     keep = np.ones(values.size, dtype=bool)
     if lazy:
-        keep[registry.embed] = False
-        keep[registry.embed].reshape(registry.embed_block.shape)[registry.embed_rows] = True
+        _, block = registry.split(keep)
+        block[...] = False
+        block[registry.embed_rows] = True
     idx = np.flatnonzero(keep)
     theta = values[idx]
     g = registry.get_grad_flat()[idx]
@@ -167,11 +168,6 @@ def dense_adam_step(registry, m, v, t, lr, lam, lazy=False,
     m[idx] = m[idx] * beta1 + (1.0 - beta1) * g
     v[idx] = v[idx] * beta2 + (1.0 - beta2) * (g * g)
     values[idx] = theta - lr * (m[idx] / c1) / (np.sqrt(v[idx] / c2) + eps)
-
-
-def entry_view(flat, entry):
-    """An entry's part of a vector laid out like the registry's values."""
-    return flat[entry.start:entry.start + entry.values.size].reshape(entry.values.shape)
 
 
 WIDE = ModelConfig(dense_fields=3, sparse_fields=3, vocab_sizes=(50, 40, 30),
@@ -201,7 +197,7 @@ class TestRowSparseUpdate:
             expected = np.zeros((vocab, WIDE.embed_dim))
             np.add.at(expected, batch.sparse[:, f], grad_e[:, f])
             expected *= 1.0 / len(batch)
-            assert np.array_equal(entry_view(grad, m.registry[f"embed.field{f}"]), expected)
+            assert np.array_equal(m.registry[f"embed.field{f}"].view(grad), expected)
         # the compact gradient holds exactly the looked-up rows of each field
         assert np.array_equal(m.registry.embed_rows,
                               np.unique(batch.sparse + m.embedding.offsets))
@@ -215,8 +211,8 @@ class TestRowSparseUpdate:
             optim.adam_step(m.registry, state, lr=0.01, lam=0.1)
         batch = tiny_batch(rng, n=4, config=WIDE)
         names = m.registry.names()
-        before = [(e.values.copy(), entry_view(state.m, e).copy(),
-                   entry_view(state.v, e).copy()) for e in m.registry]
+        before = [(e.values.copy(), e.view(state.m).copy(),
+                   e.view(state.v).copy()) for e in m.registry]
         optim.batch_loss_and_grad(m, batch)
         optim.adam_step(m.registry, state, lr=0.01, lam=0.1)
         for f in range(WIDE.sparse_fields):
@@ -225,8 +221,8 @@ class TestRowSparseUpdate:
             touched = np.zeros(len(values), dtype=bool)
             touched[batch.sparse[:, f]] = True
             entry = m.registry[names[k]]
-            for old, new in ((values, entry.values), (mom1, entry_view(state.m, entry)),
-                             (mom2, entry_view(state.v, entry))):
+            for old, new in ((values, entry.values), (mom1, entry.view(state.m)),
+                             (mom2, entry.view(state.v))):
                 assert np.array_equal(new[~touched], old[~touched])
                 assert not np.any(new[touched] == old[touched])
 

@@ -102,3 +102,6 @@ class TestRelativeError:
     def test_skip_floor(self):
         assert oracle.relative_error(1e-12, -1e-12) == 0.0
         assert oracle.relative_error(1.0, 2.0) == 0.5
+        # the floor is on the difference, not on the magnitudes
+        assert oracle.relative_error(0.0, 1e-9) == 1.0
+        assert oracle.relative_error(2e-9, 1e-9, atol=1e-9) == 0.0
