@@ -179,12 +179,6 @@ def _resolve_run_config(args) -> tuple[dict, optim.TrainConfig]:
     return cfg, train_cfg
 
 
-def _split_rows(lines: list[str], valid_fraction: float):
-    n_valid = int(round(len(lines) * valid_fraction))
-    n_train = len(lines) - n_valid
-    return lines[:n_train], lines[n_train:]
-
-
 def _load_training_data(cfg):
     """Returns (train_ds, valid_ds_or_None, vocab, vocab_sizes, provenance)."""
     if cfg["synth"] is not None:
@@ -201,32 +195,30 @@ def _load_training_data(cfg):
         raise UsageError(["train_data: required unless --synth is used "
                           "(pass --train-data)"])
     n_dense, n_sparse = int(cfg["dense_fields"]), int(cfg["sparse_fields"])
-    train_lines = list(data_mod.read_lines(cfg["train_data"]))
-    if cfg["valid_data"]:
-        valid_lines = list(data_mod.read_lines(cfg["valid_data"]))
-    elif float(cfg["valid_fraction"]) > 0:
-        train_lines, valid_lines = _split_rows(train_lines,
-                                               float(cfg["valid_fraction"]))
-    else:
-        valid_lines = []
-    if not train_lines:
+    lines = list(data_mod.read_lines(cfg["train_data"]))
+    n_train = len(lines)
+    if not cfg["valid_data"]:
+        # the held-out split is the tail of the training file
+        n_train -= int(round(len(lines) * float(cfg["valid_fraction"])))
+    if not n_train:
         raise DataError("training split is empty")
     # vocab comes from the training split only
-    vocab = data_mod.build_vocab(train_lines, n_dense, n_sparse,
+    vocab = data_mod.build_vocab(lines[:n_train], n_dense, n_sparse,
                                  min_freq=int(cfg["min_freq"]))
+    rows = data_mod.parse_lines(lines, vocab, n_dense, n_sparse)
+    del lines
 
-    def parse_all(lines):
-        dense, sparse, labels = [], [], []
-        for line in lines:
-            inst = data_mod.parse_criteo_line(line, vocab, n_dense, n_sparse)
-            dense.append(inst.dense)
-            sparse.append(inst.sparse)
-            labels.append(inst.label)
-        return data_mod.Dataset(np.stack(dense), np.stack(sparse),
-                                np.array(labels, dtype=np.float64))
+    def split(part: slice) -> data_mod.Dataset:
+        return data_mod.Dataset(rows.dense[part], rows.sparse[part], rows.labels[part])
 
-    train_ds = parse_all(train_lines)
-    valid_ds = parse_all(valid_lines) if valid_lines else None
+    train_ds = split(slice(None, n_train))
+    if cfg["valid_data"]:
+        valid_ds = data_mod.parse_lines(data_mod.read_lines(cfg["valid_data"]),
+                                        vocab, n_dense, n_sparse)
+    else:
+        valid_ds = split(slice(n_train, None))
+    if not len(valid_ds):
+        valid_ds = None
     provenance = {"train_data": cfg["train_data"], "valid_data": cfg["valid_data"],
                   "valid_fraction": cfg["valid_fraction"]}
     return train_ds, valid_ds, vocab, vocab.sizes(), provenance
@@ -290,23 +282,29 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_vocab_for(args, checkpoint_path) -> data_mod.FieldVocab:
+def _load_vocab_for(args, model) -> data_mod.FieldVocab:
+    """The vocab of --vocab, or next to the checkpoint; DataError unless it
+    maps no token past the model's embedding tables."""
     vocab_path = getattr(args, "vocab", None)
     if vocab_path is None:
-        vocab_path = Path(checkpoint_path).parent / "vocab.json"
+        vocab_path = Path(args.checkpoint).parent / "vocab.json"
         if not Path(vocab_path).exists():
             raise DataError(
                 f"no vocab file next to the checkpoint ({vocab_path}); "
                 "pass --vocab explicitly")
     try:
-        return data_mod.FieldVocab.from_json(Path(vocab_path).read_text())
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+        vocab = data_mod.FieldVocab.from_json(Path(vocab_path).read_text())
+    except (OSError, DataError) as exc:
         raise DataError(f"cannot load vocab from {vocab_path}: {exc}") from None
+    if any(v > m for v, m in zip(vocab.sizes(), model.config.vocab_sizes)):
+        raise DataError(f"vocab {vocab_path} has sizes {vocab.sizes()}, more than "
+                        f"the model's {tuple(model.config.vocab_sizes)}")
+    return vocab
 
 
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    vocab = _load_vocab_for(args, args.checkpoint)
+    vocab = _load_vocab_for(args, model)
     ds = data_mod.load_tsv(args.data, vocab, model.config.dense_fields,
                            model.config.sparse_fields)
     report = metrics.evaluate(model, ds)
@@ -317,7 +315,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    vocab = _load_vocab_for(args, args.checkpoint)
+    vocab = _load_vocab_for(args, model)
     ds = data_mod.load_tsv(args.data, vocab, model.config.dense_fields,
                            model.config.sparse_fields)
     preds = metrics.predict_dataset(model, ds)

@@ -6,21 +6,40 @@ tokens, with empty strings for missing values. Gzipped files are handled
 transparently by extension. The synthetic generator writes the same
 schema, so the whole pipeline downstream of parsing is format-agnostic.
 
+Ingest is chunked and vectorized. Lines are read in text mode, so gzip and
+newline translation behave as Python's line iteration does, and are taken
+CHUNK_LINES whole lines at a time. Each chunk is encoded to UTF-8 once and
+handled by a few numpy passes over its bytes:
+
+- the tab and newline offsets give every field's byte span and check every
+  line's field count at once;
+- each categorical token becomes a fixed-width big-endian key, one 8-byte
+  word for a token of up to 8 bytes and more words for a longer one, whose
+  order is the tokens' string order; build_vocab counts the keys with
+  np.unique, and the parser maps them to ids by searchsorted against the
+  vocab's sorted keys;
+- dense tokens of up to 18 ASCII digits are parsed arithmetically, which
+  is exact; every other dense token goes through Python float().
+
+The vocab ordering rule is unchanged: ids 1.. in order of (count
+descending, token ascending). An error names the 1-based line number of the
+first bad line in file order.
+
 Dense normalization is the sign-safe log
 
     x >= 0  ->  log(1 + x)
     x <  0  -> -log(1 - x)
 
-applied at parse time; it is stateless, so no statistic of any split can
-leak into another.
+applied once per chunk at parse time; it is stateless, so no statistic of
+any split can leak into another.
 """
 
 from __future__ import annotations
 
 import gzip
+import itertools
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -39,11 +58,10 @@ def stable_sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def normalize_dense(x: float) -> float:
-    """Sign-safe log transform; maps 0 to 0 and preserves order and sign."""
-    if x >= 0.0:
-        return float(np.log1p(x))
-    return float(-np.log1p(-x))
+def normalize_dense(x):
+    """Sign-safe log transform, elementwise; maps 0 to 0 and preserves order
+    and sign (-0.0 stays -0.0)."""
+    return np.copysign(np.log1p(np.abs(x)), x)
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +136,21 @@ class FieldVocab:
 
     @classmethod
     def from_json(cls, text: str) -> "FieldVocab":
-        obj = json.loads(text)
-        return cls([dict(m) for m in obj["fields"]])
+        """Raises DataError unless text is {"fields": [{token: id, ...}, ...]}
+        with every id of a field in 1..(number of its tokens)."""
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"vocab is not JSON: {exc}") from None
+        fields = obj.get("fields") if isinstance(obj, dict) else None
+        if not isinstance(fields, list) or not all(isinstance(m, dict) for m in fields):
+            raise DataError('vocab must be {"fields": [{token: id, ...}, ...]}')
+        for i, mapping in enumerate(fields):
+            for token, idx in mapping.items():
+                if type(idx) is not int or not 1 <= idx <= len(mapping):
+                    raise DataError(f"vocab field {i}: token {token!r} has id "
+                                    f"{idx!r}, not in 1..{len(mapping)}")
+        return cls(fields)
 
     @classmethod
     def identity(cls, vocab_sizes) -> "FieldVocab":
@@ -141,28 +172,218 @@ def read_lines(path):
             yield line
 
 
+# ---------------------------------------------------------------------------
+# chunked tokenizing
+# ---------------------------------------------------------------------------
+
+#: Lines per ingest chunk; bounds a pass's working memory whatever the input's length.
+CHUNK_LINES = 4096
+
+_TAB, _NL = 9, 10
+#: Follows a chunk's last newline, so that a word starts at every offset.
+_PAD = "\0" * 8
+#: Longest all-digit dense token parsed arithmetically: int64 holds 18 digits.
+_MAX_DIGITS = 18
+#: Added to a key word, raises each byte by one without a carry (UTF-8 has no
+#: 0xFF byte), so a NUL byte inside a token differs from the zero padding.
+_ONES = np.uint64(0x0101010101010101)
+#: _KEEP[k] keeps the first k bytes (the most significant) of a big-endian word.
+_KEEP = np.array([(2 ** 64 - 1) ^ ((1 << (64 - 8 * k)) - 1) for k in range(9)],
+                 dtype=np.uint64)
+
+
+def _words(buf: np.ndarray) -> np.ndarray:
+    """The unaligned big-endian 8-byte word at every offset of buf."""
+    return np.ndarray((len(buf) - 7,), dtype=">u8", buffer=buf, strides=(1,))
+
+
+def _key_width(lengths: np.ndarray) -> int:
+    """Words per key for tokens of these byte lengths."""
+    return max(1, -(-int(lengths.max(initial=0)) // 8))
+
+
+def _width_of(keys: np.ndarray) -> int:
+    return 1 if keys.dtype == np.uint64 else keys.dtype.itemsize // 8
+
+
+def _token_keys(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                width: int) -> np.ndarray:
+    """Fixed-width keys of the tokens at starts (byte offsets) with these
+    byte lengths: uint64 for width 1, else a void of `width` big-endian words.
+
+    For tokens of up to 8*width bytes, keys are equal exactly when the
+    tokens are, and compare as the tokens do (UTF-8 byte order is code
+    point order); the empty token's key is 0 and no other token's is.
+    """
+    last = len(words) - 1
+    cols = [(words[np.minimum(starts + 8 * j, last)] + _ONES)
+            & _KEEP[np.clip(lengths - 8 * j, 0, 8)] for j in range(width)]
+    if width == 1:
+        return cols[0]
+    return np.stack(cols, axis=1).astype(">u8").view(f"V{8 * width}").ravel()
+
+
+def _widen(keys: np.ndarray, width: int) -> np.ndarray:
+    """keys padded with zero words to `width` words; order and equality hold."""
+    have = _width_of(keys)
+    if have == width:
+        return keys
+    out = np.zeros((len(keys), width), dtype=">u8")
+    out[:, :have] = keys[:, None] if have == 1 else keys.view(">u8").reshape(-1, have)
+    return out.view(f"V{8 * width}").ravel()
+
+
+def _key_tokens(keys: np.ndarray) -> list[str]:
+    """The tokens behind keys made by _token_keys."""
+    if not len(keys):
+        return []
+    raw = keys.astype(">u8") if keys.dtype == np.uint64 else keys
+    rows = np.frombuffer(raw.tobytes(), np.uint8).reshape(len(keys), -1)
+    # a tab (never inside a token) ends each token: its byte, raised by one
+    rows = np.concatenate([rows, np.full((len(keys), 1), _TAB + 1, np.uint8)], axis=1)
+    text = (rows[rows > 0] - 1).tobytes().decode("utf-8", "surrogatepass")
+    return text.split("\t")[:-1]
+
+
+class _Chunk:
+    """Whole lines, encoded once, with the byte span of every field.
+
+    The first n_ok lines have the right field count: field c of line r
+    lies between the delimiters at bounds[r, c] and bounds[r, c + 1]. If
+    n_ok is short of the line count, count_error describes line n_ok.
+    """
+
+    def __init__(self, lines, first: int, n_fields: int):
+        """Takes the next CHUNK_LINES lines (fewer at the end) of the
+        iterator lines; first is the file index of the first one."""
+        batch = list(itertools.islice(lines, CHUNK_LINES))
+        self.first, self.n_lines = first, len(batch)
+        text = "".join([*batch, _PAD])
+        if text.count("\n") != len(batch) or \
+                not all(map(str.endswith, batch, itertools.repeat("\n"))):
+            # a line without its newline, or with more: strip each one's own
+            batch = [line.rstrip("\n") for line in batch]
+            text = "\n".join([*batch, _PAD])
+        self.buf = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+        del text
+        self.words = _words(self.buf)
+        ends = np.flatnonzero(self.buf == _NL)
+        if len(ends) != len(batch):  # a line held a newline of its own
+            ends = np.cumsum([len(line.encode("utf-8", "surrogatepass")) + 1
+                              for line in batch]) - 1
+        del batch  # the lines live on as bytes
+        tabs = np.flatnonzero(self.buf == _TAB)
+        per_line = np.diff(np.searchsorted(tabs, ends), prepend=0)
+        bad = np.flatnonzero(per_line != n_fields - 1)
+        n = self.n_ok = int(bad[0]) if len(bad) else self.n_lines
+        if len(bad):
+            self.count_error = (f"expected {n_fields} tab-separated fields, "
+                                f"got {per_line[n] + 1}")
+        self.bounds = np.empty((n, n_fields + 1), dtype=np.int64)
+        self.bounds[:, 0] = np.concatenate(([-1], ends[:-1]))[:n]
+        self.bounds[:, 1:-1] = tabs[:n * (n_fields - 1)].reshape(n, n_fields - 1)
+        self.bounds[:, -1] = ends[:n]
+
+    def fail(self, row: int, message: str):
+        raise DataError(f"line {self.first + row + 1}: {message}")
+
+    def check_count(self) -> None:
+        if self.n_ok < self.n_lines:
+            self.fail(self.n_ok, self.count_error)
+
+    def spans(self, start: int, stop: int, rows: int | None = None):
+        """Byte starts and lengths of fields start..stop-1 in the first rows
+        lines, in row-major order."""
+        starts = self.bounds[:rows, start:stop] + 1
+        return starts.ravel(), (self.bounds[:rows, start + 1:stop + 1] - starts).ravel()
+
+    def keys(self, col: int, width: int | None = None):
+        """Keys of field col (width: see _token_keys), and the byte lengths."""
+        starts, lengths = self.spans(col, col + 1)
+        width = width or _key_width(lengths)
+        return _token_keys(self.words, starts, lengths, width), lengths
+
+    def strings(self, starts: np.ndarray, lengths: np.ndarray) -> list[str]:
+        """The str of each byte span, for spans in order that do not overlap."""
+        if not len(starts):
+            return []
+        # mark each span with the delimiter after it, gather, decode once
+        edges = np.zeros(len(self.buf) + 1, dtype=np.int8)
+        edges[starts] += 1
+        edges[starts + lengths + 1] -= 1
+        picked = self.buf[np.cumsum(edges[:-1], dtype=np.int8).view(bool)]
+        picked[np.cumsum(lengths + 1) - 1] = _TAB  # the only byte no token holds
+        return picked.tobytes().decode("utf-8", "surrogatepass").split("\t")[:-1]
+
+
+def _each_chunk(lines, n_fields: int, parse) -> list:
+    """[parse(chunk) for each _Chunk of CHUNK_LINES lines of lines], an
+    iterable of str; a chunk is dropped before the next one is read."""
+    lines, first, out = iter(lines), 0, []
+    while (chunk := _Chunk(lines, first, n_fields)).n_lines:
+        first += chunk.n_lines
+        out.append(parse(chunk))
+        del chunk
+    return out
+
+
+# ---------------------------------------------------------------------------
+# vocab building
+# ---------------------------------------------------------------------------
+
+
+class _KeyCounts:
+    """Count per token key in one field. Added parts wait until they
+    outnumber the merged keys, so merging costs O(n log n) over a file."""
+
+    def __init__(self):
+        self.keys = np.zeros(0, dtype=np.uint64)
+        self.counts = np.zeros(0, dtype=np.int64)
+        self.parts = []
+        self.pending = 0
+
+    def add(self, keys: np.ndarray, counts: np.ndarray) -> None:
+        self.parts.append((keys, counts))
+        self.pending += len(keys)
+        if self.pending > len(self.keys):
+            self.merge()
+
+    def merge(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct keys in ascending order and their counts."""
+        parts = [(self.keys, self.counts), *self.parts]
+        width = max(_width_of(keys) for keys, _ in parts)
+        keys = np.concatenate([_widen(keys, width) for keys, _ in parts])
+        self.keys, inverse = np.unique(keys, return_inverse=True)
+        counts = np.concatenate([counts for _, counts in parts])
+        self.counts = np.bincount(inverse, weights=counts,
+                                  minlength=len(self.keys)).astype(np.int64)
+        self.parts, self.pending = [], 0
+        return self.keys, self.counts
+
+
 def build_vocab(lines, n_dense: int, n_sparse: int, min_freq: int = 10) -> FieldVocab:
     """One counting pass over raw training lines.
 
     Tokens seen at least min_freq times get ids 1.. in order of
     (count descending, token ascending); everything else maps to 0.
     """
-    counters = [Counter() for _ in range(n_sparse)]
-    for line in lines:
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) != 1 + n_dense + n_sparse:
-            raise DataError(
-                f"expected {1 + n_dense + n_sparse} tab-separated fields, "
-                f"got {len(fields)}")
-        for i in range(n_sparse):
-            token = fields[1 + n_dense + i]
-            if token:
-                counters[i][token] += 1
+    fields = [_KeyCounts() for _ in range(n_sparse)]
+
+    def count(chunk: _Chunk) -> None:
+        chunk.check_count()
+        for i, counts in enumerate(fields):
+            keys, lengths = chunk.keys(1 + n_dense + i)
+            counts.add(*np.unique(keys[lengths > 0], return_counts=True))
+
+    _each_chunk(lines, 1 + n_dense + n_sparse, count)
     mappings = []
-    for counter in counters:
-        kept = sorted((t for t, c in counter.items() if c >= min_freq),
-                      key=lambda t: (-counter[t], t))
-        mappings.append({t: i + 1 for i, t in enumerate(kept)})
+    for counts in fields:
+        keys, n = counts.merge()
+        kept = n >= min_freq
+        # keys ascend, so a stable sort by count keeps ties in token order
+        order = np.argsort(-n[kept], kind="stable")
+        tokens = _key_tokens(keys[kept][order])
+        mappings.append(dict(zip(tokens, range(1, len(tokens) + 1))))
     return FieldVocab(mappings)
 
 
@@ -171,45 +392,113 @@ def build_vocab(lines, n_dense: int, n_sparse: int, min_freq: int = 10) -> Field
 # ---------------------------------------------------------------------------
 
 
-def parse_criteo_line(line: str, vocab: FieldVocab, n_dense: int,
-                      n_sparse: int) -> Instance:
-    fields = line.rstrip("\n").split("\t")
-    if len(fields) != 1 + n_dense + n_sparse:
-        raise DataError(
-            f"expected {1 + n_dense + n_sparse} tab-separated fields, "
-            f"got {len(fields)}")
-    if fields[0] not in ("0", "1"):
-        raise DataError(f"label must be 0 or 1, got {fields[0]!r}")
-    label = int(fields[0])
-    dense = np.zeros(n_dense)
-    for i in range(n_dense):
-        token = fields[1 + i]
-        if token:
+class _FieldTable:
+    """One field's vocab as sorted token keys and their ids."""
+
+    def __init__(self, mapping: dict[str, int]):
+        tokens = [t for t in mapping if t]  # the empty token always maps to 0
+        encoded = [t.encode("utf-8", "surrogatepass") for t in tokens]
+        lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+        buf = np.frombuffer(b"".join([*encoded, _PAD.encode()]), np.uint8)
+        self.width = _key_width(lengths)
+        keys = _token_keys(_words(buf), np.cumsum(lengths) - lengths, lengths, self.width)
+        order = np.argsort(keys)
+        self.keys = keys[order]
+        self.ids = np.array([mapping[t] for t in tokens], dtype=np.int64)[order]
+
+    def lookup(self, chunk: _Chunk, col: int) -> np.ndarray:
+        keys, lengths = chunk.keys(col, self.width)
+        if not len(self.keys):
+            return np.zeros(len(keys), dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        # a token longer than the vocab's keys would match its own prefix
+        hit = (self.keys[pos] == keys) & (lengths <= 8 * self.width)
+        return np.where(hit, self.ids[pos], 0)
+
+
+def _digit_values(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The integer value of each token of 1 to _MAX_DIGITS ASCII digits,
+    0 for an empty token and -1 for any other."""
+    values = np.where(lengths <= _MAX_DIGITS, 0, -1)
+    for j in range(_MAX_DIGITS):
+        live = np.flatnonzero((lengths > j) & (values >= 0))
+        if not len(live):
+            break
+        digit = buf[starts[live] + j] - np.uint8(ord("0"))  # other bytes wrap past 9
+        values[live] = np.where(digit <= 9, values[live] * 10 + digit, -1)
+    return values
+
+
+def _dense_values(chunk: _Chunk, rows: int, n_dense: int) -> np.ndarray:
+    """Raw dense values (0 where missing) of the first rows lines; raises
+    DataError at the first token, in file order, that is no finite number."""
+    starts, lengths = chunk.spans(1, 1 + n_dense, rows)
+    # int64 -> float64 rounds to nearest, as float() does: exact for these
+    values = _digit_values(chunk.buf, starts, lengths).astype(np.float64)
+    slow = np.flatnonzero(values < 0)
+    tokens = chunk.strings(starts[slow], lengths[slow])
+    try:
+        parsed = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))
+    except ValueError:
+        parsed = None
+    if parsed is None or not np.isfinite(parsed).all():
+        for k, token in zip(slow.tolist(), tokens):
+            row, field = divmod(k, n_dense)
             try:
                 raw = float(token)
             except ValueError:
-                raise DataError(f"dense field {i}: not a number: {token!r}") from None
+                chunk.fail(row, f"dense field {field}: not a number: {token!r}")
             if not math.isfinite(raw):
-                raise DataError(f"dense field {i}: not finite: {token!r}")
-        else:
-            raw = 0.0  # missing dense value -> 0 before normalization
-        dense[i] = normalize_dense(raw)
-    sparse = np.zeros(n_sparse, dtype=np.int64)
-    for i in range(n_sparse):
-        sparse[i] = vocab.lookup(i, fields[1 + n_dense + i])
-    return Instance(dense, sparse, label)
+                chunk.fail(row, f"dense field {field}: not finite: {token!r}")
+    values[slow] = parsed
+    return values.reshape(rows, n_dense)
+
+
+def _parse_chunk(chunk: _Chunk, tables: list[_FieldTable], n_dense: int):
+    """(dense, sparse, labels) of a chunk; raises DataError at its first bad line."""
+    starts, lengths = chunk.spans(0, 1)
+    label = chunk.buf[starts] - np.uint8(ord("0"))
+    bad = np.flatnonzero((lengths != 1) | (label > 1))
+    # rows before the first bad label (or field count) parse; within a line,
+    # the field count is checked first, then the label, then the dense fields
+    rows = int(bad[0]) if len(bad) else chunk.n_ok
+    dense = normalize_dense(_dense_values(chunk, rows, n_dense))
+    if rows < chunk.n_ok:
+        token = chunk.strings(starts[rows:rows + 1], lengths[rows:rows + 1])[0]
+        chunk.fail(rows, f"label must be 0 or 1, got {token!r}")
+    chunk.check_count()
+    sparse = np.empty((chunk.n_ok, len(tables)), dtype=np.int64)
+    for i, table in enumerate(tables):
+        sparse[:, i] = table.lookup(chunk, 1 + n_dense + i)
+    return dense, sparse, label.astype(np.float64)
+
+
+def parse_lines(lines, vocab: FieldVocab, n_dense: int, n_sparse: int) -> Dataset:
+    """Parse Criteo-format lines (an iterable of str) chunk by chunk."""
+    if vocab.n_fields != n_sparse:
+        raise DataError(f"vocab has {vocab.n_fields} fields, "
+                        f"the data {n_sparse} categorical fields")
+    tables = [_FieldTable(m) for m in vocab.mappings]
+    parts = _each_chunk(lines, 1 + n_dense + n_sparse,
+                        lambda chunk: _parse_chunk(chunk, tables, n_dense))
+    if not parts:
+        return Dataset(np.zeros((0, n_dense)), np.zeros((0, n_sparse)), np.zeros(0))
+    return Dataset(*(np.concatenate(column) for column in zip(*parts)))
+
+
+def parse_criteo_line(line: str, vocab: FieldVocab, n_dense: int,
+                      n_sparse: int) -> Instance:
+    """One line through the chunk parser; an error names it line 1."""
+    ds = parse_lines([line], vocab, n_dense, n_sparse)
+    return Instance(ds.dense[0], ds.sparse[0], int(ds.labels[0]))
 
 
 def load_tsv(path, vocab: FieldVocab, n_dense: int, n_sparse: int) -> Dataset:
-    dense_rows, sparse_rows, labels = [], [], []
-    for line in read_lines(path):
-        inst = parse_criteo_line(line, vocab, n_dense, n_sparse)
-        dense_rows.append(inst.dense)
-        sparse_rows.append(inst.sparse)
-        labels.append(inst.label)
-    if not labels:
+    with open_maybe_gzip(path) as lines:
+        ds = parse_lines(lines, vocab, n_dense, n_sparse)
+    if not len(ds):
         raise DataError(f"no instances in {path}")
-    return Dataset(np.stack(dense_rows), np.stack(sparse_rows), np.array(labels))
+    return ds
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +591,8 @@ class SynthData:
     scores: np.ndarray     # (n,) true logits
 
     def _dataset(self, sl: slice) -> Dataset:
-        raw = self.raw_dense[sl]
-        normalized = np.where(raw >= 0, np.log1p(np.maximum(raw, 0.0)),
-                              -np.log1p(np.maximum(-raw, 0.0)))
-        return Dataset(normalized, self.sparse[sl], self.labels[sl])
+        return Dataset(normalize_dense(self.raw_dense[sl]), self.sparse[sl],
+                       self.labels[sl])
 
     def train_dataset(self) -> Dataset:
         return self._dataset(slice(0, self.spec.n_train))

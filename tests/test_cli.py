@@ -171,6 +171,18 @@ class TestTrain:
         assert code == 0
         assert "final_auc" in kv(out)
 
+    def test_bad_line_in_held_out_tail_names_its_file_line(self, synth_dir, tmp_path,
+                                                           capsys):
+        lines = (synth_dir / "train.tsv").read_text().splitlines(keepends=True)
+        lines[-2] = "2" + lines[-2][1:]
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("".join(lines))
+        code, _, err = run_cli(
+            ["train", "--train-data", str(bad), "--valid-fraction", "0.25",
+             *TRAIN_FLAGS, "--out", str(tmp_path / "run")], capsys)
+        assert code == 3
+        assert f"line {len(lines) - 1}: label must be 0 or 1, got '2'" in err
+
     def test_nan_loss_exits_4(self, synth_dir, tmp_path, capsys, monkeypatch):
         def explode(*a, **k):
             raise NumericError("training loss became non-finite at step 0")
@@ -235,6 +247,26 @@ class TestEval:
         assert pairs["auc"] == "unavailable"
         assert float(pairs["logloss"]) > 0
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("vocab, message", [
+        ({"fields": [{"c1": 1}] * 3}, "vocab has 3 fields, the data 4"),
+        ({"fields": {"a": 1}}, "vocab must be"),
+        ({"fields": [{f"c{i}": i for i in range(1, 9)}] * 4}, "more than the model"),
+    ], ids=["three_fields", "fields_not_a_list", "ids_past_the_tables"])
+    def test_vocab_of_the_wrong_shape_exits_3(self, synth_dir, trained_dir, tmp_path,
+                                              capsys, command, vocab, message):
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps(vocab))
+        out = tmp_path / "p.txt"
+        extra = ["--out", str(out)] if command == "predict" else []
+        code, _, err = run_cli(
+            [command, "--checkpoint", str(trained_dir / "checkpoint.xcn"),
+             "--data", str(synth_dir / "valid.tsv"), "--vocab", str(path), *extra],
+            capsys)
+        assert code == 3
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_missing_vocab_names_flag(self, trained_dir, tmp_path, capsys):
         lone = tmp_path / "checkpoint.xcn"
         lone.write_bytes((trained_dir / "checkpoint.xcn").read_bytes())
@@ -270,7 +302,7 @@ class TestPredict:
             ["predict", "--checkpoint", str(trained_dir / "checkpoint.xcn"),
              "--data", str(bad), "--out", str(out)], capsys)
         assert code == 3
-        assert "dense field 1" in err
+        assert f"line 1: dense field 1: not finite: '{token}'" in err
         assert not out.exists()
 
 

@@ -1,9 +1,16 @@
 import dataclasses
 import gzip
 import math
+import tempfile
+import tracemalloc
+from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xcrossnet import data, metrics
 from xcrossnet.errors import DataError
@@ -23,6 +30,12 @@ class TestNormalization:
         ys = [data.normalize_dense(x) for x in xs]
         assert all(b > a for a, b in zip(ys, ys[1:]))
         assert all((x < 0) == (y < 0) for x, y in zip(xs, ys))
+
+    def test_array_matches_scalar_branches_bitwise(self):
+        xs = np.array([-0.0, 0.0, -1e300, -3.5, -1e-300, 1e-300, 2.0, 1e300,
+                       *np.random.default_rng(0).normal(0, 100, 200)])
+        expected = np.array([reference_normalize(x) for x in xs])
+        assert data.normalize_dense(xs).tobytes() == expected.tobytes()
 
 
 class TestParse:
@@ -77,6 +90,15 @@ class TestBuildVocab:
         b = data.build_vocab(lines, 1, 1, min_freq=3)
         assert a.mappings == b.mappings
 
+    def test_ties_in_a_large_vocab_keep_token_order(self):
+        tokens = [f"t{i:03d}" for i in range(300)] + ["x" * 9 + str(i) for i in range(40)]
+        lines = [f"0\t1\t{t}\n" for t in tokens * 2 + tokens[::7]]
+        order = np.random.default_rng(5).permutation(len(lines))
+        lines = [lines[i] for i in order]
+        vocab = data.build_vocab(lines, 1, 1, min_freq=2)
+        assert list(vocab.mappings[0].items()) == \
+            list(reference_vocab(lines, 1, 1, 2)[0].items())
+
     def test_json_roundtrip(self):
         restored = data.FieldVocab.from_json(VOCAB2.to_json())
         assert restored.mappings == VOCAB2.mappings
@@ -111,6 +133,229 @@ class TestIngestionPurity:
         ds = data.load_tsv(path, VOCAB2, 2, 2)
         assert len(ds) == 2
         assert ds.labels.tolist() == [1.0, 0.0]
+
+
+def reference_normalize(x: float) -> float:
+    """The per-value sign-safe log the line-at-a-time parser applied."""
+    if x >= 0.0:
+        return float(np.log1p(x))
+    return float(-np.log1p(-x))
+
+
+def reference_vocab(lines, n_dense, n_sparse, min_freq):
+    """build_vocab one line and one token at a time: the per-line semantics
+    the chunked counter must reproduce."""
+    counters = [Counter() for _ in range(n_sparse)]
+    for line in lines:
+        fields = line.rstrip("\n").split("\t")
+        assert len(fields) == 1 + n_dense + n_sparse
+        for i in range(n_sparse):
+            if fields[1 + n_dense + i]:
+                counters[i][fields[1 + n_dense + i]] += 1
+    mappings = []
+    for counter in counters:
+        kept = sorted((t for t, c in counter.items() if c >= min_freq),
+                      key=lambda t: (-counter[t], t))
+        mappings.append({t: i + 1 for i, t in enumerate(kept)})
+    return mappings
+
+
+def reference_rows(lines, mappings, n_dense, n_sparse):
+    """(dense, sparse, labels) parsed one line and one token at a time."""
+    dense, sparse, labels = [], [], []
+    for line in lines:
+        fields = line.rstrip("\n").split("\t")
+        assert len(fields) == 1 + n_dense + n_sparse and fields[0] in ("0", "1")
+        labels.append(int(fields[0]))
+        dense.append([reference_normalize(float(t) if t else 0.0)
+                      for t in fields[1:1 + n_dense]])
+        sparse.append([m.get(t, 0) if t else 0
+                       for m, t in zip(mappings, fields[1 + n_dense:])])
+    return (np.array(dense, dtype=np.float64).reshape(len(lines), n_dense),
+            np.array(sparse, dtype=np.int64).reshape(len(lines), n_sparse),
+            np.array(labels, dtype=np.float64))
+
+
+def assert_same_rows(ds, expected):
+    for got, want in zip((ds.dense, ds.sparse, ds.labels), expected):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # bitwise, -0.0 included
+
+
+# NUL, prefixes of each other, exactly 8 and 9 bytes, multi-byte characters
+SPARSE_TOKENS = st.one_of(
+    st.sampled_from(["", "a", "a\x00", "ab", "abcdefgh", "abcdefgh\x00",
+                     "abcdefghi", "é", "ÿ", "\U0001f600", "x" * 17, "中文字符串测试"]),
+    st.text(st.characters(blacklist_characters="\t\n\r",
+                          blacklist_categories=("Cs",)), max_size=20))
+DENSE_TOKENS = st.one_of(
+    st.sampled_from(["", "0", "-0", "007", "+5", " 5", "5 ", "1_0", "0.25",
+                     "-3", "-2.5", "1e3", "٣", "123456789012345678",
+                     "1234567890123456789", "99999999999999999999999"]),
+    st.integers(0, 10 ** 20).map(str),
+    st.integers(-10 ** 6, -1).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr))
+
+
+@st.composite
+def tsv_files(draw):
+    """Criteo-format lines with some fields' schema, and how to write them."""
+    n_dense, n_sparse = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    pool = draw(st.lists(SPARSE_TOKENS, min_size=1, max_size=6))
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from("01"),
+        st.lists(DENSE_TOKENS, min_size=n_dense, max_size=n_dense),
+        st.lists(st.sampled_from(pool), min_size=n_sparse, max_size=n_sparse)),
+        min_size=1, max_size=14))
+    lines = ["\t".join([label, *dense, *sparse]) for label, dense, sparse in rows]
+    return dict(lines=lines, n_dense=n_dense, n_sparse=n_sparse,
+                eol=draw(st.sampled_from(["\n", "\r\n"])),
+                final_eol=draw(st.booleans()), gz=draw(st.booleans()),
+                chunk=draw(st.sampled_from([1, 2, 3, 5, 4096])),
+                min_freq=draw(st.integers(1, 3)))
+
+
+class TestChunkedIngest:
+    @settings(max_examples=80, deadline=None)
+    @given(tsv_files())
+    def test_matches_per_line_reference(self, f):
+        text = f["eol"].join(f["lines"]) + (f["eol"] if f["final_eol"] else "")
+        n_dense, n_sparse = f["n_dense"], f["n_sparse"]
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(data, "CHUNK_LINES", f["chunk"]):
+            path = Path(tmp) / ("rows.tsv.gz" if f["gz"] else "rows.tsv")
+            with data.open_maybe_gzip(path, "wt") as out:
+                out.write(text)
+            lines = list(data.read_lines(path))
+            with data.open_maybe_gzip(path) as stream:
+                vocab = data.build_vocab(stream, n_dense, n_sparse, f["min_freq"])
+            expected = reference_vocab(lines, n_dense, n_sparse, f["min_freq"])
+            assert [list(m.items()) for m in vocab.mappings] == \
+                [list(m.items()) for m in expected]
+            ds = data.load_tsv(path, vocab, n_dense, n_sparse)
+        assert_same_rows(ds, reference_rows(lines, expected, n_dense, n_sparse))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4096])
+    def test_in_memory_lines_keep_their_own_ends(self, chunk, monkeypatch):
+        # no newline, several newlines, and a newline inside a token: each
+        # item is still one line, as a line-at-a-time parser saw it
+        monkeypatch.setattr(data, "CHUNK_LINES", chunk)
+        lines = ["1\t2\ta", "0\t3\ta\n\n", "1\t4\tb\nc\n", "0\t\tb\nc", "1\t5\ta\r\n"]
+        vocab = data.build_vocab(lines, 1, 1, min_freq=1)
+        expected = reference_vocab(lines, 1, 1, 1)
+        assert vocab.mappings == expected
+        assert list(vocab.mappings[0]) == ["a", "b\nc", "a\r"]
+        assert_same_rows(data.parse_lines(lines, vocab, 1, 1),
+                         reference_rows(lines, expected, 1, 1))
+
+    def test_vocab_of_long_tokens_maps_only_whole_tokens(self):
+        # a token longer than every vocab token must not match its prefix
+        vocab = data.FieldVocab([{"abcdefghijklmnop": 1, "b": 2}])
+        ds = data.parse_lines(["0\tabcdefghijklmnop", "0\tabcdefghijklmnopq",
+                               "0\tabcdefgh", "0\tb"], vocab, 0, 1)
+        assert ds.sparse[:, 0].tolist() == [1, 0, 0, 2]
+
+    def test_load_tsv_peak_memory(self, tmp_path):
+        # the line-at-a-time parser peaked at 27.0 MB on this file
+        spec = dataclasses.replace(data.DEFAULT_SYNTH_SPEC, n_train=50_000, n_valid=1)
+        sd = data.synth_generate(spec)
+        sd.write_tsv(tmp_path / "train.tsv", tmp_path / "valid.tsv")
+        tracemalloc.start()
+        try:
+            ds = data.load_tsv(tmp_path / "train.tsv", sd.vocab(), 4, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ds) == 50_000
+        assert peak <= 13.5e6
+
+
+CHUNK = 4
+GOOD = "1\t2\t3\ta\tx"
+
+
+def lines_with(bad: dict[int, str], n: int = 3 * CHUNK) -> list[str]:
+    """n good lines with bad[k] as line k (1-based)."""
+    return [bad.get(k, GOOD) + "\n" for k in range(1, n + 1)]
+
+
+class TestErrorsNameTheLine:
+    """A bad line in the second chunk is reported with its line number in
+    the file and the same field and token text as a one-line parse."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(data, "CHUNK_LINES", CHUNK)
+
+    @pytest.mark.parametrize("line, message", [
+        ("1\t2\t3\ta", "line 7: expected 5 tab-separated fields, got 4"),
+        ("1\t2\t3\ta\tx\ty", "line 7: expected 5 tab-separated fields, got 6"),
+        ("2\t2\t3\ta\tx", "line 7: label must be 0 or 1, got '2'"),
+        ("\t2\t3\ta\tx", "line 7: label must be 0 or 1, got ''"),
+        ("1.0\t2\t3\ta\tx", "line 7: label must be 0 or 1, got '1.0'"),
+        ("1\t2\tfoo\ta\tx", "line 7: dense field 1: not a number: 'foo'"),
+        ("1\té\t3\ta\tx", "line 7: dense field 0: not a number: 'é'"),
+        ("1\t2\tnan\ta\tx", "line 7: dense field 1: not finite: 'nan'"),
+        ("1\tinf\t3\ta\tx", "line 7: dense field 0: not finite: 'inf'"),
+        ("1\t2\t-inf\ta\tx", "line 7: dense field 1: not finite: '-inf'"),
+        ("1\t2\t1e400\ta\tx", "line 7: dense field 1: not finite: '1e400'"),
+    ])
+    def test_message(self, tmp_path, line, message):
+        path = tmp_path / "bad.tsv"
+        path.write_text("".join(lines_with({7: line})))
+        with pytest.raises(DataError) as err:
+            data.load_tsv(path, VOCAB2, 2, 2)
+        assert str(err.value) == message
+        # the one-line parse gives the same text for its line 1
+        with pytest.raises(DataError) as one:
+            data.parse_criteo_line(line + "\n", VOCAB2, 2, 2)
+        assert str(one.value) == message.replace("line 7", "line 1")
+
+    @pytest.mark.parametrize("bad, line", [
+        ({6: "1\tfoo\t3\ta\tx", 7: "2\t2\t3\ta\tx"}, 6),   # dense before label
+        ({6: "2\t2\t3\ta\tx", 7: "1\tfoo\t3\ta\tx"}, 6),   # label before dense
+        ({6: "2\t2\t3\ta\tx", 7: "1\t2\t3"}, 6),             # label before count
+        ({6: "1\t2", 7: "2\t2\t3\ta\tx"}, 6),                 # count before label
+        ({6: "1\t2", 7: "1\tfoo\t3\ta\tx"}, 6),               # count before dense
+        ({6: "1\t2\tinf\ta\tx", 7: "1\tfoo\t3\ta\tx"}, 6), # non-finite first
+        ({6: "1\tfoo\tinf\ta\tx"}, 6),                        # field 0 first
+        ({7: "2\tfoo\t3"}, 7),                                 # count, then label
+        ({10: "1\tfoo\t3\ta\tx", 5: "1\t2\tbar\ta\tx"}, 5),
+    ])
+    def test_first_bad_line_in_file_order(self, bad, line):
+        with pytest.raises(DataError, match=f"^line {line}: "):
+            data.parse_lines(lines_with(bad), VOCAB2, 2, 2)
+
+    def test_within_a_line_the_one_line_order_holds(self):
+        for text, expected in (("2\tfoo\t3", "expected 5"),
+                               ("2\tfoo\t3\ta\tx", "label"),
+                               ("1\tfoo\tinf\ta\tx", "dense field 0: not a number")):
+            with pytest.raises(DataError, match=expected):
+                data.parse_lines(lines_with({7: text}), VOCAB2, 2, 2)
+
+    def test_build_vocab_names_the_line(self):
+        with pytest.raises(DataError, match="^line 9: expected 5 tab-separated fields, got 2$"):
+            data.build_vocab(lines_with({9: "1\t2"}), 2, 2)
+
+
+class TestVocabShape:
+    @pytest.mark.parametrize("fields", [1, 3])
+    def test_field_count_mismatch(self, tmp_path, fields):
+        vocab = data.FieldVocab([{"a": 1}] * fields)
+        with pytest.raises(DataError, match=f"vocab has {fields} fields"):
+            data.parse_criteo_line(GOOD + "\n", vocab, 2, 2)
+        path = tmp_path / "rows.tsv"
+        path.write_text(GOOD + "\n")
+        with pytest.raises(DataError, match=f"vocab has {fields} fields"):
+            data.load_tsv(path, vocab, 2, 2)
+
+    @pytest.mark.parametrize("text", [
+        "not json", "[]", "{}", '{"fields": {"a": 1}}', '{"fields": [["a", 1]]}',
+        '{"fields": [{"a": "1"}]}', '{"fields": [{"a": 0}]}',
+        '{"fields": [{"a": 2}]}', '{"fields": [{"a": true}]}'])
+    def test_malformed_json(self, text):
+        with pytest.raises(DataError):
+            data.FieldVocab.from_json(text)
 
 
 class TestBatchIter:
