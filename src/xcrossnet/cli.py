@@ -42,8 +42,9 @@ import numpy as np
 from . import data as data_mod
 from . import metrics, optim, oracle
 from .errors import CheckpointError, DataError, NumericError, XCrossNetError
-from .model import (BALANCE_CONVENTIONS, ModelConfig, XCrossNetModel,
+from .model import (BALANCE_CONVENTIONS, ModelConfig, XCrossNetModel, _int_problems,
                     balance_index, load_checkpoint, save_checkpoint)
+from .optim import _is_number
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -157,23 +158,22 @@ def _resolve_run_config(args) -> tuple[dict, optim.TrainConfig]:
         for key, value in SYNTH_SCALE_DEFAULTS.items():
             if key not in explicit:
                 cfg[key] = value
-    if not (0.0 <= float(cfg["valid_fraction"]) < 1.0):
-        problems.append("valid_fraction: must be in [0, 1)")
-    if int(cfg["min_freq"]) < 1:
-        problems.append("min_freq: must be >= 1")
-    train_cfg = optim.TrainConfig(lr=float(cfg["lr"]), batch_size=int(cfg["batch_size"]),
-                                  l2=float(cfg["l2"]), epochs=int(cfg["epochs"]),
-                                  seed=int(cfg["seed"]), eval_every=int(cfg["eval_every"]))
+    fraction = cfg["valid_fraction"]
+    if not _is_number(fraction) or not 0.0 <= fraction < 1.0:
+        problems.append(f"valid_fraction: must be a number in [0, 1), got {fraction!r}")
+    if cfg["synth_seed"] is not None:
+        problems += _int_problems({"synth_seed": cfg["synth_seed"]}, low=0)
+    # passed as given, so that validate() rejects values of the wrong type
+    train_cfg = optim.TrainConfig(lr=cfg["lr"], batch_size=cfg["batch_size"],
+                                  l2=cfg["l2"], epochs=cfg["epochs"],
+                                  seed=cfg["seed"], eval_every=cfg["eval_every"])
     problems.extend(train_cfg.validate())
     # the model config is validated whole once the data determines vocab
-    # sizes; the field counts are checked first because parsing uses them
-    for key in ("dense_fields", "sparse_fields", "embed_dim", "product_size",
-                "cross_depth"):
-        value = cfg[key]
-        if not isinstance(value, int) or isinstance(value, bool):
-            problems.append(f"{key}: must be an integer, got {value!r}")
-        elif value < 1:
-            problems.append(f"{key}: must be >= 1")
+    # sizes; the field counts and min_freq are checked first because
+    # parsing uses them
+    problems += _int_problems({key: cfg[key] for key in (
+        "dense_fields", "sparse_fields", "embed_dim", "product_size", "cross_depth",
+        "min_freq")})
     if problems:
         raise UsageError(problems)
     return cfg, train_cfg
@@ -184,7 +184,7 @@ def _load_training_data(cfg):
     if cfg["synth"] is not None:
         spec = data_mod.DEFAULT_SYNTH_SPEC
         if cfg["synth_seed"] is not None:
-            spec = dataclasses.replace(spec, seed=int(cfg["synth_seed"]))
+            spec = dataclasses.replace(spec, seed=cfg["synth_seed"])
         sdata = data_mod.synth_generate(spec)
         vocab = sdata.vocab()
         cfg["dense_fields"] = spec.dense_fields
@@ -194,17 +194,17 @@ def _load_training_data(cfg):
     if not cfg["train_data"]:
         raise UsageError(["train_data: required unless --synth is used "
                           "(pass --train-data)"])
-    n_dense, n_sparse = int(cfg["dense_fields"]), int(cfg["sparse_fields"])
+    n_dense, n_sparse = cfg["dense_fields"], cfg["sparse_fields"]
     lines = list(data_mod.read_lines(cfg["train_data"]))
     n_train = len(lines)
     if not cfg["valid_data"]:
         # the held-out split is the tail of the training file
-        n_train -= int(round(len(lines) * float(cfg["valid_fraction"])))
+        n_train -= int(round(len(lines) * cfg["valid_fraction"]))
     if not n_train:
         raise DataError("training split is empty")
     # vocab comes from the training split only
     vocab = data_mod.build_vocab(lines[:n_train], n_dense, n_sparse,
-                                 min_freq=int(cfg["min_freq"]))
+                                 min_freq=cfg["min_freq"])
     rows = data_mod.parse_lines(lines, vocab, n_dense, n_sparse)
     del lines
 
@@ -328,20 +328,20 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    d = GRADCHECK_DEFAULTS
     config = ModelConfig(
-        dense_fields=args.dense_fields or d["dense_fields"],
-        sparse_fields=args.sparse_fields or d["sparse_fields"],
-        vocab_sizes=(args.vocab_size or d["vocab_size"],) *
-                    (args.sparse_fields or d["sparse_fields"]),
-        embed_dim=args.embed_dim or d["embed_dim"],
-        product_size=args.product_size or d["product_size"],
-        cross_depth=args.cross_depth or d["cross_depth"],
-        mlp_widths=_parse_widths(args.mlp_widths) if args.mlp_widths is not None
-                   else d["mlp_widths"],
+        dense_fields=args.dense_fields,
+        sparse_fields=args.sparse_fields,
+        vocab_sizes=(args.vocab_size,) * args.sparse_fields,
+        embed_dim=args.embed_dim,
+        product_size=args.product_size,
+        cross_depth=args.cross_depth,
+        mlp_widths=_parse_widths(args.mlp_widths) if isinstance(args.mlp_widths, str)
+                   else args.mlp_widths,
         seed=args.seed,
     )
-    problems = config.validate()
+    problems = config.validate() + _int_problems({"instances": args.instances})
+    if not args.eps > 0:
+        problems.append(f"eps: must be > 0, got {args.eps!r}")
     if problems:
         raise UsageError(problems)
     model, batch = oracle.gradcheck_point(config, args.seed,
@@ -458,6 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare backward gradients with central finite differences")
     add_model_flags(p_grad)
     p_grad.add_argument("--vocab-size", dest="vocab_size", type=int)
+    p_grad.set_defaults(**GRADCHECK_DEFAULTS)
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.add_argument("--instances", type=int, default=3)
     p_grad.add_argument("--eps", type=float, default=1e-5)

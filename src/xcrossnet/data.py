@@ -40,6 +40,7 @@ import gzip
 import itertools
 import json
 import math
+import zlib
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -167,9 +168,14 @@ def open_maybe_gzip(path, mode="rt"):
 
 
 def read_lines(path):
+    """The lines of a text file, gunzipped if its name ends in .gz; a
+    truncated or corrupt gzip stream, or a byte that is not UTF-8, raises
+    DataError naming the file."""
     with open_maybe_gzip(path) as f:
-        for line in f:
-            yield line
+        try:
+            yield from f
+        except (EOFError, UnicodeDecodeError, zlib.error) as exc:
+            raise DataError(f"cannot read {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +500,7 @@ def parse_criteo_line(line: str, vocab: FieldVocab, n_dense: int,
 
 
 def load_tsv(path, vocab: FieldVocab, n_dense: int, n_sparse: int) -> Dataset:
-    with open_maybe_gzip(path) as lines:
-        ds = parse_lines(lines, vocab, n_dense, n_sparse)
+    ds = parse_lines(read_lines(path), vocab, n_dense, n_sparse)
     if not len(ds):
         raise DataError(f"no instances in {path}")
     return ds

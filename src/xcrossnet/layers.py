@@ -3,15 +3,17 @@
 Every stage is a pure function of (input, parameters) returning the output
 plus a cache of the activations the hand-derived backward pass needs.
 Parameters live in small dataclasses whose arrays the model makes views
-into its registry's value vector. The dense stages' backward passes
-return their parameter gradients in the same dataclasses (a gradient has
-exactly the shapes of its parameter); the embedding's backward pass does
-not, because its gradient is nonzero only on the rows the batch looked up:
-it returns those rows and one summed gradient row for each.
+into its registry's value vector. A dense stage's backward pass writes its
+parameter gradients into a carrier: a second dataclass of the same type
+whose arrays are views of the registry's gradient vector (a gradient has
+exactly the shapes of its parameter), and returns only input gradients.
+The embedding's backward pass does not, because its gradient is nonzero
+only on the rows the batch looked up: it returns those rows and one
+summed gradient row for each.
 
 Every stage is batch-major: it takes (B, .) arrays, one instance per row,
-and its backward pass returns (B, .) input gradients and parameter
-gradients summed over the batch, written as GEMMs over the whole batch.
+and its backward pass returns (B, .) input gradients and writes parameter
+gradients summed over the batch, each a GEMM over the whole batch.
 
 Stages, in pipeline order:
 
@@ -70,10 +72,6 @@ class CrossStack:
     def input_dim(self) -> int:
         return len(self.weights[0]) if self.weights else 0
 
-    def param_count(self) -> int:
-        # 2 * M * L: one weight and one bias vector per layer
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
 
 @dataclass
 class CrossCache:
@@ -104,8 +102,8 @@ def cross_forward(d: np.ndarray, stack: CrossStack) -> tuple[np.ndarray, CrossCa
     return np.concatenate([d] + cross_vecs, axis=1), CrossCache(d, cross_vecs, scalars)
 
 
-def cross_backward(cache: CrossCache, grad_out: np.ndarray,
-                   stack: CrossStack) -> tuple[np.ndarray, CrossStack]:
+def cross_backward(cache: CrossCache, grad_out: np.ndarray, stack: CrossStack,
+                   grads: CrossStack) -> np.ndarray:
     """Reverse-mode pass through the cross recursion.
 
     Per row, with c_{l+1} = d * s_l + b_l and s_l = <c_l, w_l> (c_0 = d):
@@ -118,8 +116,9 @@ def cross_backward(cache: CrossCache, grad_out: np.ndarray,
 
     where g_{l+1} is the accumulated gradient on c_{l+1}: the slice of
     grad_out for that segment plus whatever flowed back from deeper layers.
-    Returns the (B, M) input gradient and the parameter gradients summed
-    over the batch: dw_l = C_l^T @ ds and db_l = G_{l+1}.sum(0).
+    Returns the (B, M) input gradient and writes the parameter gradients
+    summed over the batch, dw_l = C_l^T @ ds and db_l = G_{l+1}.sum(0),
+    into grads.
     """
     rows, m = cache.d.shape
     depth = stack.depth
@@ -129,19 +128,18 @@ def cross_backward(cache: CrossCache, grad_out: np.ndarray,
             f"cross_backward: grad has shape {grad_out.shape}, "
             f"expected {(rows, m * (depth + 1))}")
     segs = grad_out.reshape(rows, depth + 1, m)
-    weights, biases = [None] * depth, [None] * depth
     grad_d = segs[:, 0].copy()
     running = 0.0  # gradient flowing back onto C_{l+1} from deeper layers
     for l in range(depth - 1, -1, -1):
         g_next = segs[:, l + 1] + running
         prev = cache.cross_vecs[l - 1] if l >= 1 else cache.d
         ds = np.einsum("bm,bm->b", g_next, cache.d)
-        weights[l] = prev.T @ ds
-        biases[l] = g_next.sum(axis=0)
+        np.matmul(prev.T, ds, out=grads.weights[l])
+        np.sum(g_next, axis=0, out=grads.biases[l])
         grad_d += g_next * cache.scalars[l][:, None]
         running = ds[:, None] * stack.weights[l]
     grad_d += running  # the chain through C_0 = D
-    return grad_d, CrossStack(weights, biases)
+    return grad_d
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +165,6 @@ class Embedding:
     @property
     def embed_dim(self) -> int:
         return self.table.shape[1]
-
-    def param_count(self) -> int:
-        return self.table.size
 
 
 @dataclass
@@ -236,9 +231,6 @@ class ProductLayer:
     def size(self) -> int:
         return self.theta.shape[0]
 
-    def param_count(self) -> int:
-        return self.theta.size + self.order1.size
-
 
 @dataclass
 class ProductCache:
@@ -266,8 +258,8 @@ def product_forward(e: np.ndarray, pl: ProductLayer) -> tuple[np.ndarray, Produc
     return np.concatenate([p1, p2], axis=1), ProductCache(e, et, u)
 
 
-def product_backward(cache: ProductCache, grad_out: np.ndarray,
-                     pl: ProductLayer) -> tuple[np.ndarray, ProductLayer]:
+def product_backward(cache: ProductCache, grad_out: np.ndarray, pl: ProductLayer,
+                     grads: ProductLayer) -> np.ndarray:
     """Gradients of the product layer, each one GEMM over the batch.
 
     Per row, dp2_t/du_t = 2 u_t, so  dtheta[t, i] = 2 g2_t <u_t, e_i>  and
@@ -278,6 +270,8 @@ def product_backward(cache: ProductCache, grad_out: np.ndarray,
         dtheta = GU @ E_fields^T             (T, N)
         dorder1 = G1^T @ E_flat              (T, N * K)
         grad_E = theta^T @ GU + G1 @ order1_flat
+
+    Returns grad_E (B, N, K) and writes dtheta and dorder1 into grads.
     """
     rows, n, k = cache.e.shape
     t = pl.size
@@ -287,11 +281,10 @@ def product_backward(cache: ProductCache, grad_out: np.ndarray,
             f"product_backward: grad has shape {grad_out.shape}, expected {(rows, 2 * t)}")
     g1, g2 = grad_out[:, :t], grad_out[:, t:]
     gu = (2.0 * g2.T[:, :, None] * cache.u.reshape(t, rows, k)).reshape(t, rows * k)
-    grads = ProductLayer(gu @ cache.et.T,
-                         (g1.T @ cache.e.reshape(rows, n * k)).reshape(t, n, k))
-    grad_e = (pl.theta.T @ gu).reshape(n, rows, k).transpose(1, 0, 2) + \
+    np.matmul(gu, cache.et.T, out=grads.theta)
+    np.matmul(g1.T, cache.e.reshape(rows, n * k), out=grads.order1.reshape(t, n * k))
+    return (pl.theta.T @ gu).reshape(n, rows, k).transpose(1, 0, 2) + \
         (g1 @ pl.order1.reshape(t, n * k)).reshape(rows, n, k)
-    return grad_e, grads
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +302,6 @@ class ConcatCross:
     @property
     def input_dim(self) -> int:
         return self.weight.shape[0]
-
-    def param_count(self) -> int:
-        return self.weight.size + self.bias.size
 
 
 @dataclass
@@ -340,15 +330,16 @@ def concat_cross_forward(oc: np.ndarray, op: np.ndarray,
     return np.concatenate([x0, x1], axis=1), ConcatCache(x0, oc.shape[1], s)
 
 
-def concat_cross_backward(cache: ConcatCache, grad_out: np.ndarray,
-                          cc: ConcatCross) -> tuple[np.ndarray, np.ndarray, ConcatCross]:
+def concat_cross_backward(cache: ConcatCache, grad_out: np.ndarray, cc: ConcatCross,
+                          grads: ConcatCross) -> tuple[np.ndarray, np.ndarray]:
     """Row gradients split back into their (B, Dc) and (B, Dp) segments.
 
     Per row, with x1 = x0 * s + b and s = <x0, w>:
 
         db = g1,   ds = <g1, x0>,   dw = ds * x0,   dx0 = g0 + g1 * s + ds * w
 
-    The parameter gradients are summed over the batch (dw as X0^T @ ds).
+    The parameter gradients, summed over the batch (dw as X0^T @ ds), are
+    written into grads.
     """
     rows, dim = cache.x0.shape
     grad_out = np.asarray(grad_out, dtype=np.float64)
@@ -358,9 +349,10 @@ def concat_cross_backward(cache: ConcatCache, grad_out: np.ndarray,
             f"expected {(rows, 2 * dim)}")
     g0, g1 = grad_out[:, :dim], grad_out[:, dim:]
     ds = np.einsum("bd,bd->b", g1, cache.x0)
-    grads = ConcatCross(cache.x0.T @ ds, g1.sum(axis=0))
+    np.matmul(cache.x0.T, ds, out=grads.weight)
+    np.sum(g1, axis=0, out=grads.bias)
     grad_x0 = g0 + g1 * cache.scalars[:, None] + ds[:, None] * cc.weight
-    return grad_x0[:, :cache.split], grad_x0[:, cache.split:], grads
+    return grad_x0[:, :cache.split], grad_x0[:, cache.split:]
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +378,6 @@ class Mlp:
     @property
     def input_dim(self) -> int:
         return self.weights[0].shape[1] if self.weights else self.out_weight.shape[0]
-
-    def param_count(self) -> int:
-        n = sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-        return n + self.out_weight.size + self.out_bias.size
 
 
 @dataclass
@@ -417,30 +405,28 @@ def mlp_forward(h0: np.ndarray, mlp: Mlp) -> tuple[np.ndarray, MlpCache]:
     return probs, MlpCache(pre_acts, hiddens, logits, probs)
 
 
-def mlp_backward_logit(cache: MlpCache, grad_logit: np.ndarray,
-                       mlp: Mlp) -> tuple[np.ndarray, Mlp]:
+def mlp_backward_logit(cache: MlpCache, grad_logit: np.ndarray, mlp: Mlp,
+                       grads: Mlp) -> np.ndarray:
     """Backward pass from the (B,) gradient at the logits.
 
     The training loss enters here: the logloss/sigmoid chain simplifies
     algebraically to prob - label at the logit, which avoids the
     (prob * (1 - prob)) cancellation entirely. Returns the (B, D) input
-    gradient and the parameter gradients summed over the batch, each
-    weight's as one GEMM, GZ^T @ H.
+    gradient and writes the parameter gradients summed over the batch,
+    each weight's as one GEMM, GZ^T @ H, into grads.
     """
     g = np.asarray(grad_logit, dtype=np.float64)
     if g.shape != cache.logits.shape:
         raise DimensionError(
             f"mlp_backward_logit: grad has shape {g.shape}, "
             f"expected {cache.logits.shape}")
-    n_layers = len(mlp.weights)
-    weights, biases = [None] * n_layers, [None] * n_layers
-    out_weight = cache.hiddens[-1].T @ g
-    out_bias = np.array([g.sum()])
+    np.matmul(cache.hiddens[-1].T, g, out=grads.out_weight)
+    grads.out_bias[0] = g.sum()
     gh = g[:, None] * mlp.out_weight
-    for i in range(n_layers - 1, -1, -1):
+    for i in range(len(mlp.weights) - 1, -1, -1):
         # ReLU subgradient at exactly 0 is taken as 0
         gz = gh * (cache.pre_acts[i] > 0.0)
-        weights[i] = gz.T @ cache.hiddens[i]
-        biases[i] = gz.sum(axis=0)
+        np.matmul(gz.T, cache.hiddens[i], out=grads.weights[i])
+        np.sum(gz, axis=0, out=grads.biases[i])
         gh = gz @ mlp.weights[i]
-    return gh, Mlp(weights, biases, out_weight, out_bias)
+    return gh

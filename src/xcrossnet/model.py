@@ -5,8 +5,9 @@ layers, the optimizer, the finite-difference checks and the checkpoint
 writer share: each layer array is a view into it. Its ordering is fixed and
 documented (see ParamRegistry); random initialization draws happen in
 exactly that order so a seed pins the whole parameter vector bit-for-bit.
-The dense parameters' gradient is a second flat vector; the embedding
-tables' gradient is compact, one row per table row the batch looked up.
+The dense parameters' gradient is a second flat vector, which the stages'
+backward passes write through views; the embedding tables' gradient is
+compact, one row per table row the batch looked up.
 """
 
 from __future__ import annotations
@@ -32,6 +33,12 @@ BALANCE_CONVENTIONS = ("include_input", "cross_only")
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+def _int_problems(values: dict, low: int = 1) -> list[str]:
+    """A problem for each of values ({name: value}) that is not an int >= low."""
+    return [f"{name}: must be >= {low}" if _is_int(value) else
+            f"{name}: must be an integer, got {value!r}"
+            for name, value in values.items() if not (_is_int(value) and value >= low)]
 
 @dataclass
 class ModelConfig:
@@ -76,16 +83,11 @@ class ModelConfig:
         """Collect every problem instead of stopping at the first.
 
         Every dimension, every entry of vocab_sizes and mlp_widths, and the
-        seed must be a Python int (bool is not accepted).
+        seed must be a Python int (bool is not accepted), the seed >= 0 and
+        the others >= 1.
         """
-        problems = []
-        for name in ("dense_fields", "sparse_fields", "embed_dim", "product_size",
-                     "cross_depth"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                problems.append(f"{name}: must be an integer, got {value!r}")
-            elif value < 1:
-                problems.append(f"{name}: must be >= 1")
+        problems = _int_problems({name: getattr(self, name) for name in (
+            "dense_fields", "sparse_fields", "embed_dim", "product_size", "cross_depth")})
         if len(self.vocab_sizes) != self.sparse_fields:
             problems.append(
                 f"vocab_sizes: got {len(self.vocab_sizes)} entries for "
@@ -100,9 +102,7 @@ class ModelConfig:
                             f"{list(self.mlp_widths)!r}")
         elif any(w < 1 for w in self.mlp_widths):
             problems.append("mlp_widths: widths must be >= 1")
-        if not _is_int(self.seed):
-            problems.append(f"seed: must be an integer, got {self.seed!r}")
-        return problems
+        return problems + _int_problems({"seed": self.seed}, low=0)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -133,11 +133,14 @@ class ParamRegistry:
 
     `values` holds them all; every entry's values, and every layer array,
     is a view into it. `grad` holds the gradient of every dense entry (all
-    but the embedding tables) in the same order. The embedding tables are
-    adjacent in `values` and form one (sum vocab, K) block, `embed_block`.
-    Their gradient is compact: `embed_rows` holds the sorted distinct block
-    rows the last batch looked up, `embed_grad` one gradient row for each,
-    and every other row's gradient is zero. No table-sized gradient exists.
+    but the embedding tables) in the same order; each entry's `grad` is a
+    view into it, and the model's stage gradient carriers are made of those
+    views, so the stages' backward passes write it in place. The embedding
+    tables are adjacent in `values` and form one (sum vocab, K) block,
+    `embed_block`. Their gradient is compact: `embed_rows` holds the sorted
+    distinct block rows the last batch looked up, `embed_grad` one gradient
+    row for each, and every other row's gradient is zero. No table-sized
+    gradient exists.
     """
 
     def __init__(self, shapes, embed: range = range(0)):
@@ -241,15 +244,23 @@ class XCrossNetModel:
         n_cross = 2 * config.cross_depth
         self.registry = ParamRegistry([(name, shape) for name, shape, _ in _layout(config)],
                                       embed=range(n_cross, n_cross + config.sparse_fields))
-        # views in registry order: cross (w, b) pairs, then, after the
-        # tables, theta, order1, concat w and b, MLP (w, b) pairs, out w and b
-        cross = [e.values for e in self.registry.entries[:n_cross]]
-        rest = [e.values for e in self.registry.entries[n_cross + config.sparse_fields:]]
-        self.cross = layers.CrossStack(cross[0::2], cross[1::2])
         self.embedding = layers.Embedding(self.registry.embed_block, config.vocab_sizes)
-        self.product = layers.ProductLayer(*rest[0:2])
-        self.concat = layers.ConcatCross(*rest[2:4])
-        self.mlp = layers.Mlp(rest[4:-2:2], rest[5:-2:2], *rest[-2:])
+        self.cross, self.product, self.concat, self.mlp = self._dense_stages("values")
+        # the backward passes' gradient carriers, over the registry's gradient
+        self.cross_grad, self.product_grad, self.concat_grad, self.mlp_grad = \
+            self._dense_stages("grad")
+
+    def _dense_stages(self, attr: str):
+        """The CrossStack, ProductLayer, ConcatCross and Mlp over the `attr`
+        views ("values" or "grad") of the registry's dense entries, which
+        come in registry order: cross (w, b) pairs, then, after the tables,
+        theta, order1, concat w and b, MLP (w, b) pairs, out w and b."""
+        views = [getattr(e, attr) for e in self.registry if e.grad is not None]
+        n_cross = 2 * self.config.cross_depth
+        cross, rest = views[:n_cross], views[n_cross:]
+        return (layers.CrossStack(cross[0::2], cross[1::2]), layers.ProductLayer(*rest[0:2]),
+                layers.ConcatCross(*rest[2:4]),
+                layers.Mlp(rest[4:-2:2], rest[5:-2:2], *rest[-2:]))
 
     # -- construction -------------------------------------------------------
 
@@ -301,41 +312,32 @@ class XCrossNetModel:
 
         The sigmoid/logloss chain collapses to (prob - label) at each row's
         logit, so the pass starts there. Each stage's backward pass runs
-        once over the batch. Their parameter gradients, summed over the
-        rows, are written into the registry's dense gradient vector in one
-        copy, and the embedding's compact (rows, grad) pair replaces the
-        registry's. The previous gradient is overwritten, not added to.
-        Callers scale_grads(1 / B) afterwards to get the mean gradient.
+        once over the batch. The dense stages write their parameter
+        gradients, summed over the rows, straight into the registry's
+        gradient vector through the carriers built at construction, and the
+        embedding's compact (rows, grad) pair replaces the registry's. The
+        previous gradient is overwritten, not added to. Callers
+        scale_grads(1 / B) afterwards to get the mean gradient.
         """
-        grad_logit = cache.mlp.probs - np.asarray(labels, dtype=np.float64)
-        grad_h0, mlp_grads = layers.mlp_backward_logit(cache.mlp, grad_logit, self.mlp)
-        grad_oc, grad_op, concat_grads = layers.concat_cross_backward(
-            cache.concat, grad_h0, self.concat)
-        grad_e, product_grads = layers.product_backward(
-            cache.product, grad_op, self.product)
-        rows, embed_grad = layers.embed_backward(cache.embed, grad_e, self.embedding)
-        _, cross_grads = layers.cross_backward(cache.cross, grad_oc, self.cross)
-
-        # the dense gradients in registry order
-        parts = [*sum(zip(cross_grads.weights, cross_grads.biases), ()),
-                 product_grads.theta, product_grads.order1,
-                 concat_grads.weight, concat_grads.bias,
-                 *sum(zip(mlp_grads.weights, mlp_grads.biases), ()),
-                 mlp_grads.out_weight, mlp_grads.out_bias]
         reg = self.registry
-        np.concatenate([p.ravel() for p in parts], out=reg.grad)
-        reg.embed_rows, reg.embed_grad = rows, embed_grad
+        grad_logit = cache.mlp.probs - np.asarray(labels, dtype=np.float64)
+        grad_h0 = layers.mlp_backward_logit(cache.mlp, grad_logit, self.mlp, self.mlp_grad)
+        grad_oc, grad_op = layers.concat_cross_backward(
+            cache.concat, grad_h0, self.concat, self.concat_grad)
+        grad_e = layers.product_backward(cache.product, grad_op, self.product,
+                                         self.product_grad)
+        reg.embed_rows, reg.embed_grad = layers.embed_backward(cache.embed, grad_e,
+                                                               self.embedding)
+        layers.cross_backward(cache.cross, grad_oc, self.cross, self.cross_grad)
 
     # -- reporting ----------------------------------------------------------
 
     def num_parameters(self) -> dict[str, int]:
-        counts = {
-            "cross": self.cross.param_count(),
-            "embedding": self.embedding.param_count(),
-            "product": self.product.param_count(),
-            "concat": self.concat.param_count(),
-            "mlp": self.mlp.param_count(),
-        }
+        """Parameter count per stage, from the registry entries' names."""
+        counts = dict.fromkeys(("cross", "embedding", "product", "concat", "mlp"), 0)
+        for entry in self.registry:
+            stage = entry.name.split(".")[0]
+            counts["embedding" if stage == "embed" else stage] += entry.values.size
         counts["total"] = sum(counts.values())
         return counts
 

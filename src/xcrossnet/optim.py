@@ -30,6 +30,7 @@ import numpy as np
 from . import data as data_mod
 from .errors import DataError, NumericError
 from .metrics import evaluate, logloss
+from .model import _int_problems, _is_int
 
 # Elements per in-place Adam chunk: it fixes the size of the two scratch
 # vectors whatever a batch's row count. It is not a speed setting: paired
@@ -135,6 +136,10 @@ def batch_loss_and_grad(model, batch) -> float:
     return logloss(probs, batch.labels)
 
 
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 @dataclass
 class TrainConfig:
     lr: float = 0.001
@@ -146,18 +151,17 @@ class TrainConfig:
     shuffle: bool = True
 
     def validate(self) -> list[str]:
+        """Collect every problem: lr and l2 must be finite numbers >= 0, the
+        counts and the seed Python ints (bool is not accepted as either)."""
         problems = []
-        if self.lr < 0 or not math.isfinite(self.lr):
-            problems.append("lr: must be a finite number >= 0")
-        if self.batch_size < 1:
-            problems.append("batch_size: must be >= 1")
-        if self.l2 < 0:
-            problems.append("l2: must be >= 0")
-        if self.epochs < 0:
-            problems.append("epochs: must be >= 0")
-        if self.eval_every < 0:
-            problems.append("eval_every: must be >= 0")
-        return problems
+        for name in ("lr", "l2"):
+            value = getattr(self, name)
+            if not _is_number(value) or not math.isfinite(value):
+                problems.append(f"{name}: must be a finite number, got {value!r}")
+            elif value < 0:
+                problems.append(f"{name}: must be >= 0")
+        return problems + _int_problems({"batch_size": self.batch_size}) + _int_problems(
+            {"epochs": self.epochs, "seed": self.seed, "eval_every": self.eval_every}, low=0)
 
 
 def fit(model, train: "data_mod.Dataset", config: TrainConfig,

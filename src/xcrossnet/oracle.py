@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .data import Dataset, batch_iter, stable_sigmoid
-from .errors import NumericError
+from .errors import DimensionError, NumericError
 from .layers import CrossStack
 from .metrics import auc, logloss
 from .model import ParamRegistry
@@ -40,13 +39,21 @@ from .optim import AdamState, adam_step, batch_loss_and_grad
 # ---------------------------------------------------------------------------
 
 
+def _as_vec(x) -> np.ndarray:
+    """Coerce to a 1-D float64 array, rejecting anything else."""
+    v = np.asarray(x, dtype=np.float64)
+    if v.ndim != 1:
+        raise DimensionError(f"expected a 1-D vector, got shape {v.shape}")
+    return v
+
+
 def naive_cross_forward(d: np.ndarray, stack: CrossStack) -> np.ndarray:
     """The cross recursion with the M x M outer-product matrix materialized."""
-    d = linalg.as_vec(d)
+    d = _as_vec(d)
     prev = d
     segments = [d]
     for w, b in zip(stack.weights, stack.biases):
-        mat = linalg.outer(d, prev)  # O(M^2) on purpose
+        mat = np.outer(d, prev)  # O(M^2) on purpose
         c = mat @ w + b
         segments.append(c)
         prev = c
@@ -89,7 +96,7 @@ def expand_cross_polynomial(weights) -> list[Monomial]:
     returned polynomial at any d must reproduce the numeric chain.
     Enumerates all m^len(weights) field choices; guarded against blowup.
     """
-    weights = [linalg.as_vec(w) for w in weights]
+    weights = [_as_vec(w) for w in weights]
     m = weights[0].shape[0]
     n_forms = len(weights)
     if m ** n_forms > EXPANSION_TERM_CAP:
@@ -109,7 +116,7 @@ def expand_cross_polynomial(weights) -> list[Monomial]:
 
 
 def evaluate_monomials(monomials, d) -> float:
-    d = linalg.as_vec(d)
+    d = _as_vec(d)
     total = 0.0
     for mono in monomials:
         term = mono.coefficient

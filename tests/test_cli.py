@@ -1,3 +1,4 @@
+import gzip
 import json
 import os
 
@@ -139,6 +140,20 @@ class TestTrain:
                                 str(cfg_path), "--out", str(tmp_path / "run")], capsys)
         assert code == 2
         assert f"{key}:" in err
+        assert not (tmp_path / "run" / "checkpoint.xcn").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("lr", "fast"), ("lr", None), ("min_freq", None), ("valid_fraction", "x"),
+        ("epochs", 0.5), ("batch_size", True)])
+    def test_config_value_of_the_wrong_type_is_usage_error(self, tmp_path, capsys,
+                                                           key, value):
+        # neither coerced nor let through: the run stops before training
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        code, _, err = run_cli(["train", "--synth", "default", "--config",
+                                str(cfg_path), "--out", str(tmp_path / "run")], capsys)
+        assert code == 2
+        assert f"{key}:" in err and "Traceback" not in err
         assert not (tmp_path / "run" / "checkpoint.xcn").exists()
 
     def test_flags_override_config_file(self, synth_dir, tmp_path, capsys):
@@ -306,7 +321,41 @@ class TestPredict:
         assert not out.exists()
 
 
+class TestUnreadableInput:
+    @pytest.mark.parametrize("command", ["train", "eval", "predict"])
+    @pytest.mark.parametrize("fault", ["truncated_gzip", "non_utf8_byte"])
+    def test_exits_3_naming_the_file(self, synth_dir, trained_dir, tmp_path, capsys,
+                                     command, fault):
+        text = (synth_dir / "valid.tsv").read_bytes()
+        if fault == "truncated_gzip":
+            path = tmp_path / "data.tsv.gz"
+            packed = gzip.compress(text)
+            path.write_bytes(packed[:len(packed) // 2])
+        else:
+            path = tmp_path / "data.tsv"
+            path.write_bytes(text[:1000] + b"\xe9" + text[1000:])
+        if command == "train":
+            argv = ["train", "--train-data", str(path), *TRAIN_FLAGS,
+                    "--out", str(tmp_path / "run")]
+        else:
+            argv = [command, "--checkpoint", str(trained_dir / "checkpoint.xcn"),
+                    "--data", str(path)]
+            argv += ["--out", str(tmp_path / "p.txt")] if command == "predict" else []
+        code, _, err = run_cli(argv, capsys)
+        assert code == 3
+        assert str(path) in err and "Traceback" not in err
+
+
 class TestGradcheck:
+    @pytest.mark.parametrize("flag", ["--cross-depth", "--dense-fields", "--instances",
+                                      "--eps"])
+    def test_zero_is_usage_error(self, capsys, flag):
+        # an explicit 0 is checked, not replaced by the default
+        code, out, err = run_cli(["gradcheck", flag, "0"], capsys)
+        assert code == 2
+        assert f"{flag[2:].replace('-', '_')}:" in err
+        assert "gradcheck_pass" not in out
+
     def test_default_config_passes(self, capsys):
         code, out, _ = run_cli(["gradcheck", "--seed", "0"], capsys)
         assert code == 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from xcrossnet import layers, oracle
 from xcrossnet.errors import DataError, DimensionError
+from xcrossnet.model import ModelConfig, XCrossNetModel
 
 
 def rel_err(a, b, floor=1e-10):
@@ -23,6 +26,21 @@ def assert_normwise_close(got, want, tol=1e-12):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+def carrier(stage):
+    """A gradient carrier for stage: the same dataclass over NaN arrays, so
+    that a gradient the backward pass does not write shows."""
+    return type(stage)(*(
+        [np.full_like(a, np.nan) for a in v] if isinstance(v, list) else np.full_like(v, np.nan)
+        for v in (getattr(stage, f.name) for f in dataclasses.fields(stage))))
+
+
+def backward(fn, cache, grad_out, stage):
+    """fn's input gradient(s) and the parameter gradients it wrote into a
+    fresh carrier."""
+    grads = carrier(stage)
+    return fn(cache, grad_out, stage, grads), grads
 
 
 def random_stack(rng, m, depth, scale=1.0, zero_bias=False):
@@ -85,7 +103,7 @@ class TestCrossBackward:
         rng = np.random.default_rng(4)
         stack = random_stack(rng, 3, 2)
         _, cache = layers.cross_forward(rng.normal(size=(2, 3)), stack)
-        gd, grads = layers.cross_backward(cache, np.zeros((2, 9)), stack)
+        gd, grads = backward(layers.cross_backward, cache, np.zeros((2, 9)), stack)
         assert np.array_equal(gd, np.zeros((2, 3)))
         for w, b in zip(grads.weights, grads.biases):
             assert np.array_equal(w, np.zeros(3))
@@ -100,7 +118,7 @@ class TestCrossBackward:
         g = rng.normal(size=(rows, m))
         _, cache = layers.cross_forward(d, stack)
         upstream = np.concatenate([np.zeros((rows, m)), g], axis=1)
-        _, grads = layers.cross_backward(cache, upstream, stack)
+        _, grads = backward(layers.cross_backward, cache, upstream, stack)
         want = sum(np.dot(g[b], d[b]) * d[b] for b in range(rows))
         assert np.allclose(grads.weights[0], want, rtol=1e-14)
         assert np.array_equal(grads.biases[0], g.sum(axis=0))
@@ -127,7 +145,7 @@ class TestCrossBackward:
             return float(np.sum(out * g))
 
         _, cache = layers.cross_forward(d, stack)
-        gd, grads = layers.cross_backward(cache, g, stack)
+        gd, grads = backward(layers.cross_backward, cache, g, stack)
         analytic = pack(gd, grads)
         numeric = oracle.finite_diff(f, pack(d, stack))
         assert rel_err(analytic, numeric) < 1e-6
@@ -137,16 +155,18 @@ class TestCrossBackward:
         stack = random_stack(rng, 3, 2)
         _, cache = layers.cross_forward(rng.normal(size=(2, 3)), stack)
         with pytest.raises(DimensionError):
-            layers.cross_backward(cache, np.zeros(9), stack)
+            layers.cross_backward(cache, np.zeros(9), stack, carrier(stack))
 
     def test_param_count_identity(self):
+        # 2 * M * L: one weight and one bias vector per layer
         rng = np.random.default_rng(7)
         for _ in range(20):
             m = int(rng.integers(1, 9))
             depth = int(rng.integers(1, 7))
-            stack = layers.CrossStack([rng.normal(0.0, 0.01, m) for _ in range(depth)],
-                                      [np.zeros(m) for _ in range(depth)])
-            assert stack.param_count() == 2 * m * depth
+            config = ModelConfig(dense_fields=m, sparse_fields=1, vocab_sizes=(2,),
+                                 embed_dim=1, product_size=1, cross_depth=depth,
+                                 mlp_widths=())
+            assert XCrossNetModel(config).num_parameters()["cross"] == 2 * m * depth
 
 
 @given(m=st.integers(min_value=1, max_value=6),
@@ -158,9 +178,10 @@ def test_cross_batch_matches_rows_one_at_a_time(m, depth, rows, seed):
     d = rng.uniform(-1, 1, (rows, m))
     g = rng.normal(size=(rows, m * (depth + 1)))
     out, cache = layers.cross_forward(d, stack)
-    gd, grads = layers.cross_backward(cache, g, stack)
+    gd, grads = backward(layers.cross_backward, cache, g, stack)
     one = [layers.cross_forward(d[r:r + 1], stack) for r in range(rows)]
-    back = [layers.cross_backward(c, g[r:r + 1], stack) for r, (_, c) in enumerate(one)]
+    back = [backward(layers.cross_backward, c, g[r:r + 1], stack)
+            for r, (_, c) in enumerate(one)]
     assert_normwise_close(out, np.concatenate([o for o, _ in one]))
     assert_normwise_close(gd, np.concatenate([b[0] for b in back]))
     for l in range(depth):
@@ -330,7 +351,7 @@ class TestProductLayer:
             layers.product_forward(np.zeros((4, 3, 3)), pl)
         _, cache = layers.product_forward(np.zeros((4, 3, 2)), pl)
         with pytest.raises(DimensionError):
-            layers.product_backward(cache, np.zeros((3, 4)), pl)
+            layers.product_backward(cache, np.zeros((3, 4)), pl, carrier(pl))
 
     def test_backward_hand_example(self):
         # unit upstream gradient on p2 of both rows: dtheta_i = sum over
@@ -338,7 +359,8 @@ class TestProductLayer:
         e = np.array([[[2.0], [3.0]], [[1.0], [1.0]]])
         pl = self.worked_layer()
         _, cache = layers.product_forward(e, pl)
-        _, grads = layers.product_backward(cache, np.array([[0.0, 1.0], [0.0, 1.0]]), pl)
+        _, grads = backward(layers.product_backward, cache,
+                            np.array([[0.0, 1.0], [0.0, 1.0]]), pl)
         assert np.array_equal(grads.theta, np.array([[20.0 + 4.0, 30.0 + 4.0]]))
 
     def test_zero_upstream(self):
@@ -346,7 +368,7 @@ class TestProductLayer:
         pl = product_layer(rng, 2, 3, 2)
         e = rng.normal(size=(4, 3, 2))
         _, cache = layers.product_forward(e, pl)
-        grad_e, grads = layers.product_backward(cache, np.zeros((4, 4)), pl)
+        grad_e, grads = backward(layers.product_backward, cache, np.zeros((4, 4)), pl)
         assert np.array_equal(grad_e, np.zeros((4, 3, 2)))
         assert np.array_equal(grads.theta, np.zeros((2, 3)))
         assert np.array_equal(grads.order1, np.zeros((2, 3, 2)))
@@ -371,7 +393,7 @@ class TestProductLayer:
 
         pl = layers.ProductLayer(theta, order1)
         _, cache = layers.product_forward(e, pl)
-        grad_e, grads = layers.product_backward(cache, g, pl)
+        grad_e, grads = backward(layers.product_backward, cache, g, pl)
         analytic = np.concatenate([grad_e.ravel(), grads.theta.ravel(),
                                    grads.order1.ravel()])
         numeric = oracle.finite_diff(
@@ -388,9 +410,10 @@ def test_product_batch_matches_rows_one_at_a_time(t, n, k, rows, seed):
     e = rng.uniform(-1, 1, (rows, n, k))
     g = rng.normal(size=(rows, 2 * t))
     out, cache = layers.product_forward(e, pl)
-    grad_e, grads = layers.product_backward(cache, g, pl)
+    grad_e, grads = backward(layers.product_backward, cache, g, pl)
     one = [layers.product_forward(e[r:r + 1], pl) for r in range(rows)]
-    back = [layers.product_backward(c, g[r:r + 1], pl) for r, (_, c) in enumerate(one)]
+    back = [backward(layers.product_backward, c, g[r:r + 1], pl)
+            for r, (_, c) in enumerate(one)]
     assert_normwise_close(out, np.concatenate([o for o, _ in one]))
     assert_normwise_close(grad_e, np.concatenate([b[0] for b in back]))
     assert_normwise_close(grads.theta, sum(b[1].theta for b in back))
@@ -445,7 +468,7 @@ class TestConcatCross:
         _, cache = layers.concat_cross_forward(oc, op, cc)
         g0 = rng.normal(size=(2, dim))
         upstream = np.concatenate([g0, np.zeros((2, dim))], axis=1)
-        goc, gop, _ = layers.concat_cross_backward(cache, upstream, cc)
+        (goc, gop), _ = backward(layers.concat_cross_backward, cache, upstream, cc)
         assert np.array_equal(np.concatenate([goc, gop], axis=1), g0)
 
     def test_zero_upstream(self):
@@ -453,7 +476,8 @@ class TestConcatCross:
         cc = layers.ConcatCross(rng.normal(size=3), rng.normal(size=3))
         _, cache = layers.concat_cross_forward(rng.normal(size=(2, 2)),
                                                rng.normal(size=(2, 1)), cc)
-        goc, gop, grads = layers.concat_cross_backward(cache, np.zeros((2, 6)), cc)
+        (goc, gop), grads = backward(layers.concat_cross_backward, cache,
+                                     np.zeros((2, 6)), cc)
         assert np.array_equal(goc, np.zeros((2, 2)))
         assert np.array_equal(gop, np.zeros((2, 1)))
         assert np.array_equal(grads.weight, np.zeros(3))
@@ -477,7 +501,7 @@ class TestConcatCross:
 
         cc = layers.ConcatCross(w, b)
         _, cache = layers.concat_cross_forward(oc, op, cc)
-        goc, gop, grads = layers.concat_cross_backward(cache, g, cc)
+        (goc, gop), grads = backward(layers.concat_cross_backward, cache, g, cc)
         analytic = np.concatenate([goc.ravel(), gop.ravel(), grads.weight, grads.bias])
         numeric = oracle.finite_diff(f, np.concatenate([oc.ravel(), op.ravel(), w, b]))
         assert rel_err(analytic, numeric) < 1e-6
@@ -534,7 +558,7 @@ class TestMlp:
             layers.mlp_forward(np.zeros(3), mlp)
         _, cache = layers.mlp_forward(np.zeros((2, 3)), mlp)
         with pytest.raises(DimensionError):
-            layers.mlp_backward_logit(cache, np.zeros(3), mlp)
+            layers.mlp_backward_logit(cache, np.zeros(3), mlp, carrier(mlp))
 
     def test_finite_differences(self):
         # d(sum_r u_r * prob_r) over a batch of 3 rows: the logit gradient
@@ -566,7 +590,8 @@ class TestMlp:
             return float(probs @ u)
 
         probs, cache = layers.mlp_forward(h0, mlp)
-        gh0, grads = layers.mlp_backward_logit(cache, u * probs * (1.0 - probs), mlp)
+        gh0, grads = backward(layers.mlp_backward_logit, cache,
+                              u * probs * (1.0 - probs), mlp)
         analytic = np.concatenate(
             [gh0.ravel()] + [w.ravel() for w in grads.weights] +
             [b.ravel() for b in grads.biases] +
@@ -581,7 +606,7 @@ class TestMlp:
         rng = np.random.default_rng(20)
         mlp = random_mlp(rng, 3, (4,))
         _, cache = layers.mlp_forward(rng.normal(size=(2, 3)), mlp)
-        gh0, grads = layers.mlp_backward_logit(cache, np.zeros(2), mlp)
+        gh0, grads = backward(layers.mlp_backward_logit, cache, np.zeros(2), mlp)
         assert np.array_equal(gh0, np.zeros((2, 3)))
         assert np.array_equal(grads.out_weight, np.zeros(4))
 

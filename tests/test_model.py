@@ -161,6 +161,23 @@ class TestRegistry:
         assert np.array_equal(block, m.embedding.table)
 
 
+    def test_stage_gradients_tile_the_gradient_vector(self):
+        # the backward passes' carriers are views of registry.grad that
+        # cover it exactly once, in registry order: numbering its elements
+        # numbers the carriers' arrays in that order
+        m = XCrossNetModel(CRITEO)
+        grad = m.registry.grad
+        cross, product, concat, mlp = m.cross_grad, m.product_grad, m.concat_grad, m.mlp_grad
+        arrays = [*sum(zip(cross.weights, cross.biases), ()), product.theta, product.order1,
+                  concat.weight, concat.bias, *sum(zip(mlp.weights, mlp.biases), ()),
+                  mlp.out_weight, mlp.out_bias]
+        assert all(np.shares_memory(a, grad) for a in arrays)
+        grad[...] = np.arange(grad.size)
+        assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), np.arange(grad.size))
+        entries = [e.grad for e in m.registry if e.grad is not None]
+        assert [a.shape for a in arrays] == [g.shape for g in entries]
+
+
 class TestForwardBackward:
     def test_zero_model_predicts_half(self):
         m = XCrossNetModel(SMALL)
@@ -203,6 +220,22 @@ class TestForwardBackward:
         _, cache = m.forward(batch)
         m.backward(cache, [1.0])
         assert abs(m.registry["mlp.out_b"].grad[0]) < 1e-12
+
+    def test_backward_makes_no_gradient_sized_allocation(self):
+        # the stages write their parameter gradients into the registry in
+        # place: at the Criteo topology (B = 8) a backward pass allocates
+        # a small part of the 3.4 MB dense gradient, not another copy of it
+        config = ModelConfig.criteo_default((1000,) * 26, seed=0)
+        m = XCrossNetModel.init(config)
+        batch = random_batch(config, np.random.default_rng(12), n=8)
+        _, cache = m.forward(batch)
+        tracemalloc.start()
+        try:
+            m.backward(cache, batch.labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m.registry.grad.nbytes / 4
 
     def test_batch_gradient_is_mean_of_instances(self):
         # the batched back half sums rows inside GEMMs, in an order of its

@@ -189,9 +189,10 @@ class TestRowSparseUpdate:
         optim.batch_loss_and_grad(m, batch)
 
         probs, cache = m.forward(batch)
-        gh0, _ = layers.mlp_backward_logit(cache.mlp, probs - batch.labels, m.mlp)
-        _, gop, _ = layers.concat_cross_backward(cache.concat, gh0, m.concat)
-        grad_e, _ = layers.product_backward(cache.product, gop, m.product)
+        spare = XCrossNetModel(WIDE)  # its carriers take the recomputed dense gradients
+        gh0 = layers.mlp_backward_logit(cache.mlp, probs - batch.labels, m.mlp, spare.mlp_grad)
+        _, gop = layers.concat_cross_backward(cache.concat, gh0, m.concat, spare.concat_grad)
+        grad_e = layers.product_backward(cache.product, gop, m.product, spare.product_grad)
         grad = m.registry.get_grad_flat()
         for f, vocab in enumerate(WIDE.vocab_sizes):
             expected = np.zeros((vocab, WIDE.embed_dim))

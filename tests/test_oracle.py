@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xcrossnet import layers, oracle
-from xcrossnet.errors import NumericError
+from xcrossnet.errors import DimensionError, NumericError
+
+finite_floats = st.floats(min_value=-1e6, max_value=1e6,
+                          allow_nan=False, allow_infinity=False)
 
 
 def rel(a, b, floor=1e-300):
@@ -20,6 +25,41 @@ class TestNaiveCross:
         stack = layers.CrossStack([np.zeros(3)] * 2, [np.zeros(3)] * 2)
         out = oracle.naive_cross_forward(d, stack)
         assert np.array_equal(out, np.concatenate([d, np.zeros(6)]))
+
+    def test_rank_one_identity(self):
+        # outer(a, b) @ w == a * <b, w>: what the fast cross path exploits
+        a, b = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+        assert np.array_equal(np.outer(a, b), [[3.0, 4.0], [6.0, 8.0]])
+        assert np.array_equal(np.outer(a, b) @ np.ones(2), a * 7.0)
+        assert np.array_equal(np.outer(np.zeros(3), np.arange(4.0)), np.zeros((3, 4)))
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            n = rng.integers(1, 12)
+            a, b, w = rng.normal(size=n), rng.normal(size=n), rng.normal(size=n)
+            lhs = np.outer(a, b) @ w
+            rhs = a * np.dot(b, w)
+            scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
+            assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
+
+    def test_rejects_a_2d_input(self):
+        stack = layers.CrossStack([np.ones(2)], [np.zeros(2)])
+        with pytest.raises(DimensionError):
+            oracle.naive_cross_forward(np.ones((1, 2)), stack)
+        with pytest.raises(DimensionError):
+            oracle.expand_cross_polynomial([np.ones((1, 2))])
+        with pytest.raises(DimensionError):
+            oracle.evaluate_monomials(oracle.expand_cross_polynomial([np.ones(2)]),
+                                      np.ones((2, 1)))
+
+
+@given(st.lists(finite_floats, min_size=1, max_size=16), st.data())
+@settings(max_examples=100, deadline=None)
+def test_naive_oracles_stay_finite(xs, data):
+    ys = data.draw(st.lists(finite_floats, min_size=len(xs), max_size=len(xs)))
+    d, w = np.array(xs), np.array(ys)
+    stack = layers.CrossStack([w], [np.zeros(len(w))])
+    assert np.all(np.isfinite(oracle.naive_cross_forward(d, stack)))
+    assert np.isfinite(oracle.evaluate_monomials(oracle.expand_cross_polynomial([w]), d))
 
 
 class TestNaiveProduct:
