@@ -26,21 +26,6 @@ class TestNaiveCross:
         out = oracle.naive_cross_forward(d, stack)
         assert np.array_equal(out, np.concatenate([d, np.zeros(6)]))
 
-    def test_rank_one_identity(self):
-        # outer(a, b) @ w == a * <b, w>: what the fast cross path exploits
-        a, b = np.array([1.0, 2.0]), np.array([3.0, 4.0])
-        assert np.array_equal(np.outer(a, b), [[3.0, 4.0], [6.0, 8.0]])
-        assert np.array_equal(np.outer(a, b) @ np.ones(2), a * 7.0)
-        assert np.array_equal(np.outer(np.zeros(3), np.arange(4.0)), np.zeros((3, 4)))
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            n = rng.integers(1, 12)
-            a, b, w = rng.normal(size=n), rng.normal(size=n), rng.normal(size=n)
-            lhs = np.outer(a, b) @ w
-            rhs = a * np.dot(b, w)
-            scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
-            assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
-
     def test_rejects_a_2d_input(self):
         stack = layers.CrossStack([np.ones(2)], [np.zeros(2)])
         with pytest.raises(DimensionError):
@@ -50,6 +35,29 @@ class TestNaiveCross:
         with pytest.raises(DimensionError):
             oracle.evaluate_monomials(oracle.expand_cross_polynomial([np.ones(2)]),
                                       np.ones((2, 1)))
+
+
+class TestOuter:
+    # np.outer as the naive cross oracle uses it
+
+    def test_worked_example(self):
+        out = np.outer(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+        assert np.array_equal(out, np.array([[3.0, 4.0], [6.0, 8.0]]))
+
+    def test_zero_vector(self):
+        out = np.outer(np.zeros(3), np.arange(4.0))
+        assert np.array_equal(out, np.zeros((3, 4)))
+
+    def test_rank_one_identity(self):
+        # outer(a, b) @ w == a * <b, w>: what the fast cross path exploits
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            n = rng.integers(1, 12)
+            a, b, w = rng.normal(size=n), rng.normal(size=n), rng.normal(size=n)
+            lhs = np.outer(a, b) @ w
+            rhs = a * np.dot(b, w)
+            scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)), 1e-300)
+            assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
 
 @given(st.lists(finite_floats, min_size=1, max_size=16), st.data())
