@@ -371,7 +371,14 @@ def cmd_synth(args) -> int:
             overrides[key] = value
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
-    sdata = data_mod.synth_generate(spec)
+    problems = _int_problems({"n_train": spec.n_train, "n_valid": spec.n_valid}) + \
+        _int_problems({"seed": spec.seed}, low=0)
+    if problems:
+        raise UsageError(problems)
+    try:
+        sdata = data_mod.synth_generate(spec)
+    except DataError as exc:  # the default spec is valid: a flag is at fault
+        raise UsageError([str(exc)]) from None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_path, valid_path = out_dir / "train.tsv", out_dir / "valid.tsv"

@@ -70,13 +70,6 @@ def normalize_dense(x):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Instance:
-    dense: np.ndarray   # (M,) float64, already normalized
-    sparse: np.ndarray  # (N,) int64 category ids
-    label: int          # 0 or 1
-
-
 class Dataset:
     """In-memory column store: dense (n, M), sparse (n, N), labels (n,)."""
 
@@ -126,11 +119,6 @@ class FieldVocab:
     def sizes(self) -> tuple[int, ...]:
         # +1 for the reserved OOV/missing id
         return tuple(len(m) + 1 for m in self.mappings)
-
-    def lookup(self, field_idx: int, token: str) -> int:
-        if not token:
-            return 0
-        return self.mappings[field_idx].get(token, 0)
 
     def to_json(self) -> str:
         return json.dumps({"fields": self.mappings}, sort_keys=True)
@@ -493,10 +481,10 @@ def parse_lines(lines, vocab: FieldVocab, n_dense: int, n_sparse: int) -> Datase
 
 
 def parse_criteo_line(line: str, vocab: FieldVocab, n_dense: int,
-                      n_sparse: int) -> Instance:
-    """One line through the chunk parser; an error names it line 1."""
-    ds = parse_lines([line], vocab, n_dense, n_sparse)
-    return Instance(ds.dense[0], ds.sparse[0], int(ds.labels[0]))
+                      n_sparse: int) -> Dataset:
+    """One line through the chunk parser, as a one-row Dataset; an error
+    names it line 1."""
+    return parse_lines([line], vocab, n_dense, n_sparse)
 
 
 def load_tsv(path, vocab: FieldVocab, n_dense: int, n_sparse: int) -> Dataset:
@@ -647,9 +635,10 @@ def synth_generate(spec: SynthSpec) -> SynthData:
     """
     m, n_fields, v = spec.dense_fields, spec.sparse_fields, spec.vocab_size
     if m < 2 or n_fields < 2:
-        raise DataError("synth task needs at least 2 dense and 2 sparse fields")
+        raise DataError(f"dense_fields, sparse_fields: the synth task needs at least 2 "
+                        f"of each, got {m} and {n_fields}")
     if not (0 <= spec.pair[0] < v and 0 <= spec.pair[1] < v):
-        raise DataError(f"designated pair {spec.pair} outside vocab {v}")
+        raise DataError(f"vocab_size: {v} does not hold the designated pair {spec.pair}")
     n = spec.n_train + spec.n_valid
     task_rng = np.random.default_rng(spec.task_seed)
     effects = task_rng.normal(0.0, spec.sparse_linear_scale, (n_fields, v))

@@ -23,11 +23,11 @@ Stages, in pipeline order:
                 one np.take from the stacked tables
   ProductLayer  first-order sums <w1[t,i], e_i> and factored second-order
                 sums |sum_i theta[t,i] * e_i|^2 over field embeddings
-  ConcatCross   one more cross recursion over the concatenation of the
-                dense and sparse stage outputs
+  concat        a depth-one CrossStack over X0 = [OC; OP], the
+                concatenation of the dense and sparse stage outputs
   Mlp           ReLU hidden layers, one sigmoid output per row
 
-The cross recursions use the rank-one shortcut: per row, d * c^T * w ==
+Both cross stages use the rank-one shortcut: per row, d * c^T * w ==
 d * <c, w>, so a layer's scale over the batch is the row-wise product
 s = C @ w instead of an M x M matrix per row (the naive matrix route lives
 in `oracle` and is only used to check this one).
@@ -59,7 +59,7 @@ def _as_rows(x, stage: str) -> np.ndarray:
 
 @dataclass
 class CrossStack:
-    """L cross layers over an M-dim dense input: weights[l], biases[l] in R^M."""
+    """L cross layers over an M-dim input: weights[l], biases[l] in R^M."""
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
@@ -76,7 +76,7 @@ class CrossStack:
 @dataclass
 class CrossCache:
     d: np.ndarray                 # (B, M)
-    cross_vecs: list[np.ndarray]  # [C_1, ..., C_L], each (B, M)
+    cross_vecs: list[np.ndarray]  # [C_1, ..., C_{L-1}], each (B, M); backward never reads C_L
     scalars: list[np.ndarray]     # s_l = C_l @ w_l, each (B,), with C_0 = D
 
 
@@ -99,7 +99,7 @@ def cross_forward(d: np.ndarray, stack: CrossStack) -> tuple[np.ndarray, CrossCa
         prev = d * s[:, None] + b
         scalars.append(s)
         cross_vecs.append(prev)
-    return np.concatenate([d] + cross_vecs, axis=1), CrossCache(d, cross_vecs, scalars)
+    return np.concatenate([d] + cross_vecs, axis=1), CrossCache(d, cross_vecs[:-1], scalars)
 
 
 def cross_backward(cache: CrossCache, grad_out: np.ndarray, stack: CrossStack,
@@ -288,71 +288,12 @@ def product_backward(cache: ProductCache, grad_out: np.ndarray, pl: ProductLayer
 
 
 # ---------------------------------------------------------------------------
-# concat + cross on the combined representation
+# concat cross: a depth-one CrossStack over X0 = [OC, OP]
 # ---------------------------------------------------------------------------
 
-
-@dataclass
-class ConcatCross:
-    """A single cross layer over x0 = [dense stage out; sparse stage out]."""
-
-    weight: np.ndarray
-    bias: np.ndarray
-
-    @property
-    def input_dim(self) -> int:
-        return self.weight.shape[0]
-
-
-@dataclass
-class ConcatCache:
-    x0: np.ndarray       # (B, D)
-    split: int           # boundary between the dense and sparse segments of x0
-    scalars: np.ndarray  # (B,), s = X0 @ w
-
-
-def concat_cross_forward(oc: np.ndarray, op: np.ndarray,
-                         cc: ConcatCross) -> tuple[np.ndarray, ConcatCache]:
-    """X1 = X0 * s[:, None] + b with s = X0 @ w, over X0 = [OC, OP].
-
-    OC is (B, Dc) and OP is (B, Dp); returns ([X0, X1] of shape
-    (B, 2 * (Dc + Dp)), cache).
-    """
-    oc = _as_rows(oc, "concat_cross_forward")
-    op = _as_rows(op, "concat_cross_forward")
-    if oc.shape[0] != op.shape[0] or oc.shape[1] + op.shape[1] != cc.input_dim:
-        raise DimensionError(
-            f"concat_cross_forward: inputs {oc.shape} and {op.shape} "
-            f"vs weight dim {cc.input_dim}")
-    x0 = np.concatenate([oc, op], axis=1)
-    s = x0 @ cc.weight
-    x1 = x0 * s[:, None] + cc.bias
-    return np.concatenate([x0, x1], axis=1), ConcatCache(x0, oc.shape[1], s)
-
-
-def concat_cross_backward(cache: ConcatCache, grad_out: np.ndarray, cc: ConcatCross,
-                          grads: ConcatCross) -> tuple[np.ndarray, np.ndarray]:
-    """Row gradients split back into their (B, Dc) and (B, Dp) segments.
-
-    Per row, with x1 = x0 * s + b and s = <x0, w>:
-
-        db = g1,   ds = <g1, x0>,   dw = ds * x0,   dx0 = g0 + g1 * s + ds * w
-
-    The parameter gradients, summed over the batch (dw as X0^T @ ds), are
-    written into grads.
-    """
-    rows, dim = cache.x0.shape
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != (rows, 2 * dim):
-        raise DimensionError(
-            f"concat_cross_backward: grad has shape {grad_out.shape}, "
-            f"expected {(rows, 2 * dim)}")
-    g0, g1 = grad_out[:, :dim], grad_out[:, dim:]
-    ds = np.einsum("bd,bd->b", g1, cache.x0)
-    np.matmul(cache.x0.T, ds, out=grads.weight)
-    np.sum(g1, axis=0, out=grads.bias)
-    grad_x0 = g0 + g1 * cache.scalars[:, None] + ds[:, None] * cc.weight
-    return grad_x0[:, :cache.split], grad_x0[:, cache.split:]
+# aliases, not wrappers: a tracer that wraps each name times the concat stage alone
+concat_cross_forward = cross_forward
+concat_cross_backward = cross_backward
 
 
 # ---------------------------------------------------------------------------

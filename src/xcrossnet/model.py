@@ -66,14 +66,17 @@ class ModelConfig:
 
     @classmethod
     def criteo_default(cls, vocab_sizes, seed: int = 0) -> "ModelConfig":
-        return cls(dense_fields=13, sparse_fields=26, vocab_sizes=tuple(vocab_sizes),
-                   embed_dim=20, product_size=100, cross_depth=4,
-                   mlp_widths=(400, 400), seed=seed)
+        return cls(dense_fields=13, sparse_fields=26, vocab_sizes=vocab_sizes, seed=seed)
+
+    @property
+    def dense_out_dim(self) -> int:
+        """Width of the dense stage output [D, C_1, ..., C_L]."""
+        return self.dense_fields * (self.cross_depth + 1)
 
     @property
     def x0_dim(self) -> int:
         """Width of the concatenated [dense out; sparse out] vector."""
-        return self.dense_fields * (self.cross_depth + 1) + 2 * self.product_size
+        return self.dense_out_dim + 2 * self.product_size
 
     @property
     def mlp_input_dim(self) -> int:
@@ -251,15 +254,16 @@ class XCrossNetModel:
             self._dense_stages("grad")
 
     def _dense_stages(self, attr: str):
-        """The CrossStack, ProductLayer, ConcatCross and Mlp over the `attr`
-        views ("values" or "grad") of the registry's dense entries, which
-        come in registry order: cross (w, b) pairs, then, after the tables,
-        theta, order1, concat w and b, MLP (w, b) pairs, out w and b."""
+        """The cross stack, ProductLayer, concat stage (a depth-one
+        CrossStack) and Mlp over the `attr` views ("values" or "grad") of
+        the registry's dense entries, which come in registry order: cross
+        (w, b) pairs, then, after the tables, theta, order1, concat w and b,
+        MLP (w, b) pairs, out w and b."""
         views = [getattr(e, attr) for e in self.registry if e.grad is not None]
         n_cross = 2 * self.config.cross_depth
         cross, rest = views[:n_cross], views[n_cross:]
         return (layers.CrossStack(cross[0::2], cross[1::2]), layers.ProductLayer(*rest[0:2]),
-                layers.ConcatCross(*rest[2:4]),
+                layers.CrossStack(rest[2:3], rest[3:4]),
                 layers.Mlp(rest[4:-2:2], rest[5:-2:2], *rest[-2:]))
 
     # -- construction -------------------------------------------------------
@@ -296,13 +300,15 @@ class XCrossNetModel:
 
         batch has (B, M) `dense` and (B, N) `sparse` columns, as a
         data.Dataset does; one instance is the B = 1 case. Each of the five
-        stages runs once over the whole batch. Returns the (B,)
-        probabilities.
+        stages runs once over the whole batch; the concat stage crosses
+        X0 = [OC, OP], the dense and sparse stage outputs side by side.
+        Returns the (B,) probabilities.
         """
         oc, cross_cache = layers.cross_forward(batch.dense, self.cross)
         e, embed_cache = layers.embed_forward(batch.sparse, self.embedding)
         op, product_cache = layers.product_forward(e, self.product)
-        h0, concat_cache = layers.concat_cross_forward(oc, op, self.concat)
+        x0 = np.concatenate([oc, op], axis=1)
+        h0, concat_cache = layers.concat_cross_forward(x0, self.concat)
         probs, mlp_cache = layers.mlp_forward(h0, self.mlp)
         return probs, ModelCache(cross_cache, embed_cache, product_cache,
                                  concat_cache, mlp_cache)
@@ -316,19 +322,22 @@ class XCrossNetModel:
         gradients, summed over the rows, straight into the registry's
         gradient vector through the carriers built at construction, and the
         embedding's compact (rows, grad) pair replaces the registry's. The
-        previous gradient is overwritten, not added to. Callers
-        scale_grads(1 / B) afterwards to get the mean gradient.
+        concat stage's (B, x0_dim) input gradient splits at dense_out_dim
+        into the dense and sparse stage outputs' gradients. The previous
+        gradient is overwritten, not added to. Callers scale_grads(1 / B)
+        afterwards to get the mean gradient.
         """
         reg = self.registry
         grad_logit = cache.mlp.probs - np.asarray(labels, dtype=np.float64)
         grad_h0 = layers.mlp_backward_logit(cache.mlp, grad_logit, self.mlp, self.mlp_grad)
-        grad_oc, grad_op = layers.concat_cross_backward(
-            cache.concat, grad_h0, self.concat, self.concat_grad)
-        grad_e = layers.product_backward(cache.product, grad_op, self.product,
+        grad_x0 = layers.concat_cross_backward(cache.concat, grad_h0, self.concat,
+                                               self.concat_grad)
+        split = self.config.dense_out_dim
+        grad_e = layers.product_backward(cache.product, grad_x0[:, split:], self.product,
                                          self.product_grad)
         reg.embed_rows, reg.embed_grad = layers.embed_backward(cache.embed, grad_e,
                                                                self.embedding)
-        layers.cross_backward(cache.cross, grad_oc, self.cross, self.cross_grad)
+        layers.cross_backward(cache.cross, grad_x0[:, :split], self.cross, self.cross_grad)
 
     # -- reporting ----------------------------------------------------------
 
@@ -343,12 +352,13 @@ class XCrossNetModel:
 
 @dataclass
 class ModelCache:
-    """One cache per stage, each covering the whole batch."""
+    """One cache per stage, each covering the whole batch; the concat
+    stage's is a CrossCache over X0."""
 
     cross: layers.CrossCache
     embed: layers.EmbedCache
     product: layers.ProductCache
-    concat: layers.ConcatCache
+    concat: layers.CrossCache
     mlp: layers.MlpCache
 
 def balance_index(config: ModelConfig, convention: str = "include_input") -> float:
@@ -360,10 +370,9 @@ def balance_index(config: ModelConfig, convention: str = "include_input") -> flo
     if convention not in BALANCE_CONVENTIONS:
         raise ValueError(
             f"convention must be one of {BALANCE_CONVENTIONS}, got {convention!r}")
-    if convention == "include_input":
-        oc_dim = config.dense_fields * (config.cross_depth + 1)
-    else:
-        oc_dim = config.dense_fields * config.cross_depth
+    oc_dim = config.dense_out_dim
+    if convention == "cross_only":
+        oc_dim -= config.dense_fields  # the copied raw input segment
     op_dim = 2 * config.product_size
     return (oc_dim / op_dim) / (config.dense_fields / config.sparse_fields)
 

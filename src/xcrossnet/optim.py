@@ -38,16 +38,6 @@ from .model import _int_problems, _is_int
 ADAM_CHUNK = 16384
 
 
-def objective(loss: float, registry, lam: float) -> float:
-    """loss + lam * ||theta||^2, summed over all registry parameters."""
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    penalty = 0.0
-    for entry in registry:
-        penalty += float(np.sum(entry.values * entry.values))
-    return loss + lam * penalty
-
-
 @dataclass
 class AdamState:
     """First and second moments, flat and laid out like registry.values,
@@ -148,7 +138,6 @@ class TrainConfig:
     epochs: int = 1
     seed: int = 0
     eval_every: int = 1  # epochs between validation passes; 0 disables
-    shuffle: bool = True
 
     def validate(self) -> list[str]:
         """Collect every problem: lr and l2 must be finite numbers >= 0, the
@@ -192,8 +181,7 @@ def fit(model, train: "data_mod.Dataset", config: TrainConfig,
     step = 0
     for epoch in range(config.epochs):
         for batch in data_mod.batch_iter(train, config.batch_size,
-                                         seed=(config.seed, epoch),
-                                         shuffle=config.shuffle):
+                                         seed=(config.seed, epoch)):
             loss = batch_loss_and_grad(model, batch)
             if not math.isfinite(loss):
                 raise NumericError(

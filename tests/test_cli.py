@@ -73,6 +73,19 @@ class TestSynth:
         assert (tmp_path / "train.tsv").read_bytes() == \
                (synth_dir / "train.tsv").read_bytes()
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--n-train", "0"], "n_train"), (["--n-valid", "0"], "n_valid"),
+        (["--n-train", "-1"], "n_train"), (["--vocab-size", "0"], "vocab_size"),
+        (["--vocab-size", "2"], "vocab_size"), (["--dense-fields", "0"], "dense_fields"),
+        (["--seed", "-1"], "seed"),
+    ])
+    def test_bad_flag_is_usage_error_and_writes_nothing(self, flags, name, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, err = run_cli(["synth", "--out", str(out), *flags], capsys)
+        assert code == 2
+        assert f"config error: {name}" in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_artifacts(self, trained_dir):

@@ -40,15 +40,15 @@ class TestNormalization:
 
 class TestParse:
     def test_missing_dense_is_zero(self):
-        inst = data.parse_criteo_line("1\t3\t\tb\tx\n", VOCAB2, 2, 2)
-        assert inst.label == 1
-        assert inst.dense[1] == 0.0
-        assert abs(inst.dense[0] - math.log(4)) < 1e-15
-        assert list(inst.sparse) == [2, 1]
+        row = data.parse_criteo_line("1\t3\t\tb\tx\n", VOCAB2, 2, 2)
+        assert row.labels[0] == 1
+        assert row.dense[0][1] == 0.0
+        assert abs(row.dense[0][0] - math.log(4)) < 1e-15
+        assert list(row.sparse[0]) == [2, 1]
 
     def test_unknown_and_missing_tokens_map_to_zero(self):
-        inst = data.parse_criteo_line("0\t1\t2\tzzz\t\n", VOCAB2, 2, 2)
-        assert list(inst.sparse) == [0, 0]
+        row = data.parse_criteo_line("0\t1\t2\tzzz\t\n", VOCAB2, 2, 2)
+        assert list(row.sparse[0]) == [0, 0]
 
     def test_bad_field_count(self):
         with pytest.raises(DataError):
@@ -73,15 +73,15 @@ class TestBuildVocab:
         lines = [f"0\t1\tt{i}\n" for i in range(5)]
         vocab = data.build_vocab(lines, 1, 1, min_freq=2)
         assert vocab.sizes() == (1,)
-        assert vocab.lookup(0, "t3") == 0
+        assert "t3" not in vocab.mappings[0]
 
     def test_lexicographic_tie_break(self):
         lines = [f"0\t1\t{t}\n" for t in ["b", "a", "b", "a", "a", "b", "c"]]
         vocab = data.build_vocab(lines, 1, 1, min_freq=1)
         # a and b tie at 3, a wins lexicographically; c trails
-        assert vocab.lookup(0, "a") == 1
-        assert vocab.lookup(0, "b") == 2
-        assert vocab.lookup(0, "c") == 3
+        assert vocab.mappings[0]["a"] == 1
+        assert vocab.mappings[0]["b"] == 2
+        assert vocab.mappings[0]["c"] == 3
 
     def test_rebuild_is_identical(self):
         rng = np.random.default_rng(0)
@@ -121,10 +121,10 @@ class TestIngestionPurity:
         train_lines = ["0\t1\tseen\n"] * 12
         valid_lines = ["1\t1\tvalonly\n"] * 50
         vocab = data.build_vocab(train_lines, 1, 1, min_freq=10)
-        assert vocab.lookup(0, "seen") == 1
+        assert vocab.mappings[0]["seen"] == 1
         # a token that only exists in validation data stays OOV
-        inst = data.parse_criteo_line(valid_lines[0], vocab, 1, 1)
-        assert inst.sparse[0] == 0
+        row = data.parse_criteo_line(valid_lines[0], vocab, 1, 1)
+        assert row.sparse[0][0] == 0
 
     def test_gzip_transparent(self, tmp_path):
         path = tmp_path / "rows.tsv.gz"

@@ -426,84 +426,77 @@ def test_product_batch_matches_rows_one_at_a_time(t, n, k, rows, seed):
 
 
 class TestConcatCross:
+    # the concat stage is a depth-one CrossStack over X0 = [OC, OP]
+
     def test_zero_weight(self):
-        cc = layers.ConcatCross(np.zeros(4), np.zeros(4))
-        out, _ = layers.concat_cross_forward(np.array([[1.0, 2.0]]),
-                                             np.array([[3.0, 4.0]]), cc)
+        cc = layers.CrossStack([np.zeros(4)], [np.zeros(4)])
+        out, _ = layers.concat_cross_forward(np.array([[1.0, 2.0, 3.0, 4.0]]), cc)
         assert np.array_equal(out, np.array([[1.0, 2.0, 3.0, 4.0, 0, 0, 0, 0]]))
 
     def test_worked_example(self):
-        cc = layers.ConcatCross(np.array([1.0, 0.0]), np.zeros(2))
-        out, _ = layers.concat_cross_forward(np.array([[1.0], [3.0]]),
-                                             np.array([[2.0], [5.0]]), cc)
+        cc = layers.CrossStack([np.array([1.0, 0.0])], [np.zeros(2)])
+        out, _ = layers.concat_cross_forward(np.array([[1.0, 2.0], [3.0, 5.0]]), cc)
         assert np.array_equal(out, np.array([[1.0, 2.0, 1.0, 2.0],
                                              [3.0, 5.0, 9.0, 15.0]]))
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(14)
         dim = 6
-        cc = layers.ConcatCross(rng.uniform(-1, 1, dim), rng.uniform(-1, 1, dim))
+        cc = layers.CrossStack([rng.uniform(-1, 1, dim)], [rng.uniform(-1, 1, dim)])
         oc, op = rng.normal(size=(3, 4)), rng.normal(size=(3, 2))
-        fast, _ = layers.concat_cross_forward(oc, op, cc)
-        stack = layers.CrossStack([cc.weight], [cc.bias])
+        fast, _ = layers.concat_cross_forward(np.concatenate([oc, op], axis=1), cc)
         for row in range(3):
             x0 = np.concatenate([oc[row], op[row]])
-            assert rel_err(fast[row], oracle.naive_cross_forward(x0, stack)) < 1e-12
+            assert rel_err(fast[row], oracle.naive_cross_forward(x0, cc)) < 1e-12
 
     def test_dim_mismatch(self):
-        cc = layers.ConcatCross(np.zeros(3), np.zeros(3))
+        cc = layers.CrossStack([np.zeros(3)], [np.zeros(3)])
         with pytest.raises(DimensionError):
-            layers.concat_cross_forward(np.zeros((2, 2)), np.zeros((2, 2)), cc)
+            layers.concat_cross_forward(np.zeros((2, 4)), cc)
         with pytest.raises(DimensionError):
-            layers.concat_cross_forward(np.zeros((2, 2)), np.zeros((3, 1)), cc)
+            layers.concat_cross_forward(np.zeros((2, 2)), cc)
         with pytest.raises(DimensionError):
-            layers.concat_cross_forward(np.zeros(2), np.zeros(1), cc)
+            layers.concat_cross_forward(np.zeros(3), cc)
 
     def test_identity_segment_passthrough(self):
         # upstream gradient only on the x0 half flows through unchanged
         rng = np.random.default_rng(15)
         dim = 5
-        cc = layers.ConcatCross(rng.normal(size=dim), rng.normal(size=dim))
-        oc, op = rng.normal(size=(2, 3)), rng.normal(size=(2, 2))
-        _, cache = layers.concat_cross_forward(oc, op, cc)
+        cc = layers.CrossStack([rng.normal(size=dim)], [rng.normal(size=dim)])
+        _, cache = layers.concat_cross_forward(rng.normal(size=(2, dim)), cc)
         g0 = rng.normal(size=(2, dim))
         upstream = np.concatenate([g0, np.zeros((2, dim))], axis=1)
-        (goc, gop), _ = backward(layers.concat_cross_backward, cache, upstream, cc)
-        assert np.array_equal(np.concatenate([goc, gop], axis=1), g0)
+        gx0, _ = backward(layers.concat_cross_backward, cache, upstream, cc)
+        assert np.array_equal(gx0, g0)
 
     def test_zero_upstream(self):
         rng = np.random.default_rng(16)
-        cc = layers.ConcatCross(rng.normal(size=3), rng.normal(size=3))
-        _, cache = layers.concat_cross_forward(rng.normal(size=(2, 2)),
-                                               rng.normal(size=(2, 1)), cc)
-        (goc, gop), grads = backward(layers.concat_cross_backward, cache,
-                                     np.zeros((2, 6)), cc)
-        assert np.array_equal(goc, np.zeros((2, 2)))
-        assert np.array_equal(gop, np.zeros((2, 1)))
-        assert np.array_equal(grads.weight, np.zeros(3))
+        cc = layers.CrossStack([rng.normal(size=3)], [rng.normal(size=3)])
+        _, cache = layers.concat_cross_forward(rng.normal(size=(2, 3)), cc)
+        gx0, grads = backward(layers.concat_cross_backward, cache, np.zeros((2, 6)), cc)
+        assert np.array_equal(gx0, np.zeros((2, 3)))
+        assert np.array_equal(grads.weights[0], np.zeros(3))
 
     def test_finite_differences(self):
         # a batch of 3 rows: parameter gradients are summed over the rows
         rng = np.random.default_rng(17)
-        rows, n_oc, n_op = 3, 4, 3
-        dim = n_oc + n_op
+        rows, dim = 3, 7
         w, b = rng.uniform(-1, 1, dim), rng.uniform(-1, 1, dim)
-        oc, op = rng.normal(size=(rows, n_oc)), rng.normal(size=(rows, n_op))
+        x0 = rng.normal(size=(rows, dim))
         g = rng.normal(size=(rows, 2 * dim))
-        cuts = np.cumsum([oc.size, op.size, dim])
+        cuts = np.cumsum([x0.size, dim])
 
         def f(flat):
-            oc_, op_, w_, b_ = np.split(flat, cuts)
-            out, _ = layers.concat_cross_forward(
-                oc_.reshape(rows, n_oc), op_.reshape(rows, n_op),
-                layers.ConcatCross(w_, b_))
+            x0_, w_, b_ = np.split(flat, cuts)
+            out, _ = layers.concat_cross_forward(x0_.reshape(rows, dim),
+                                                 layers.CrossStack([w_], [b_]))
             return float(np.sum(out * g))
 
-        cc = layers.ConcatCross(w, b)
-        _, cache = layers.concat_cross_forward(oc, op, cc)
-        (goc, gop), grads = backward(layers.concat_cross_backward, cache, g, cc)
-        analytic = np.concatenate([goc.ravel(), gop.ravel(), grads.weight, grads.bias])
-        numeric = oracle.finite_diff(f, np.concatenate([oc.ravel(), op.ravel(), w, b]))
+        cc = layers.CrossStack([w], [b])
+        _, cache = layers.concat_cross_forward(x0, cc)
+        gx0, grads = backward(layers.concat_cross_backward, cache, g, cc)
+        analytic = np.concatenate([gx0.ravel(), grads.weights[0], grads.biases[0]])
+        numeric = oracle.finite_diff(f, np.concatenate([x0.ravel(), w, b]))
         assert rel_err(analytic, numeric) < 1e-6
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xcrossnet import data, optim, oracle
+from xcrossnet import data, layers, optim, oracle
 from xcrossnet import model as model_mod
 from xcrossnet.errors import CheckpointError, DataError, DimensionError
 from xcrossnet.model import (ModelConfig, XCrossNetModel, balance_index,
@@ -77,6 +77,7 @@ class TestInit:
         assert not np.array_equal(a.registry.get_flat(), b.registry.get_flat())
 
     def test_criteo_dimension_arithmetic(self):
+        assert CRITEO.dense_out_dim == 13 * 5 == 65
         assert CRITEO.x0_dim == 13 * 5 + 200 == 265
         assert CRITEO.mlp_input_dim == 530
 
@@ -139,7 +140,7 @@ class TestRegistry:
         m = XCrossNetModel.init(SMALL)
         values = m.registry.values
         arrays = [*m.cross.weights, *m.cross.biases, m.embedding.table,
-                  m.product.theta, m.product.order1, m.concat.weight, m.concat.bias,
+                  m.product.theta, m.product.order1, *m.concat.weights, *m.concat.biases,
                   *m.mlp.weights, *m.mlp.biases, m.mlp.out_weight, m.mlp.out_bias]
         assert sum(a.size for a in arrays) == values.size
         for a in arrays + [e.values for e in m.registry]:
@@ -169,7 +170,7 @@ class TestRegistry:
         grad = m.registry.grad
         cross, product, concat, mlp = m.cross_grad, m.product_grad, m.concat_grad, m.mlp_grad
         arrays = [*sum(zip(cross.weights, cross.biases), ()), product.theta, product.order1,
-                  concat.weight, concat.bias, *sum(zip(mlp.weights, mlp.biases), ()),
+                  *concat.weights, *concat.biases, *sum(zip(mlp.weights, mlp.biases), ()),
                   mlp.out_weight, mlp.out_bias]
         assert all(np.shares_memory(a, grad) for a in arrays)
         grad[...] = np.arange(grad.size)
@@ -220,6 +221,45 @@ class TestForwardBackward:
         _, cache = m.forward(batch)
         m.backward(cache, [1.0])
         assert abs(m.registry["mlp.out_b"].grad[0]) < 1e-12
+
+    def test_concat_stage_matches_the_closed_form_bitwise(self):
+        # the concat stage, a depth-one CrossStack over X0 = [OC, OP], has
+        # the bits of its formulas written out: x1 = x0 * s + b with
+        # s = <x0, w>, dw = X0^T ds, db = sum G1, dX0 = G0 + G1 * s + ds * w;
+        # dX0 splits at dense_out_dim into the two stages' gradients
+        m = XCrossNetModel.init(CRITEO)
+        rng = np.random.default_rng(13)
+        m.registry["concat.b"].values[...] = rng.normal(0.0, 0.01, CRITEO.x0_dim)
+        batch = random_batch(CRITEO, rng, n=16)
+        _, cache = m.forward(batch)
+        m.backward(cache, batch.labels)
+
+        oc, _ = layers.cross_forward(batch.dense, m.cross)
+        op, _ = layers.product_forward(layers.embed_forward(batch.sparse, m.embedding)[0],
+                                       m.product)
+        x0 = np.concatenate([oc, op], axis=1)
+        w, b = m.registry["concat.w"].values, m.registry["concat.b"].values
+        s = x0 @ w
+        x1 = x0 * s[:, None] + b
+        assert np.array_equal(cache.mlp.hiddens[0], np.concatenate([x0, x1], axis=1))
+
+        spare = XCrossNetModel(CRITEO)
+        g = layers.mlp_backward_logit(cache.mlp, cache.mlp.probs - batch.labels, m.mlp,
+                                      spare.mlp_grad)
+        dim = CRITEO.x0_dim
+        g0, g1 = g[:, :dim], g[:, dim:]
+        ds = np.einsum("bd,bd->b", g1, x0)
+        assert np.array_equal(m.registry["concat.w"].grad, x0.T @ ds)
+        assert np.array_equal(m.registry["concat.b"].grad, g1.sum(axis=0))
+        grad_x0 = g0 + g1 * s[:, None] + ds[:, None] * w
+        assert np.array_equal(
+            layers.concat_cross_backward(cache.concat, g, m.concat, spare.concat_grad), grad_x0)
+        split = CRITEO.dense_out_dim
+        layers.cross_backward(cache.cross, grad_x0[:, :split], m.cross, spare.cross_grad)
+        layers.product_backward(cache.product, grad_x0[:, split:], m.product,
+                                spare.product_grad)
+        for name in ("cross.w0", "cross.b3", "product.theta", "product.order1"):
+            assert np.array_equal(m.registry[name].grad, spare.registry[name].grad)
 
     def test_backward_makes_no_gradient_sized_allocation(self):
         # the stages write their parameter gradients into the registry in
