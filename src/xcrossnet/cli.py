@@ -12,21 +12,21 @@ import os
 
 
 def _configure_threads() -> None:
-    """Honor XCN_THREADS (0 or unset = library default) for BLAS pools.
+    """Honor XCN_THREADS for BLAS pools; unset, 0 or anything but a
+    positive integer leaves the library default.
 
     Must run before numpy is first imported, which is why this module does
     its heavy imports below and why the package __init__ stays numpy-free.
     """
-    raw = os.environ.get("XCN_THREADS", "").strip()
-    if not raw or raw == "0":
-        return
     try:
-        int(raw)
+        threads = int(os.environ.get("XCN_THREADS", ""))
     except ValueError:
+        return
+    if threads < 1:
         return
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, raw)
+        os.environ.setdefault(var, str(threads))
 
 
 _configure_threads()
@@ -34,6 +34,7 @@ _configure_threads()
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -41,10 +42,10 @@ import numpy as np
 
 from . import data as data_mod
 from . import metrics, optim, oracle
-from .errors import CheckpointError, DataError, NumericError, XCrossNetError
-from .model import (BALANCE_CONVENTIONS, ModelConfig, XCrossNetModel, _int_problems,
-                    balance_index, load_checkpoint, save_checkpoint)
-from .optim import _is_number
+from .errors import (CheckpointError, DataError, NumericError, SingleClassError,
+                     XCrossNetError, int_problems, is_number)
+from .model import (BALANCE_CONVENTIONS, ModelConfig, XCrossNetModel, balance_index,
+                    load_checkpoint, save_checkpoint)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -59,20 +60,16 @@ class UsageError(Exception):
         super().__init__("; ".join(self.problems))
 
 
-# The Criteo-protocol defaults; file-based training uses these as-is.
+# The settings of ModelConfig (all but the vocab sizes, which the data
+# determines) and of TrainConfig; both take the run's one seed.
+MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ModelConfig) if f.name != "vocab_sizes")
+TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(optim.TrainConfig))
+
+# The Criteo-protocol defaults, which file-based training uses as-is: the
+# dataclasses' own, plus the settings of the data.
 RUN_DEFAULTS = {
-    "dense_fields": 13,
-    "sparse_fields": 26,
-    "embed_dim": 20,
-    "product_size": 100,
-    "cross_depth": 4,
-    "mlp_widths": (400, 400),
-    "seed": 0,
-    "lr": 0.001,
-    "batch_size": 4096,
-    "l2": 1e-4,
-    "epochs": 1,
-    "eval_every": 1,
+    **{key: getattr(ModelConfig.criteo_default(()), key) for key in MODEL_KEYS},
+    **dataclasses.asdict(optim.TrainConfig()),
     "train_data": None,
     "valid_data": None,
     "valid_fraction": 0.1,
@@ -97,7 +94,10 @@ GRADCHECK_DEFAULTS = dict(dense_fields=3, sparse_fields=4, vocab_size=5,
                           mlp_widths=(8,))
 
 
-def _parse_widths(text: str):
+def _parse_widths(text):
+    """mlp_widths from comma-separated text; any other value as given."""
+    if not isinstance(text, str):
+        return text
     text = text.strip()
     if not text or text.lower() == "none":
         return ()
@@ -114,9 +114,15 @@ def _echo(key, value) -> None:
     print(f"{key}={value}")
 
 
+def _model_config(settings: dict, vocab_sizes) -> ModelConfig:
+    """The ModelConfig of the MODEL_KEYS in settings, passed as given so
+    that validate() rejects values of the wrong type."""
+    return ModelConfig(vocab_sizes=vocab_sizes, **{key: settings[key] for key in MODEL_KEYS})
+
+
 def _resolve_run_config(args) -> tuple[dict, optim.TrainConfig]:
     """The merged run settings (defaults, --config file, flags) and the
-    validated training config built from them."""
+    training config built from them; UsageError lists every bad setting."""
     cfg = dict(RUN_DEFAULTS)
     problems = []
     file_keys = set()
@@ -142,15 +148,13 @@ def _resolve_run_config(args) -> tuple[dict, optim.TrainConfig]:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             cfg[key] = flag_value
-    if isinstance(cfg["mlp_widths"], str):
-        cfg["mlp_widths"] = _parse_widths(cfg["mlp_widths"])
-    if isinstance(cfg["mlp_widths"], (list, tuple)):
-        cfg["mlp_widths"] = tuple(cfg["mlp_widths"])
-    else:
-        problems.append(f"mlp_widths: expected a list of integers, "
-                        f"got {cfg['mlp_widths']!r}")
+    cfg["mlp_widths"] = _parse_widths(cfg["mlp_widths"])
 
-    if cfg["synth"] is not None:
+    if cfg["synth"] is None:
+        if not cfg["train_data"]:
+            problems.append("train_data: required unless --synth is used "
+                            "(pass --train-data)")
+    else:
         if cfg["synth"] != "default":
             problems.append(f"synth: only 'default' is defined, got {cfg['synth']!r}")
         explicit = file_keys | {k for k in SYNTH_SCALE_DEFAULTS
@@ -159,28 +163,23 @@ def _resolve_run_config(args) -> tuple[dict, optim.TrainConfig]:
             if key not in explicit:
                 cfg[key] = value
     fraction = cfg["valid_fraction"]
-    if not _is_number(fraction) or not 0.0 <= fraction < 1.0:
+    if not is_number(fraction) or not 0.0 <= fraction < 1.0:
         problems.append(f"valid_fraction: must be a number in [0, 1), got {fraction!r}")
+    problems += int_problems({"min_freq": cfg["min_freq"]})
     if cfg["synth_seed"] is not None:
-        problems += _int_problems({"synth_seed": cfg["synth_seed"]}, low=0)
-    # passed as given, so that validate() rejects values of the wrong type
-    train_cfg = optim.TrainConfig(lr=cfg["lr"], batch_size=cfg["batch_size"],
-                                  l2=cfg["l2"], epochs=cfg["epochs"],
-                                  seed=cfg["seed"], eval_every=cfg["eval_every"])
-    problems.extend(train_cfg.validate())
-    # the model config is validated whole once the data determines vocab
-    # sizes; the field counts and min_freq are checked first because
-    # parsing uses them
-    problems += _int_problems({key: cfg[key] for key in (
-        "dense_fields", "sparse_fields", "embed_dim", "product_size", "cross_depth",
-        "min_freq")})
+        problems += int_problems({"synth_seed": cfg["synth_seed"]}, low=0)
+    # the data determines the vocab sizes; every other model setting is checked now
+    problems += [problem for problem in _model_config(cfg, ()).validate()
+                 if not problem.startswith("vocab_sizes:")]
+    train_cfg = optim.TrainConfig(**{key: cfg[key] for key in TRAIN_KEYS})
+    problems += train_cfg.validate()
     if problems:
-        raise UsageError(problems)
+        raise UsageError(dict.fromkeys(problems))  # the shared seed is checked twice
     return cfg, train_cfg
 
 
 def _load_training_data(cfg):
-    """Returns (train_ds, valid_ds_or_None, vocab, vocab_sizes, provenance)."""
+    """Returns (train_ds, valid_ds_or_None, vocab, provenance)."""
     if cfg["synth"] is not None:
         spec = data_mod.DEFAULT_SYNTH_SPEC
         if cfg["synth_seed"] is not None:
@@ -190,10 +189,7 @@ def _load_training_data(cfg):
         cfg["dense_fields"] = spec.dense_fields
         cfg["sparse_fields"] = spec.sparse_fields
         return (sdata.train_dataset(), sdata.valid_dataset(), vocab,
-                vocab.sizes(), {"synth_spec": spec.to_dict()})
-    if not cfg["train_data"]:
-        raise UsageError(["train_data: required unless --synth is used "
-                          "(pass --train-data)"])
+                {"synth_spec": spec.to_dict()})
     n_dense, n_sparse = cfg["dense_fields"], cfg["sparse_fields"]
     lines = list(data_mod.read_lines(cfg["train_data"]))
     n_train = len(lines)
@@ -207,46 +203,28 @@ def _load_training_data(cfg):
                                  min_freq=cfg["min_freq"])
     rows = data_mod.parse_lines(lines, vocab, n_dense, n_sparse)
     del lines
-
-    def split(part: slice) -> data_mod.Dataset:
-        return data_mod.Dataset(rows.dense[part], rows.sparse[part], rows.labels[part])
-
-    train_ds = split(slice(None, n_train))
+    train_ds = rows.subset(slice(None, n_train))
     if cfg["valid_data"]:
         valid_ds = data_mod.parse_lines(data_mod.read_lines(cfg["valid_data"]),
                                         vocab, n_dense, n_sparse)
     else:
-        valid_ds = split(slice(n_train, None))
+        valid_ds = rows.subset(slice(n_train, None))
     if not len(valid_ds):
         valid_ds = None
     provenance = {"train_data": cfg["train_data"], "valid_data": cfg["valid_data"],
                   "valid_fraction": cfg["valid_fraction"]}
-    return train_ds, valid_ds, vocab, vocab.sizes(), provenance
+    return train_ds, valid_ds, vocab, provenance
 
 
 def cmd_train(args) -> int:
     cfg, train_cfg = _resolve_run_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_ds, valid_ds, vocab, vocab_sizes, provenance = _load_training_data(cfg)
-
-    # passed as given, so that validate() rejects non-integer dimensions
-    model_cfg = ModelConfig(
-        dense_fields=cfg["dense_fields"],
-        sparse_fields=cfg["sparse_fields"],
-        vocab_sizes=tuple(vocab_sizes),
-        embed_dim=cfg["embed_dim"],
-        product_size=cfg["product_size"],
-        cross_depth=cfg["cross_depth"],
-        mlp_widths=cfg["mlp_widths"],
-        seed=cfg["seed"],
-    )
-    problems = model_cfg.validate()
-    if problems:
-        raise UsageError(problems)
+    train_ds, valid_ds, vocab, provenance = _load_training_data(cfg)
+    model_cfg = _model_config(cfg, vocab.sizes())
 
     resolved = dict(cfg)
-    resolved["vocab_sizes"] = list(vocab_sizes)
+    resolved["vocab_sizes"] = list(model_cfg.vocab_sizes)
     resolved.update(provenance)
     (out_dir / "config.json").write_text(json.dumps(resolved, indent=2,
                                                     sort_keys=True) + "\n")
@@ -328,20 +306,12 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    config = ModelConfig(
-        dense_fields=args.dense_fields,
-        sparse_fields=args.sparse_fields,
-        vocab_sizes=(args.vocab_size,) * args.sparse_fields,
-        embed_dim=args.embed_dim,
-        product_size=args.product_size,
-        cross_depth=args.cross_depth,
-        mlp_widths=_parse_widths(args.mlp_widths) if isinstance(args.mlp_widths, str)
-                   else args.mlp_widths,
-        seed=args.seed,
-    )
-    problems = config.validate() + _int_problems({"instances": args.instances})
-    if not args.eps > 0:
-        problems.append(f"eps: must be > 0, got {args.eps!r}")
+    args.mlp_widths = _parse_widths(args.mlp_widths)
+    config = _model_config(vars(args), (args.vocab_size,) * args.sparse_fields)
+    problems = config.validate() + int_problems({"instances": args.instances})
+    problems += [f"{name}: must be a finite number > 0, got {value!r}"
+                 for name, value in (("eps", args.eps), ("tolerance", args.tolerance))
+                 if not (math.isfinite(value) and value > 0)]
     if problems:
         raise UsageError(problems)
     model, batch = oracle.gradcheck_point(config, args.seed,
@@ -363,22 +333,12 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_synth(args) -> int:
     spec = data_mod.DEFAULT_SYNTH_SPEC
-    overrides = {}
-    for key in ("dense_fields", "sparse_fields", "vocab_size", "n_train",
-                "n_valid", "seed", "dense_cross_coef", "pair_coef"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
-    problems = _int_problems({"n_train": spec.n_train, "n_valid": spec.n_valid}) + \
-        _int_problems({"seed": spec.seed}, low=0)
+    spec = dataclasses.replace(spec, **{key: value for key, value in vars(args).items()
+                                        if key in spec.to_dict() and value is not None})
+    problems = spec.validate()
     if problems:
         raise UsageError(problems)
-    try:
-        sdata = data_mod.synth_generate(spec)
-    except DataError as exc:  # the default spec is valid: a flag is at fault
-        raise UsageError([str(exc)]) from None
+    sdata = data_mod.synth_generate(spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_path, valid_path = out_dir / "train.tsv", out_dir / "valid.tsv"
@@ -392,8 +352,12 @@ def cmd_synth(args) -> int:
     _echo("n_train", spec.n_train)
     _echo("n_valid", spec.n_valid)
     _echo("positive_ratio_train", float(np.mean(sdata.train_labels)))
-    _echo("bayes_auc_train", metrics.auc(sdata.train_scores, sdata.train_labels))
-    _echo("bayes_auc_valid", metrics.auc(sdata.valid_scores, sdata.valid_labels))
+    for split, scores, labels in (("train", sdata.train_scores, sdata.train_labels),
+                                  ("valid", sdata.valid_scores, sdata.valid_labels)):
+        try:
+            _echo(f"bayes_auc_{split}", metrics.auc(scores, labels))
+        except SingleClassError:
+            _echo(f"bayes_auc_{split}", "unavailable")
     return EXIT_OK
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, finite_problems, int_problems, is_int
 
 
 def stable_sigmoid(z: np.ndarray) -> np.ndarray:
@@ -96,9 +96,11 @@ class Dataset:
     def n_sparse(self) -> int:
         return self.sparse.shape[1]
 
-    def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices)
-        return Dataset(self.dense[idx], self.sparse[idx], self.labels[idx])
+    def subset(self, rows) -> "Dataset":
+        """The rows an index array selects (copies) or a slice selects (views)."""
+        if not isinstance(rows, slice):
+            rows = np.asarray(rows)
+        return Dataset(self.dense[rows], self.sparse[rows], self.labels[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +562,25 @@ class SynthSpec:
     dense_linear_scale: float = 0.7
     sparse_linear_scale: float = 0.4
 
+    def validate(self) -> list[str]:
+        """Collect every problem: the task needs at least 2 dense and 2
+        sparse fields, a vocab that holds the designated pair, at least one
+        train and one valid instance, a seed >= 0, finite cross
+        coefficients and one dense_linear coefficient per dense field."""
+        problems = int_problems({"dense_fields": self.dense_fields,
+                                 "sparse_fields": self.sparse_fields}, low=2) + \
+            int_problems({"vocab_size": self.vocab_size, "n_train": self.n_train,
+                          "n_valid": self.n_valid}) + int_problems({"seed": self.seed}, low=0) + \
+            finite_problems({"dense_cross_coef": self.dense_cross_coef,
+                             "pair_coef": self.pair_coef})
+        if is_int(self.vocab_size) and not all(0 <= p < self.vocab_size for p in self.pair):
+            problems.append(f"vocab_size: {self.vocab_size} does not hold the designated "
+                            f"pair {self.pair}")
+        if self.dense_linear is not None and len(self.dense_linear) != self.dense_fields:
+            problems.append(f"dense_linear: has {len(self.dense_linear)} coefficients "
+                            f"for {self.dense_fields} fields")
+        return problems
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -631,24 +652,19 @@ def synth_generate(spec: SynthSpec) -> SynthData:
 
     Draw order (fixed for reproducibility): per-category effects and, if
     unspecified, the dense linear coefficients from task_seed; then dense
-    values, category ids, and label uniforms from seed.
+    values, category ids, and label uniforms from seed. Raises DataError
+    listing spec.validate()'s problems for an invalid spec.
     """
+    problems = spec.validate()
+    if problems:
+        raise DataError("; ".join(problems))
     m, n_fields, v = spec.dense_fields, spec.sparse_fields, spec.vocab_size
-    if m < 2 or n_fields < 2:
-        raise DataError(f"dense_fields, sparse_fields: the synth task needs at least 2 "
-                        f"of each, got {m} and {n_fields}")
-    if not (0 <= spec.pair[0] < v and 0 <= spec.pair[1] < v):
-        raise DataError(f"vocab_size: {v} does not hold the designated pair {spec.pair}")
     n = spec.n_train + spec.n_valid
     task_rng = np.random.default_rng(spec.task_seed)
     effects = task_rng.normal(0.0, spec.sparse_linear_scale, (n_fields, v))
     if spec.dense_linear is None:
         dense_linear = task_rng.normal(0.0, spec.dense_linear_scale, m)
     else:
-        if len(spec.dense_linear) != m:
-            raise DataError(
-                f"dense_linear has {len(spec.dense_linear)} coefficients "
-                f"for {m} fields")
         dense_linear = np.asarray(spec.dense_linear, dtype=np.float64)
     rng = np.random.default_rng(spec.seed)
     raw_dense = rng.uniform(-1.0, 1.0, (n, m))

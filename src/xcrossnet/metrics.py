@@ -90,7 +90,7 @@ def predict_dataset(model, dataset) -> np.ndarray:
     n = len(dataset)
     preds = np.empty(n)
     for start in range(0, n, PREDICT_CHUNK):
-        rows = np.arange(start, min(start + PREDICT_CHUNK, n))
+        rows = slice(start, start + PREDICT_CHUNK)
         preds[rows], _ = model.forward(dataset.subset(rows))
     return preds
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import layers
-from .errors import CheckpointError, DimensionError
+from .errors import CheckpointError, DimensionError, int_problems, is_int
 
 CHECKPOINT_MAGIC = "xcrossnet-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -30,15 +30,6 @@ CHECKPOINT_VERSION = 1
 #: balance index: "include_input" counts the copied raw input segment
 #: (M * (depth + 1)); "cross_only" counts just the cross vectors (M * depth).
 BALANCE_CONVENTIONS = ("include_input", "cross_only")
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-def _int_problems(values: dict, low: int = 1) -> list[str]:
-    """A problem for each of values ({name: value}) that is not an int >= low."""
-    return [f"{name}: must be >= {low}" if _is_int(value) else
-            f"{name}: must be an integer, got {value!r}"
-            for name, value in values.items() if not (_is_int(value) and value >= low)]
 
 @dataclass
 class ModelConfig:
@@ -60,9 +51,11 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # entries are kept as given: validate() rejects non-integers
+        # entries, and mlp_widths other than a list, are kept as given:
+        # validate() rejects them
         self.vocab_sizes = tuple(self.vocab_sizes)
-        self.mlp_widths = tuple(self.mlp_widths)
+        if isinstance(self.mlp_widths, list):
+            self.mlp_widths = tuple(self.mlp_widths)
 
     @classmethod
     def criteo_default(cls, vocab_sizes, seed: int = 0) -> "ModelConfig":
@@ -87,25 +80,28 @@ class ModelConfig:
 
         Every dimension, every entry of vocab_sizes and mlp_widths, and the
         seed must be a Python int (bool is not accepted), the seed >= 0 and
-        the others >= 1.
+        the others >= 1; mlp_widths must be a tuple or list.
         """
-        problems = _int_problems({name: getattr(self, name) for name in (
+        problems = int_problems({name: getattr(self, name) for name in (
             "dense_fields", "sparse_fields", "embed_dim", "product_size", "cross_depth")})
         if len(self.vocab_sizes) != self.sparse_fields:
             problems.append(
                 f"vocab_sizes: got {len(self.vocab_sizes)} entries for "
                 f"{self.sparse_fields} sparse fields")
-        if not all(_is_int(v) for v in self.vocab_sizes):
+        if not all(is_int(v) for v in self.vocab_sizes):
             problems.append(f"vocab_sizes: entries must be integers, got "
                             f"{list(self.vocab_sizes)!r}")
         elif any(v < 1 for v in self.vocab_sizes):
             problems.append("vocab_sizes: every field needs at least one category")
-        if not all(_is_int(w) for w in self.mlp_widths):
+        if not isinstance(self.mlp_widths, tuple):
+            problems.append(f"mlp_widths: expected a list of integers, "
+                            f"got {self.mlp_widths!r}")
+        elif not all(is_int(w) for w in self.mlp_widths):
             problems.append(f"mlp_widths: entries must be integers, got "
                             f"{list(self.mlp_widths)!r}")
         elif any(w < 1 for w in self.mlp_widths):
             problems.append("mlp_widths: widths must be >= 1")
-        return problems + _int_problems({"seed": self.seed}, low=0)
+        return problems + int_problems({"seed": self.seed}, low=0)
 
     def to_dict(self) -> dict:
         return asdict(self)

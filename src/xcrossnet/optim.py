@@ -28,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data as data_mod
-from .errors import DataError, NumericError
+from .errors import DataError, NumericError, finite_problems, int_problems
 from .metrics import evaluate, logloss
-from .model import _int_problems, _is_int
 
 # Elements per in-place Adam chunk: it fixes the size of the two scratch
 # vectors whatever a batch's row count. It is not a speed setting: paired
@@ -126,10 +125,6 @@ def batch_loss_and_grad(model, batch) -> float:
     return logloss(probs, batch.labels)
 
 
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
 @dataclass
 class TrainConfig:
     lr: float = 0.001
@@ -142,15 +137,9 @@ class TrainConfig:
     def validate(self) -> list[str]:
         """Collect every problem: lr and l2 must be finite numbers >= 0, the
         counts and the seed Python ints (bool is not accepted as either)."""
-        problems = []
-        for name in ("lr", "l2"):
-            value = getattr(self, name)
-            if not _is_number(value) or not math.isfinite(value):
-                problems.append(f"{name}: must be a finite number, got {value!r}")
-            elif value < 0:
-                problems.append(f"{name}: must be >= 0")
-        return problems + _int_problems({"batch_size": self.batch_size}) + _int_problems(
-            {"epochs": self.epochs, "seed": self.seed, "eval_every": self.eval_every}, low=0)
+        return finite_problems({"lr": self.lr, "l2": self.l2}, low=0) + \
+            int_problems({"batch_size": self.batch_size}) + int_problems(
+                {"epochs": self.epochs, "seed": self.seed, "eval_every": self.eval_every}, low=0)
 
 
 def fit(model, train: "data_mod.Dataset", config: TrainConfig,

@@ -77,7 +77,8 @@ class TestSynth:
         (["--n-train", "0"], "n_train"), (["--n-valid", "0"], "n_valid"),
         (["--n-train", "-1"], "n_train"), (["--vocab-size", "0"], "vocab_size"),
         (["--vocab-size", "2"], "vocab_size"), (["--dense-fields", "0"], "dense_fields"),
-        (["--seed", "-1"], "seed"),
+        (["--seed", "-1"], "seed"), (["--dense-cross-coef", "nan"], "dense_cross_coef"),
+        (["--pair-coef", "inf"], "pair_coef"),
     ])
     def test_bad_flag_is_usage_error_and_writes_nothing(self, flags, name, tmp_path, capsys):
         out = tmp_path / "out"
@@ -85,6 +86,14 @@ class TestSynth:
         assert code == 2
         assert f"config error: {name}" in err
         assert not out.exists()
+
+    def test_one_class_split_has_no_bayes_auc(self, tmp_path, capsys):
+        # a split of one instance holds one class: its AUC is absent, as in eval
+        code, out, _ = run_cli(["synth", "--out", str(tmp_path),
+                                "--n-train", "1", "--n-valid", "1"], capsys)
+        assert code == 0
+        pairs = kv(out)
+        assert pairs["bayes_auc_train"] == pairs["bayes_auc_valid"] == "unavailable"
 
 
 class TestTrain:
@@ -111,25 +120,40 @@ class TestTrain:
                (trained_dir / "checkpoint.xcn").read_bytes()
 
     def test_missing_train_data_is_usage_error(self, tmp_path, capsys):
-        code, _, err = run_cli(["train", "--out", str(tmp_path)], capsys)
+        code, _, err = run_cli(["train", "--out", str(tmp_path / "run")], capsys)
         assert code == 2
         assert "train_data" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_default_settings(self):
+        # ModelConfig's Criteo layout and TrainConfig's defaults, written
+        # out here so that a changed dataclass default shows
+        args = cli.build_parser().parse_args(["train", "--train-data", "f", "--out", "d"])
+        cfg, _ = cli._resolve_run_config(args)
+        assert cfg == {
+            "dense_fields": 13, "sparse_fields": 26, "embed_dim": 20, "product_size": 100,
+            "cross_depth": 4, "mlp_widths": (400, 400), "seed": 0, "lr": 0.001,
+            "batch_size": 4096, "l2": 1e-4, "epochs": 1, "eval_every": 1,
+            "train_data": "f", "valid_data": None, "valid_fraction": 0.1, "min_freq": 10,
+            "synth": None, "synth_seed": None}
 
     def test_unknown_config_key_listed(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"learning_rate": 0.1, "lr": 0.01}))
         code, _, err = run_cli(["train", "--config", str(cfg_path),
-                                "--out", str(tmp_path)], capsys)
+                                "--out", str(tmp_path / "run")], capsys)
         assert code == 2
         assert "learning_rate" in err
+        assert not (tmp_path / "run").exists()
 
     def test_config_file_not_an_object_is_usage_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("[1, 2]")
         code, _, err = run_cli(["train", "--config", str(cfg_path),
-                                "--out", str(tmp_path)], capsys)
+                                "--out", str(tmp_path / "run")], capsys)
         assert code == 2
         assert "JSON object" in err
+        assert not (tmp_path / "run").exists()
 
     def test_synth_keeps_config_file_keys(self, tmp_path):
         # keys the --config file sets are not replaced by the synth-scale
@@ -153,7 +177,7 @@ class TestTrain:
                                 str(cfg_path), "--out", str(tmp_path / "run")], capsys)
         assert code == 2
         assert f"{key}:" in err
-        assert not (tmp_path / "run" / "checkpoint.xcn").exists()
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("lr", "fast"), ("lr", None), ("min_freq", None), ("valid_fraction", "x"),
@@ -167,7 +191,7 @@ class TestTrain:
                                 str(cfg_path), "--out", str(tmp_path / "run")], capsys)
         assert code == 2
         assert f"{key}:" in err and "Traceback" not in err
-        assert not (tmp_path / "run" / "checkpoint.xcn").exists()
+        assert not (tmp_path / "run").exists()
 
     def test_flags_override_config_file(self, synth_dir, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -360,11 +384,15 @@ class TestUnreadableInput:
 
 
 class TestGradcheck:
-    @pytest.mark.parametrize("flag", ["--cross-depth", "--dense-fields", "--instances",
-                                      "--eps"])
-    def test_zero_is_usage_error(self, capsys, flag):
-        # an explicit 0 is checked, not replaced by the default
-        code, out, err = run_cli(["gradcheck", flag, "0"], capsys)
+    @pytest.mark.parametrize("flag, value", [
+        ("--cross-depth", "0"), ("--dense-fields", "0"), ("--instances", "0"), ("--eps", "0"),
+        ("--eps", "inf"), ("--tolerance", "nan"), ("--tolerance", "-1"), ("--tolerance", "0"),
+    ], ids=["--cross-depth", "--dense-fields", "--instances", "--eps", "--eps-inf",
+            "--tolerance-nan", "--tolerance--1", "--tolerance-0"])
+    def test_zero_is_usage_error(self, capsys, flag, value):
+        # an explicit 0 is checked, not replaced by the default; eps and
+        # tolerance must also be finite
+        code, out, err = run_cli(["gradcheck", flag, value], capsys)
         assert code == 2
         assert f"{flag[2:].replace('-', '_')}:" in err
         assert "gradcheck_pass" not in out
@@ -463,8 +491,9 @@ class TestThreadCap:
         cli._configure_threads()
         assert "OPENBLAS_NUM_THREADS" not in os.environ
 
-    def test_garbage_ignored(self, monkeypatch):
+    @pytest.mark.parametrize("value", ["lots", "-3"])
+    def test_garbage_ignored(self, monkeypatch, value):
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        monkeypatch.setenv("XCN_THREADS", "lots")
+        monkeypatch.setenv("XCN_THREADS", value)
         cli._configure_threads()
         assert "OPENBLAS_NUM_THREADS" not in os.environ

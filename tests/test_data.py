@@ -447,3 +447,10 @@ class TestSynth:
                                    pair=(1, 2))
         with pytest.raises(DataError):
             data.synth_generate(spec)
+
+    def test_validate_lists_every_problem(self):
+        spec = dataclasses.replace(data.DEFAULT_SYNTH_SPEC, sparse_fields=1, n_valid=0,
+                                   pair_coef=math.nan, dense_linear=(1.0,))
+        assert [p.split(":")[0] for p in spec.validate()] == [
+            "sparse_fields", "n_valid", "pair_coef", "dense_linear"]
+        assert data.DEFAULT_SYNTH_SPEC.validate() == []
