@@ -157,8 +157,14 @@ def _resolve_run_config(args) -> tuple[dict, optim.TrainConfig]:
     else:
         if cfg["synth"] != "default":
             problems.append(f"synth: only 'default' is defined, got {cfg['synth']!r}")
-        explicit = file_keys | {k for k in SYNTH_SCALE_DEFAULTS
-                                if getattr(args, k, None) is not None}
+        explicit = file_keys | {k for k in cfg if getattr(args, k, None) is not None}
+        # the synthetic data fixes the field counts: a different one is not dropped
+        spec = data_mod.DEFAULT_SYNTH_SPEC
+        for key in ("dense_fields", "sparse_fields"):
+            if key in explicit and cfg[key] != getattr(spec, key):
+                problems.append(f"{key}: --synth default has {getattr(spec, key)}, "
+                                f"got {cfg[key]!r}")
+            cfg[key] = getattr(spec, key)
         for key, value in SYNTH_SCALE_DEFAULTS.items():
             if key not in explicit:
                 cfg[key] = value
@@ -185,10 +191,7 @@ def _load_training_data(cfg):
         if cfg["synth_seed"] is not None:
             spec = dataclasses.replace(spec, seed=cfg["synth_seed"])
         sdata = data_mod.synth_generate(spec)
-        vocab = sdata.vocab()
-        cfg["dense_fields"] = spec.dense_fields
-        cfg["sparse_fields"] = spec.sparse_fields
-        return (sdata.train_dataset(), sdata.valid_dataset(), vocab,
+        return (sdata.train_dataset(), sdata.valid_dataset(), sdata.vocab(),
                 {"synth_spec": spec.to_dict()})
     n_dense, n_sparse = cfg["dense_fields"], cfg["sparse_fields"]
     lines = list(data_mod.read_lines(cfg["train_data"]))
@@ -308,7 +311,10 @@ def cmd_predict(args) -> int:
 def cmd_gradcheck(args) -> int:
     args.mlp_widths = _parse_widths(args.mlp_widths)
     config = _model_config(vars(args), (args.vocab_size,) * args.sparse_fields)
-    problems = config.validate() + int_problems({"instances": args.instances})
+    # the one vocab_size flag is checked as given, not as the per-field tuple
+    problems = [problem for problem in config.validate()
+                if not problem.startswith("vocab_sizes:")]
+    problems += int_problems({"vocab_size": args.vocab_size, "instances": args.instances})
     problems += [f"{name}: must be a finite number > 0, got {value!r}"
                  for name, value in (("eps", args.eps), ("tolerance", args.tolerance))
                  if not (math.isfinite(value) and value > 0)]
@@ -351,11 +357,11 @@ def cmd_synth(args) -> int:
     _echo("valid_tsv", valid_path)
     _echo("n_train", spec.n_train)
     _echo("n_valid", spec.n_valid)
-    _echo("positive_ratio_train", float(np.mean(sdata.train_labels)))
-    for split, scores, labels in (("train", sdata.train_scores, sdata.train_labels),
-                                  ("valid", sdata.valid_scores, sdata.valid_labels)):
+    n = spec.n_train
+    _echo("positive_ratio_train", float(np.mean(sdata.labels[:n])))
+    for split, rows in (("train", slice(None, n)), ("valid", slice(n, None))):
         try:
-            _echo(f"bayes_auc_{split}", metrics.auc(scores, labels))
+            _echo(f"bayes_auc_{split}", metrics.auc(sdata.scores[rows], sdata.labels[rows]))
         except SingleClassError:
             _echo(f"bayes_auc_{split}", "unavailable")
     return EXIT_OK
@@ -380,34 +386,30 @@ def build_parser() -> argparse.ArgumentParser:
                     "Set XCN_THREADS to cap BLAS threads (0 = auto).")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_flags(p, **types):
+        """One --the-name flag for each the_name=type."""
+        for dest, kind in types.items():
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, type=kind)
+
     def add_model_flags(p):
-        p.add_argument("--dense-fields", dest="dense_fields", type=int)
-        p.add_argument("--sparse-fields", dest="sparse_fields", type=int)
-        p.add_argument("--embed-dim", dest="embed_dim", type=int)
-        p.add_argument("--product-size", dest="product_size", type=int)
-        p.add_argument("--cross-depth", dest="cross_depth", type=int)
+        add_flags(p, dense_fields=int, sparse_fields=int, embed_dim=int, product_size=int,
+                  cross_depth=int)
         p.add_argument("--mlp-widths", dest="mlp_widths",
                        help="comma-separated hidden widths, e.g. 400,400; "
                             "'none' for no hidden layers")
 
     p_train = sub.add_parser("train", help="train a model, write checkpoint+log")
     p_train.add_argument("--config", help="JSON config file; flags override it")
-    p_train.add_argument("--train-data", dest="train_data")
-    p_train.add_argument("--valid-data", dest="valid_data")
+    add_flags(p_train, train_data=str, valid_data=str)
     p_train.add_argument("--valid-fraction", dest="valid_fraction", type=float,
                          help="held-out tail fraction of --train-data rows "
                               "when no --valid-data is given")
     p_train.add_argument("--synth", choices=["default"],
                          help="train on the built-in synthetic task")
-    p_train.add_argument("--synth-seed", dest="synth_seed", type=int)
-    p_train.add_argument("--min-freq", dest="min_freq", type=int)
+    add_flags(p_train, synth_seed=int, min_freq=int)
     add_model_flags(p_train)
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--lr", type=float)
-    p_train.add_argument("--batch-size", dest="batch_size", type=int)
-    p_train.add_argument("--l2", type=float)
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--eval-every", dest="eval_every", type=int)
+    add_flags(p_train, seed=int, lr=float, batch_size=int, l2=float, epochs=int,
+              eval_every=int)
     p_train.add_argument("--out", required=True, help="output directory")
     p_train.set_defaults(handler=cmd_train)
 
@@ -428,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         "gradcheck",
         help="compare backward gradients with central finite differences")
     add_model_flags(p_grad)
-    p_grad.add_argument("--vocab-size", dest="vocab_size", type=int)
+    add_flags(p_grad, vocab_size=int)
     p_grad.set_defaults(**GRADCHECK_DEFAULTS)
     p_grad.add_argument("--seed", type=int, default=0)
     p_grad.add_argument("--instances", type=int, default=3)
@@ -441,14 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate the synthetic task as TSV")
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--dense-fields", dest="dense_fields", type=int)
-    p_synth.add_argument("--sparse-fields", dest="sparse_fields", type=int)
-    p_synth.add_argument("--vocab-size", dest="vocab_size", type=int)
-    p_synth.add_argument("--n-train", dest="n_train", type=int)
-    p_synth.add_argument("--n-valid", dest="n_valid", type=int)
-    p_synth.add_argument("--seed", type=int)
-    p_synth.add_argument("--dense-cross-coef", dest="dense_cross_coef", type=float)
-    p_synth.add_argument("--pair-coef", dest="pair_coef", type=float)
+    add_flags(p_synth, dense_fields=int, sparse_fields=int, vocab_size=int, n_train=int,
+              n_valid=int, seed=int, dense_cross_coef=float, pair_coef=float)
     p_synth.set_defaults(handler=cmd_synth)
 
     p_inspect = sub.add_parser("inspect", help="print checkpoint config and "

@@ -622,14 +622,6 @@ class SynthData:
     def valid_scores(self) -> np.ndarray:
         return self.scores[self.spec.n_train:]
 
-    @property
-    def train_labels(self) -> np.ndarray:
-        return self.labels[:self.spec.n_train]
-
-    @property
-    def valid_labels(self) -> np.ndarray:
-        return self.labels[self.spec.n_train:]
-
     def vocab(self) -> FieldVocab:
         return FieldVocab.identity([self.spec.vocab_size] * self.spec.sparse_fields)
 

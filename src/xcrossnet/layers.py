@@ -1,7 +1,9 @@
 """The four network stages as explicit forward/backward pairs.
 
 Every stage is a pure function of (input, parameters) returning the output
-plus a cache of the activations the hand-derived backward pass needs.
+plus a cache of the activations the hand-derived backward pass needs, and
+no more: backward rebuilds the product stage's U = theta @ E_fields with
+one small GEMM, and masks the MLP's ReLU gradient with H_i > 0, not Z_i > 0.
 Parameters live in small dataclasses whose arrays the model makes views
 into its registry's value vector. A dense stage's backward pass writes its
 parameter gradients into a carrier: a second dataclass of the same type
@@ -235,15 +237,15 @@ class ProductLayer:
 @dataclass
 class ProductCache:
     e: np.ndarray   # (B, N, K)
-    et: np.ndarray  # (N, B * K), the fields-major copy of e
-    u: np.ndarray   # (T, B * K), u[t, (b, k)] = sum_i theta[t, i] * e[b, i, k]
+    et: np.ndarray  # (N, B * K), the fields-major copy of e; U = theta @ et is rebuilt
 
 
 def product_forward(e: np.ndarray, pl: ProductLayer) -> tuple[np.ndarray, ProductCache]:
     """Returns ([P1, P2] of shape (B, 2T), cache) for E of shape (B, N, K).
 
     U = theta @ E is one GEMM over the (N, B * K) fields-major layout and
-    P1 = E_flat @ order1_flat^T one over the (B, N * K) row layout.
+    P1 = E_flat @ order1_flat^T one over the (B, N * K) row layout. U is
+    squared in place and dropped: it is the stage's largest temporary.
     """
     e = np.asarray(e, dtype=np.float64)
     t, n, k = pl.order1.shape
@@ -253,9 +255,9 @@ def product_forward(e: np.ndarray, pl: ProductLayer) -> tuple[np.ndarray, Produc
     rows = e.shape[0]
     et = e.transpose(1, 0, 2).reshape(n, rows * k)
     u = pl.theta @ et
-    p2 = np.square(u).reshape(t, rows, k).sum(axis=2).T
+    p2 = np.square(u, out=u).reshape(t, rows, k).sum(axis=2).T
     p1 = e.reshape(rows, n * k) @ pl.order1.reshape(t, n * k).T
-    return np.concatenate([p1, p2], axis=1), ProductCache(e, et, u)
+    return np.concatenate([p1, p2], axis=1), ProductCache(e, et)
 
 
 def product_backward(cache: ProductCache, grad_out: np.ndarray, pl: ProductLayer,
@@ -265,7 +267,9 @@ def product_backward(cache: ProductCache, grad_out: np.ndarray, pl: ProductLayer
     Per row, dp2_t/du_t = 2 u_t, so  dtheta[t, i] = 2 g2_t <u_t, e_i>  and
     the second-order path into e_i is  2 g2_t theta[t, i] u_t; the
     first-order path is linear in both order1 and e. Over the batch, with
-    GU = 2 * G2 * U in the (T, B * K) layout:
+    U = theta @ E_fields rebuilt with the forward pass's GEMM on the same
+    operands (so with the same bits) and GU = 2 * G2 * U in the (T, B * K)
+    layout:
 
         dtheta = GU @ E_fields^T             (T, N)
         dorder1 = G1^T @ E_flat              (T, N * K)
@@ -280,7 +284,8 @@ def product_backward(cache: ProductCache, grad_out: np.ndarray, pl: ProductLayer
         raise DimensionError(
             f"product_backward: grad has shape {grad_out.shape}, expected {(rows, 2 * t)}")
     g1, g2 = grad_out[:, :t], grad_out[:, t:]
-    gu = (2.0 * g2.T[:, :, None] * cache.u.reshape(t, rows, k)).reshape(t, rows * k)
+    u = pl.theta @ cache.et
+    gu = (2.0 * g2.T[:, :, None] * u.reshape(t, rows, k)).reshape(t, rows * k)
     np.matmul(gu, cache.et.T, out=grads.theta)
     np.matmul(g1.T, cache.e.reshape(rows, n * k), out=grads.order1.reshape(t, n * k))
     return (pl.theta.T @ gu).reshape(n, rows, k).transpose(1, 0, 2) + \
@@ -323,8 +328,7 @@ class Mlp:
 
 @dataclass
 class MlpCache:
-    pre_acts: list[np.ndarray]  # Z_i (B, widths[i]) before ReLU
-    hiddens: list[np.ndarray]   # H_i after ReLU; H_0 is the (B, D) input
+    hiddens: list[np.ndarray]   # H_i after ReLU (Z_i is not kept); H_0 is the (B, D) input
     logits: np.ndarray          # (B,)
     probs: np.ndarray           # (B,)
 
@@ -335,15 +339,15 @@ def mlp_forward(h0: np.ndarray, mlp: Mlp) -> tuple[np.ndarray, MlpCache]:
     if h.shape[1] != mlp.input_dim:
         raise DimensionError(
             f"mlp_forward: input has dim {h.shape[1]}, expected {mlp.input_dim}")
-    pre_acts, hiddens = [], [h]
+    hiddens = [h]
     for w, b in zip(mlp.weights, mlp.biases):
-        z = h @ w.T + b
-        h = np.maximum(z, 0.0)
-        pre_acts.append(z)
+        z = h @ w.T
+        z += b
+        h = np.maximum(z, 0.0, out=z)
         hiddens.append(h)
     logits = h @ mlp.out_weight + mlp.out_bias[0]
     probs = stable_sigmoid(logits)
-    return probs, MlpCache(pre_acts, hiddens, logits, probs)
+    return probs, MlpCache(hiddens, logits, probs)
 
 
 def mlp_backward_logit(cache: MlpCache, grad_logit: np.ndarray, mlp: Mlp,
@@ -365,8 +369,9 @@ def mlp_backward_logit(cache: MlpCache, grad_logit: np.ndarray, mlp: Mlp,
     grads.out_bias[0] = g.sum()
     gh = g[:, None] * mlp.out_weight
     for i in range(len(mlp.weights) - 1, -1, -1):
-        # ReLU subgradient at exactly 0 is taken as 0
-        gz = gh * (cache.pre_acts[i] > 0.0)
+        # ReLU subgradient at exactly 0 is taken as 0; max(z, 0) > 0 exactly
+        # when z > 0, NaN included, so H_i gives Z_i's mask bit for bit
+        gz = gh * (cache.hiddens[i + 1] > 0.0)
         np.matmul(gz.T, cache.hiddens[i], out=grads.weights[i])
         np.sum(gz, axis=0, out=grads.biases[i])
         gh = gz @ mlp.weights[i]

@@ -10,9 +10,9 @@ from .errors import DataError, SingleClassError
 
 PRED_CLAMP = 1e-7  # predictions are clamped to [eps, 1-eps] inside the loss only
 
-# Rows per forward pass in predict_dataset. The activations and backward
-# cache of one chunk are held at once: 21.3 MB for 512 rows at the Criteo
-# shapes (tracemalloc), half of it the product stage's per-row caches.
+# Rows per forward pass in predict_dataset. One chunk's activations and
+# cache are alive at a time: a 14.6 MB peak for 512 rows at the Criteo
+# shapes (tracemalloc), over half of it the product stage's transient U.
 PREDICT_CHUNK = 512
 
 
@@ -86,12 +86,13 @@ def auc(preds, labels) -> float:
 
 def predict_dataset(model, dataset) -> np.ndarray:
     """Forward the whole dataset (read-only) in chunks of PREDICT_CHUNK
-    rows, preserving instance order. No cache outlives its chunk."""
+    rows, preserving instance order. Each chunk's cache is dropped as its
+    forward pass returns, before the next chunk's starts."""
     n = len(dataset)
     preds = np.empty(n)
     for start in range(0, n, PREDICT_CHUNK):
         rows = slice(start, start + PREDICT_CHUNK)
-        preds[rows], _ = model.forward(dataset.subset(rows))
+        preds[rows] = model.forward(dataset.subset(rows))[0]
     return preds
 
 

@@ -165,16 +165,13 @@ def relative_error(analytic, numeric, atol: float = 1e-10) -> np.ndarray:
     return np.divide(diff, scale, out=np.zeros_like(scale), where=diff > atol)
 
 
-def batch_logloss(model, batch) -> float:
-    """Forward-only mean clamped logloss (the function finite_diff probes)."""
-    probs, _ = model.forward(batch)
-    return logloss(probs, batch.labels)
-
-
 def relu_kink_risk(model, batch, floor: float = 1e-4) -> bool:
-    """True if any MLP pre-activation sits within floor of the ReLU kink."""
-    _, cache = model.forward(batch)
-    return any(np.any(np.abs(z) < floor) for z in cache.mlp.pre_acts)
+    """True if any MLP pre-activation sits within floor of the ReLU kink.
+    The cache keeps only the rectified H_i, so each Z_i = H_{i-1} @ W_i^T + b_i
+    is rebuilt from them and the weights."""
+    hiddens = model.forward(batch)[1].mlp.hiddens
+    return any(np.any(np.abs(h @ w.T + b) < floor)
+               for h, w, b in zip(hiddens, model.mlp.weights, model.mlp.biases))
 
 
 def gradcheck_point(config, seed: int, instances: int = 3,
@@ -230,7 +227,7 @@ def gradcheck_model(model, batch, eps: float = 1e-5,
 
     def probe(theta):
         registry.set_flat(theta)
-        return batch_logloss(model, batch)
+        return logloss(model.forward(batch)[0], batch.labels)
 
     numeric = finite_diff(probe, theta0, eps)
     registry.set_flat(theta0)

@@ -167,6 +167,23 @@ class TestTrain:
         assert cfg["batch_size"] == 128 and cfg["embed_dim"] == 6
         assert cfg["product_size"] == cli.SYNTH_SCALE_DEFAULTS["product_size"]
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_synth_field_count_mismatch_is_usage_error(self, tmp_path, capsys, source):
+        # the synthetic data has 4 dense and 4 sparse fields; another count
+        # is reported, not silently replaced
+        if source == "flag":
+            given = ["--dense-fields", "7", "--sparse-fields", "9"]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"dense_fields": 7, "sparse_fields": 9}))
+            given = ["--config", str(cfg_path)]
+        code, out, err = run_cli(["train", "--synth", "default", *given, "--epochs", "0",
+                                  "--out", str(tmp_path / "run")], capsys)
+        assert code == 2 and out == ""
+        assert "dense_fields: --synth default has 4, got 7" in err
+        assert "sparse_fields: --synth default has 4, got 9" in err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("key, value", [("embed_dim", 2.5), ("mlp_widths", [4.0])])
     def test_non_integer_model_dimension_is_usage_error(self, tmp_path, capsys,
                                                         key, value):
@@ -387,14 +404,16 @@ class TestGradcheck:
     @pytest.mark.parametrize("flag, value", [
         ("--cross-depth", "0"), ("--dense-fields", "0"), ("--instances", "0"), ("--eps", "0"),
         ("--eps", "inf"), ("--tolerance", "nan"), ("--tolerance", "-1"), ("--tolerance", "0"),
+        ("--vocab-size", "0"),
     ], ids=["--cross-depth", "--dense-fields", "--instances", "--eps", "--eps-inf",
-            "--tolerance-nan", "--tolerance--1", "--tolerance-0"])
+            "--tolerance-nan", "--tolerance--1", "--tolerance-0", "--vocab-size"])
     def test_zero_is_usage_error(self, capsys, flag, value):
         # an explicit 0 is checked, not replaced by the default; eps and
-        # tolerance must also be finite
+        # tolerance must also be finite; the message names the flag given
         code, out, err = run_cli(["gradcheck", flag, value], capsys)
         assert code == 2
         assert f"{flag[2:].replace('-', '_')}:" in err
+        assert "vocab_sizes" not in err
         assert "gradcheck_pass" not in out
 
     def test_default_config_passes(self, capsys):

@@ -426,7 +426,7 @@ class TestSynth:
         for seed in (1, 2, 3):
             spec = dataclasses.replace(data.DEFAULT_SYNTH_SPEC, seed=seed)
             sd = data.synth_generate(spec)
-            aucs.append(metrics.auc(sd.train_scores, sd.train_labels))
+            aucs.append(metrics.auc(sd.train_scores, sd.train_dataset().labels))
         center = sum(aucs) / len(aucs)
         assert max(abs(a - center) for a in aucs) <= 0.005
 

@@ -400,6 +400,35 @@ class TestProductLayer:
             f, np.concatenate([e.ravel(), theta.ravel(), order1.ravel()]))
         assert rel_err(analytic, numeric) < 1e-6
 
+    def test_cache_keeps_no_u(self):
+        # T != N, so the (N, B * K) fields-major copy cannot pass for U
+        rng = np.random.default_rng(24)
+        rows, t, n, k = 5, 6, 4, 3
+        _, cache = layers.product_forward(rng.normal(size=(rows, n, k)),
+                                          product_layer(rng, t, n, k))
+        shapes = [getattr(cache, f.name).shape for f in dataclasses.fields(cache)]
+        assert shapes == [(rows, n, k), (n, rows * k)]
+
+    def test_backward_matches_a_kept_u_bitwise(self):
+        # the reference keeps U from the forward pass's own expression and
+        # applies the backward formulas to it; backward rebuilds U instead
+        rng = np.random.default_rng(25)
+        rows, t, n, k = 64, 7, 5, 4
+        pl = layers.ProductLayer(rng.uniform(-1, 1, (t, n)), rng.uniform(-1, 1, (t, n, k)))
+        e = rng.uniform(-1, 1, (rows, n, k))
+        g = rng.normal(size=(rows, 2 * t))
+        _, cache = layers.product_forward(e, pl)
+        grad_e, grads = backward(layers.product_backward, cache, g, pl)
+
+        et = e.transpose(1, 0, 2).reshape(n, rows * k)
+        u = pl.theta @ et
+        g1, g2 = g[:, :t], g[:, t:]
+        gu = (2.0 * g2.T[:, :, None] * u.reshape(t, rows, k)).reshape(t, rows * k)
+        assert np.array_equal(grads.theta, gu @ et.T)
+        assert np.array_equal(grads.order1.reshape(t, n * k), g1.T @ e.reshape(rows, n * k))
+        assert np.array_equal(grad_e, (pl.theta.T @ gu).reshape(n, rows, k).transpose(1, 0, 2)
+                              + (g1 @ pl.order1.reshape(t, n * k)).reshape(rows, n, k))
+
 
 @given(t=st.integers(min_value=1, max_value=5), n=st.integers(min_value=1, max_value=4),
        k=st.integers(min_value=1, max_value=4), **batch_shapes)
@@ -563,7 +592,9 @@ class TestMlp:
             mlp = random_mlp(rng, input_dim, widths)
             h0 = rng.uniform(-1, 1, (rows, input_dim))
             _, cache = layers.mlp_forward(h0, mlp)
-            if all(np.min(np.abs(z)) > 1e-3 for z in cache.pre_acts) and \
+            # the cache keeps no Z_i: rebuild each from H_{i-1} and the weights
+            if all(np.min(np.abs(h @ w.T + b)) > 1e-3 for h, w, b in
+                   zip(cache.hiddens, mlp.weights, mlp.biases)) and \
                     np.max(np.abs(cache.logits)) < 6:
                 break
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xcrossnet import data, layers, optim, oracle
+from xcrossnet import data, layers, metrics, optim, oracle
 from xcrossnet import model as model_mod
 from xcrossnet.errors import CheckpointError, DataError, DimensionError
 from xcrossnet.model import (ModelConfig, XCrossNetModel, balance_index,
@@ -276,6 +276,37 @@ class TestForwardBackward:
         finally:
             tracemalloc.stop()
         assert peak < m.registry.grad.nbytes / 4
+
+    @pytest.fixture(scope="class")
+    def criteo_rows(self):
+        config = ModelConfig.criteo_default((1000,) * 26, seed=0)
+        return XCrossNetModel.init(config), random_batch(config, np.random.default_rng(13),
+                                                         n=4 * metrics.PREDICT_CHUNK)
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_forward_keeps_no_full_size_temporaries(self, criteo_rows):
+        # at the Criteo topology U (T x B*K) alone is 8.2 MB for 512 rows:
+        # the bound holds only if neither U nor the MLP pre-activations
+        # outlive the forward pass (with both kept it peaks at 23.7 MB)
+        m, rows = criteo_rows
+        chunk = rows.subset(slice(0, metrics.PREDICT_CHUNK))
+        assert self.traced_peak(lambda: m.forward(chunk)) <= 16e6
+
+    def test_predict_holds_one_chunk_at_a_time(self, criteo_rows):
+        # predicting four chunks peaks as one forward does; a chunk's cache
+        # kept alive through the next chunk's forward about doubles it
+        m, rows = criteo_rows
+        chunk = rows.subset(slice(0, metrics.PREDICT_CHUNK))
+        one = self.traced_peak(lambda: m.forward(chunk))
+        assert self.traced_peak(lambda: metrics.predict_dataset(m, rows)) <= 1.1 * one
 
     def test_batch_gradient_is_mean_of_instances(self):
         # the batched back half sums rows inside GEMMs, in an order of its

@@ -74,7 +74,8 @@ class TestObjective:
 
         def f(theta):
             model.registry.set_flat(theta)
-            return oracle.batch_logloss(model, batch) + lam * float(np.sum(theta * theta))
+            loss = metrics.logloss(model.forward(batch)[0], batch.labels)
+            return loss + lam * float(np.sum(theta * theta))
 
         numeric = oracle.finite_diff(f, theta0)
         model.registry.set_flat(theta0)

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xcrossnet import layers, oracle
+from xcrossnet import data, layers, oracle
 from xcrossnet.errors import DimensionError, NumericError
+from xcrossnet.model import ModelConfig, XCrossNetModel
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -153,3 +154,36 @@ class TestRelativeError:
         # the floor is on the difference, not on the magnitudes
         assert oracle.relative_error(0.0, 1e-9) == 1.0
         assert oracle.relative_error(2e-9, 1e-9, atol=1e-9) == 0.0
+
+
+class TestReluKinkRisk:
+    # zero MLP weights make every pre-activation its bias exactly; negative
+    # biases make every hidden output 0, so only a check that rebuilds the
+    # pre-activations can tell these batches apart
+    def model_and_batch(self):
+        config = ModelConfig(dense_fields=2, sparse_fields=2, vocab_sizes=(3, 3),
+                             embed_dim=2, product_size=2, cross_depth=1,
+                             mlp_widths=(4, 3), seed=5)
+        model = XCrossNetModel.init(config)
+        for w, b in zip(model.mlp.weights, model.mlp.biases):
+            w[...] = 0.0
+            b[...] = -0.5
+        rng = np.random.default_rng(6)
+        batch = data.Dataset(rng.uniform(-1, 1, (5, 2)), rng.integers(0, 3, (5, 2)),
+                             np.zeros(5))
+        return model, batch
+
+    def test_passes_when_every_pre_activation_is_clear_of_the_kink(self):
+        model, batch = self.model_and_batch()
+        hiddens = model.forward(batch)[1].mlp.hiddens
+        assert all(np.all(h == 0.0) for h in hiddens[1:])
+        zs = [h @ w.T + b for h, w, b in zip(hiddens, model.mlp.weights, model.mlp.biases)]
+        assert [z.shape for z in zs] == [(5, 4), (5, 3)]
+        assert all(np.min(np.abs(z)) > 1e-2 for z in zs)
+        assert not oracle.relu_kink_risk(model, batch)
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_flags_a_pre_activation_at_exactly_zero(self, layer):
+        model, batch = self.model_and_batch()
+        model.mlp.biases[layer][1] = 0.0
+        assert oracle.relu_kink_risk(model, batch)
