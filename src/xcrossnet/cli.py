@@ -263,9 +263,11 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_vocab_for(args, model) -> data_mod.FieldVocab:
-    """The vocab of --vocab, or next to the checkpoint; DataError unless it
-    maps no token past the model's embedding tables."""
+def _load_scoring_inputs(args) -> tuple[XCrossNetModel, data_mod.Dataset]:
+    """The model of --checkpoint and the rows of --data, parsed with the
+    vocab of --vocab, or the one next to the checkpoint; DataError unless
+    that vocab maps no token past the model's embedding tables."""
+    model = load_checkpoint(args.checkpoint)
     vocab_path = getattr(args, "vocab", None)
     if vocab_path is None:
         vocab_path = Path(args.checkpoint).parent / "vocab.json"
@@ -280,14 +282,12 @@ def _load_vocab_for(args, model) -> data_mod.FieldVocab:
     if any(v > m for v, m in zip(vocab.sizes(), model.config.vocab_sizes)):
         raise DataError(f"vocab {vocab_path} has sizes {vocab.sizes()}, more than "
                         f"the model's {tuple(model.config.vocab_sizes)}")
-    return vocab
+    return model, data_mod.load_tsv(args.data, vocab, model.config.dense_fields,
+                                    model.config.sparse_fields)
 
 
 def cmd_eval(args) -> int:
-    model = load_checkpoint(args.checkpoint)
-    vocab = _load_vocab_for(args, model)
-    ds = data_mod.load_tsv(args.data, vocab, model.config.dense_fields,
-                           model.config.sparse_fields)
+    model, ds = _load_scoring_inputs(args)
     report = metrics.evaluate(model, ds)
     for line in report.lines():
         print(line)
@@ -295,10 +295,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model = load_checkpoint(args.checkpoint)
-    vocab = _load_vocab_for(args, model)
-    ds = data_mod.load_tsv(args.data, vocab, model.config.dense_fields,
-                           model.config.sparse_fields)
+    model, ds = _load_scoring_inputs(args)
     preds = metrics.predict_dataset(model, ds)
     with open(args.out, "w") as f:
         for p in preds:

@@ -2,8 +2,9 @@
 
 Every stage is a pure function of (input, parameters) returning the output
 plus a cache of the activations the hand-derived backward pass needs, and
-no more: backward rebuilds the product stage's U = theta @ E_fields with
-one small GEMM, and masks the MLP's ReLU gradient with H_i > 0, not Z_i > 0.
+no more: the product stage contracts U = theta @ E_fields into P2 with one
+einsum, and backward rebuilds U with one small GEMM and scales it into GU in
+place; the MLP's ReLU gradient is masked with H_i > 0, not Z_i > 0.
 Parameters live in small dataclasses whose arrays the model makes views
 into its registry's value vector. A dense stage's backward pass writes its
 parameter gradients into a carrier: a second dataclass of the same type
@@ -196,9 +197,9 @@ def embed_backward(cache: EmbedCache, grad_e: np.ndarray,
 
     rows holds the distinct block rows the batch looked up, sorted, and
     grad[j] the sum of grad_e[b, i] over every (b, i) that looked up
-    rows[j], added in batch-row order (np.add.at), so each sum has the bits
-    of the instance-order sum. Every other row's gradient is exactly zero,
-    and the cost is O(B * N * K) whatever the vocab sizes.
+    rows[j], summed in batch-row order from +0.0 by one np.bincount over
+    the (row, column) slots: same order, same bits as the instance-order
+    sum. Other rows' gradients are exactly zero; the cost is O(B * N * K).
     """
     grad_e = np.asarray(grad_e, dtype=np.float64)
     expected = (*cache.rows.shape, emb.embed_dim)
@@ -206,9 +207,9 @@ def embed_backward(cache: EmbedCache, grad_e: np.ndarray,
         raise DimensionError(
             f"embed_backward: grad has shape {grad_e.shape}, expected {expected}")
     rows, inverse = np.unique(cache.rows.ravel(), return_inverse=True)
-    grad = np.zeros((len(rows), emb.embed_dim))
-    np.add.at(grad, inverse, grad_e.reshape(-1, emb.embed_dim))
-    return rows, grad
+    slots = inverse[:, None] * emb.embed_dim + np.arange(emb.embed_dim)
+    grad = np.bincount(slots.ravel(), weights=grad_e.ravel())  # int64 when empty
+    return rows, grad.astype(np.float64, copy=False).reshape(-1, emb.embed_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +245,8 @@ def product_forward(e: np.ndarray, pl: ProductLayer) -> tuple[np.ndarray, Produc
     """Returns ([P1, P2] of shape (B, 2T), cache) for E of shape (B, N, K).
 
     U = theta @ E is one GEMM over the (N, B * K) fields-major layout and
-    P1 = E_flat @ order1_flat^T one over the (B, N * K) row layout. U is
-    squared in place and dropped: it is the stage's largest temporary.
+    P1 = E_flat @ order1_flat^T one over the (B, N * K) row layout. P2 is one
+    einsum of U with itself over K: no U-sized square, bits not a square-then-sum's.
     """
     e = np.asarray(e, dtype=np.float64)
     t, n, k = pl.order1.shape
@@ -254,8 +255,8 @@ def product_forward(e: np.ndarray, pl: ProductLayer) -> tuple[np.ndarray, Produc
             f"product_forward: embeddings {e.shape} vs layer fields {(n, k)}")
     rows = e.shape[0]
     et = e.transpose(1, 0, 2).reshape(n, rows * k)
-    u = pl.theta @ et
-    p2 = np.square(u, out=u).reshape(t, rows, k).sum(axis=2).T
+    u = (pl.theta @ et).reshape(t, rows, k)
+    p2 = np.einsum("tbk,tbk->bt", u, u)
     p1 = e.reshape(rows, n * k) @ pl.order1.reshape(t, n * k).T
     return np.concatenate([p1, p2], axis=1), ProductCache(e, et)
 
@@ -269,7 +270,7 @@ def product_backward(cache: ProductCache, grad_out: np.ndarray, pl: ProductLayer
     first-order path is linear in both order1 and e. Over the batch, with
     U = theta @ E_fields rebuilt with the forward pass's GEMM on the same
     operands (so with the same bits) and GU = 2 * G2 * U in the (T, B * K)
-    layout:
+    layout, scaled in U's own buffer:
 
         dtheta = GU @ E_fields^T             (T, N)
         dorder1 = G1^T @ E_flat              (T, N * K)
@@ -284,8 +285,8 @@ def product_backward(cache: ProductCache, grad_out: np.ndarray, pl: ProductLayer
         raise DimensionError(
             f"product_backward: grad has shape {grad_out.shape}, expected {(rows, 2 * t)}")
     g1, g2 = grad_out[:, :t], grad_out[:, t:]
-    u = pl.theta @ cache.et
-    gu = (2.0 * g2.T[:, :, None] * u.reshape(t, rows, k)).reshape(t, rows * k)
+    gu = pl.theta @ cache.et
+    gu.reshape(t, rows, k)[...] *= (2.0 * g2.T)[:, :, None]
     np.matmul(gu, cache.et.T, out=grads.theta)
     np.matmul(g1.T, cache.e.reshape(rows, n * k), out=grads.order1.reshape(t, n * k))
     return (pl.theta.T @ gu).reshape(n, rows, k).transpose(1, 0, 2) + \

@@ -412,7 +412,7 @@ def save_checkpoint(model: XCrossNetModel, path) -> None:
 def load_checkpoint(path) -> XCrossNetModel:
     """Read a checkpoint; the payload is read straight into the new
     model's value vector (through one payload-sized buffer only on a
-    big-endian host)."""
+    big-endian host). A NaN or an infinity in it is refused, naming its entry."""
     with open(path, "rb") as f:
         header_line = f.readline()
         try:
@@ -447,4 +447,7 @@ def load_checkpoint(path) -> XCrossNetModel:
             raise CheckpointError("parameter blob ended early")
     if target is not values:
         values[...] = target
+    for entry in model.registry:  # min and max find a NaN or inf with no bool array
+        if not (math.isfinite(entry.values.min()) and math.isfinite(entry.values.max())):
+            raise CheckpointError(f"parameter {entry.name} holds a non-finite value")
     return model

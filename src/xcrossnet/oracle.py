@@ -165,13 +165,12 @@ def relative_error(analytic, numeric, atol: float = 1e-10) -> np.ndarray:
     return np.divide(diff, scale, out=np.zeros_like(scale), where=diff > atol)
 
 
-def relu_kink_risk(model, batch, floor: float = 1e-4) -> bool:
-    """True if any MLP pre-activation sits within floor of the ReLU kink.
-    The cache keeps only the rectified H_i, so each Z_i = H_{i-1} @ W_i^T + b_i
-    is rebuilt from them and the weights."""
-    hiddens = model.forward(batch)[1].mlp.hiddens
+def relu_kink_risk(mlp, cache, floor: float = 1e-4) -> bool:
+    """True if any pre-activation of mlp, in the forward pass that left cache
+    (its MlpCache), sits within floor of the ReLU kink. Each pre-activation
+    Z_i = H_{i-1} @ W_i^T + b_i is rebuilt from the H_i the cache keeps."""
     return any(np.any(np.abs(h @ w.T + b) < floor)
-               for h, w, b in zip(hiddens, model.mlp.weights, model.mlp.biases))
+               for h, w, b in zip(cache.hiddens, mlp.weights, mlp.biases))
 
 
 def gradcheck_point(config, seed: int, instances: int = 3,
@@ -198,9 +197,9 @@ def gradcheck_point(config, seed: int, instances: int = 3,
             [rng.integers(0, v, instances) for v in config.vocab_sizes])
         labels = rng.integers(0, 2, instances).astype(np.float64)
         batch = Dataset(dense, sparse, labels)
-        logits = model.forward(batch)[1].mlp.logits
-        if np.max(np.abs(logits)) <= logit_cap and \
-                not relu_kink_risk(model, batch):
+        cache = model.forward(batch)[1].mlp
+        if np.max(np.abs(cache.logits)) <= logit_cap and \
+                not relu_kink_risk(model.mlp, cache):
             return model, batch
     raise NumericError(
         f"no well-conditioned gradcheck point found in {max_tries} draws")

@@ -7,7 +7,7 @@ import pytest
 
 from xcrossnet import cli
 from xcrossnet.errors import NumericError
-from xcrossnet.model import XCrossNetModel, ModelConfig, save_checkpoint
+from xcrossnet.model import XCrossNetModel, ModelConfig, load_checkpoint, save_checkpoint
 
 
 def run_cli(argv, capsys):
@@ -301,6 +301,26 @@ class TestEval:
                                     "--data", "unused.tsv"], capsys)
             assert code == 3
             assert "bytes" in err or "checkpoint" in err
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("name, value", [("embed.field1", "nan"), ("concat.w", "inf")])
+    def test_non_finite_checkpoint_value_exits_3(self, synth_dir, trained_dir, tmp_path,
+                                                capsys, command, name, value):
+        # the same payload, with one value of one entry overwritten
+        path = trained_dir / "checkpoint.xcn"
+        header, _, payload = path.read_bytes().partition(b"\n")
+        at = 8 * load_checkpoint(path).registry[name].start
+        bad = tmp_path / "checkpoint.xcn"
+        bad.write_bytes(header + b"\n" + payload[:at] + np.array(float(value), "<f8").tobytes()
+                        + payload[at + 8:])
+        (tmp_path / "vocab.json").write_text((trained_dir / "vocab.json").read_text())
+        out = tmp_path / "p.txt"
+        extra = ["--out", str(out)] if command == "predict" else []
+        code, stdout, err = run_cli([command, "--checkpoint", str(bad),
+                                     "--data", str(synth_dir / "valid.tsv"), *extra], capsys)
+        assert code == 3
+        assert f"parameter {name} holds a non-finite value" in err
+        assert stdout == "" and not out.exists()
 
     def test_single_class_data(self, trained_dir, tmp_path, capsys):
         rows = []

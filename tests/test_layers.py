@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,6 +272,45 @@ class TestEmbedding:
         assert np.array_equal(numeric[untouched], analytic[untouched])
         assert rel_err(analytic, numeric) < 1e-8
 
+    @staticmethod
+    def add_at_reference(cache, grad_e, k):
+        rows, inverse = np.unique(cache.rows.ravel(), return_inverse=True)
+        grad = np.zeros((len(rows), k))
+        np.add.at(grad, inverse, grad_e.reshape(-1, k))
+        return rows, grad
+
+    def test_power_law_ids_match_add_at_bitwise(self):
+        # the Criteo shapes, B = 512, N = 26, K = 20, with power-law ids, so
+        # that many rows sum dozens of terms: the sums keep np.add.at's bits
+        rng = np.random.default_rng(26)
+        b, n, k, vocab = 512, 26, 20, 1000
+        emb = layers.Embedding(np.zeros((n * vocab, k)), (vocab,) * n)
+        ids = np.minimum(rng.pareto(1.1, (b, n)).astype(np.int64), vocab - 1)
+        _, cache = layers.embed_forward(ids, emb)
+        grad_e = rng.normal(size=(b, n, k))
+        rows, grad = layers.embed_backward(cache, grad_e, emb)
+        want_rows, want = self.add_at_reference(cache, grad_e, k)
+        assert np.array_equal(rows, want_rows)
+        assert np.bincount(np.searchsorted(rows, cache.rows.ravel())).max() > 100
+        assert grad.dtype == np.float64 and grad.tobytes() == want.tobytes()
+
+    def test_negative_zero_gradients_sum_to_positive_zero(self):
+        # each sum starts from +0.0, and 0.0 + -0.0 is +0.0
+        emb = layers.Embedding(np.zeros((6, 3)), (4, 2))
+        ids = np.array([[3, 1], [3, 0], [2, 1]])
+        _, cache = layers.embed_forward(ids, emb)
+        grad_e = np.full((3, 2, 3), -0.0)
+        _, grad = layers.embed_backward(cache, grad_e, emb)
+        assert grad.shape == (4, 3) and not np.signbit(grad).any()
+        assert grad.tobytes() == self.add_at_reference(cache, grad_e, 3)[1].tobytes()
+
+    def test_empty_batch(self):
+        emb = layers.Embedding(np.zeros((6, 3)), (4, 2))
+        _, cache = layers.embed_forward(np.zeros((0, 2), dtype=np.int64), emb)
+        rows, grad = layers.embed_backward(cache, np.zeros((0, 2, 3)), emb)
+        assert rows.shape == (0,)
+        assert grad.shape == (0, 3) and grad.dtype == np.float64
+
     def test_backward_shape_mismatch(self):
         emb = layers.Embedding(np.zeros((6, 3)), (4, 2))
         _, cache = layers.embed_forward(np.array([[3, 1]]), emb)
@@ -343,6 +383,22 @@ class TestProductLayer:
                 ref = oracle.naive_product_p2(e[row], pl.theta, t)
                 assert rel_err(out[row, 4 + t], ref, floor=1e-300) < 1e-10
 
+    @pytest.mark.parametrize("k", [1, 3, 8, 20, 33])
+    def test_p2_matches_double_sum_oracle_at_every_kernel_length(self, k):
+        # the contraction over K may take a different kernel at each length.
+        # The double sum cancels, so its own rounding scales with the sum of
+        # its terms' magnitudes: the bound is relative to that sum
+        rng = np.random.default_rng(27 + k)
+        rows, t, n = 3, 4, 5
+        pl = layers.ProductLayer(rng.uniform(-1, 1, (t, n)), rng.uniform(-1, 1, (t, n, k)))
+        e = rng.uniform(-1, 1, (rows, n, k))
+        out, _ = layers.product_forward(e, pl)
+        for row in range(rows):
+            for slot in range(t):
+                want = oracle.naive_product_p2(e[row], pl.theta, slot)
+                scale = oracle.naive_product_p2(np.abs(e[row]), np.abs(pl.theta), slot)
+                assert abs(out[row, t + slot] - want) <= 1e-12 * scale
+
     def test_dim_mismatch(self):
         pl = product_layer(np.random.default_rng(23), 2, 3, 2)
         with pytest.raises(DimensionError):
@@ -408,6 +464,22 @@ class TestProductLayer:
                                           product_layer(rng, t, n, k))
         shapes = [getattr(cache, f.name).shape for f in dataclasses.fields(cache)]
         assert shapes == [(rows, n, k), (n, rows * k)]
+
+    def test_backward_builds_gu_in_place_of_u(self):
+        # at the Criteo shapes, 512 rows, U (T x B*K) alone is 8.2 MB; with
+        # GU = 2 * G2 * U made as a second U-sized array the peak is 22.8 MB
+        rng = np.random.default_rng(28)
+        rows, t, n, k = 512, 100, 26, 20
+        pl = product_layer(rng, t, n, k)
+        _, cache = layers.product_forward(rng.normal(size=(rows, n, k)), pl)
+        g, grads = rng.normal(size=(rows, 2 * t)), carrier(pl)
+        tracemalloc.start()
+        try:
+            layers.product_backward(cache, g, pl, grads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
 
     def test_backward_matches_a_kept_u_bitwise(self):
         # the reference keeps U from the forward pass's own expression and

@@ -462,6 +462,15 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.xcn"]
 
+    @pytest.mark.parametrize("name, index, value", [
+        ("embed.field2", (3, 1), np.nan), ("mlp.w0", (0, 0), -np.inf)])
+    def test_non_finite_value_is_refused_naming_its_entry(self, tmp_path, name, index, value):
+        m = XCrossNetModel.init(SMALL)
+        m.registry[name].values[index] = value
+        save_checkpoint(m, tmp_path / "bad.xcn")
+        with pytest.raises(CheckpointError, match=f"parameter {name} holds a non-finite value"):
+            load_checkpoint(tmp_path / "bad.xcn")
+
     def test_garbage_header(self, tmp_path):
         (tmp_path / "bad.xcn").write_bytes(b"\x00\x01\x02 not json\n1234")
         with pytest.raises(CheckpointError):

@@ -175,15 +175,16 @@ class TestReluKinkRisk:
 
     def test_passes_when_every_pre_activation_is_clear_of_the_kink(self):
         model, batch = self.model_and_batch()
-        hiddens = model.forward(batch)[1].mlp.hiddens
+        cache = model.forward(batch)[1].mlp
+        hiddens = cache.hiddens
         assert all(np.all(h == 0.0) for h in hiddens[1:])
         zs = [h @ w.T + b for h, w, b in zip(hiddens, model.mlp.weights, model.mlp.biases)]
         assert [z.shape for z in zs] == [(5, 4), (5, 3)]
         assert all(np.min(np.abs(z)) > 1e-2 for z in zs)
-        assert not oracle.relu_kink_risk(model, batch)
+        assert not oracle.relu_kink_risk(model.mlp, cache)
 
     @pytest.mark.parametrize("layer", [0, 1])
     def test_flags_a_pre_activation_at_exactly_zero(self, layer):
         model, batch = self.model_and_batch()
         model.mlp.biases[layer][1] = 0.0
-        assert oracle.relu_kink_risk(model, batch)
+        assert oracle.relu_kink_risk(model.mlp, model.forward(batch)[1].mlp)
