@@ -1,7 +1,7 @@
 """Command-line surface: train, eval, predict, gradcheck, synth, inspect.
 
 Exit codes: 0 ok, 1 check failure, 2 usage/config error, 3 I/O or data
-error, 4 numeric failure (non-finite loss).
+error, 4 numeric failure (a non-finite loss or prediction).
 
 Every run is deterministic under fixed seeds and inputs, writes its
 resolved configuration next to its outputs, and never mutates its inputs.
@@ -78,9 +78,9 @@ RUN_DEFAULTS = {
     "synth_seed": None,
 }
 
-# Architecture/batch defaults applied when training on --synth data and the
-# corresponding flag was not given explicitly: the synthetic task is desk
-# scale and does not need the Criteo-sized network.
+# Architecture/batch defaults of a --synth run, which the --config file and
+# the flags override: the synthetic task is desk scale and does not need the
+# Criteo-sized network.
 SYNTH_SCALE_DEFAULTS = {
     "embed_dim": 8,
     "product_size": 8,
@@ -121,33 +121,33 @@ def _model_config(settings: dict, vocab_sizes) -> ModelConfig:
 
 
 def _resolve_run_config(args) -> tuple[dict, optim.TrainConfig]:
-    """The merged run settings (defaults, --config file, flags) and the
-    training config built from them; UsageError lists every bad setting."""
-    cfg = dict(RUN_DEFAULTS)
+    """The run settings, in layers: the Criteo defaults; under --synth, the
+    desk scale and the synthetic data's field counts; the --config file; the
+    flags. Returns them and their TrainConfig; UsageError lists every bad one."""
     problems = []
-    file_keys = set()
+    given = {}
     if getattr(args, "config", None):
         try:
             with open(args.config) as f:
-                file_cfg = json.load(f)
+                given = json.load(f)
         except OSError as exc:
             raise DataError(f"cannot read --config file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise UsageError([f"config file: invalid JSON ({exc})"]) from None
-        if not isinstance(file_cfg, dict):
+        if not isinstance(given, dict):
             raise UsageError(["config file: expected a JSON object"])
-        file_keys = set(file_cfg)
-        for key, value in file_cfg.items():
-            if key == "vocab_sizes":
-                continue  # derived, accepted on re-load for provenance
-            if key not in cfg:
-                problems.append(f"{key}: unknown config key")
-            else:
-                cfg[key] = value
-    for key in cfg:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            cfg[key] = flag_value
+        # the vocab sizes and synth spec that train derives are accepted on reload
+        problems += [f"{key}: unknown config key" for key in given
+                     if key not in RUN_DEFAULTS and key not in ("vocab_sizes", "synth_spec")]
+        given = {key: value for key, value in given.items() if key in RUN_DEFAULTS}
+    given.update({key: getattr(args, key) for key in RUN_DEFAULTS
+                  if getattr(args, key, None) is not None})
+    cfg = dict(RUN_DEFAULTS)
+    spec = data_mod.DEFAULT_SYNTH_SPEC
+    if given.get("synth") is not None:
+        cfg.update(SYNTH_SCALE_DEFAULTS, dense_fields=spec.dense_fields,
+                   sparse_fields=spec.sparse_fields)
+    cfg.update(given)
     cfg["mlp_widths"] = _parse_widths(cfg["mlp_widths"])
 
     if cfg["synth"] is None:
@@ -157,17 +157,11 @@ def _resolve_run_config(args) -> tuple[dict, optim.TrainConfig]:
     else:
         if cfg["synth"] != "default":
             problems.append(f"synth: only 'default' is defined, got {cfg['synth']!r}")
-        explicit = file_keys | {k for k in cfg if getattr(args, k, None) is not None}
-        # the synthetic data fixes the field counts: a different one is not dropped
-        spec = data_mod.DEFAULT_SYNTH_SPEC
-        for key in ("dense_fields", "sparse_fields"):
-            if key in explicit and cfg[key] != getattr(spec, key):
+        for key in ("dense_fields", "sparse_fields"):  # fixed by the synthetic data
+            if cfg[key] != getattr(spec, key):
                 problems.append(f"{key}: --synth default has {getattr(spec, key)}, "
                                 f"got {cfg[key]!r}")
             cfg[key] = getattr(spec, key)
-        for key, value in SYNTH_SCALE_DEFAULTS.items():
-            if key not in explicit:
-                cfg[key] = value
     fraction = cfg["valid_fraction"]
     if not is_number(fraction) or not 0.0 <= fraction < 1.0:
         problems.append(f"valid_fraction: must be a number in [0, 1), got {fraction!r}")

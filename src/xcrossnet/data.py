@@ -150,18 +150,11 @@ class FieldVocab:
         return cls([{f"c{i}": i for i in range(1, v)} for v in vocab_sizes])
 
 
-def open_maybe_gzip(path, mode="rt"):
-    path = str(path)
-    if path.endswith(".gz"):
-        return gzip.open(path, mode)
-    return open(path, mode)
-
-
 def read_lines(path):
     """The lines of a text file, gunzipped if its name ends in .gz; a
     truncated or corrupt gzip stream, or a byte that is not UTF-8, raises
     DataError naming the file."""
-    with open_maybe_gzip(path) as f:
+    with gzip.open(path, "rt") if str(path).endswith(".gz") else open(path) as f:
         try:
             yield from f
         except (EOFError, UnicodeDecodeError, zlib.error) as exc:
@@ -501,7 +494,7 @@ def load_tsv(path, vocab: FieldVocab, n_dense: int, n_sparse: int) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def batch_iter(dataset: Dataset, batch_size: int, seed=0, shuffle: bool = True):
+def batch_iter(dataset: Dataset, batch_size: int, seed=0):
     """Yield Dataset slices covering a full permutation of the data.
 
     The permutation is drawn from default_rng(seed); seed may be an int or
@@ -513,10 +506,7 @@ def batch_iter(dataset: Dataset, batch_size: int, seed=0, shuffle: bool = True):
         raise DataError("cannot batch an empty dataset")
     if batch_size < 1:
         raise DataError(f"batch_size must be >= 1, got {batch_size}")
-    if shuffle:
-        perm = np.random.default_rng(seed).permutation(n)
-    else:
-        perm = np.arange(n)
+    perm = np.random.default_rng(seed).permutation(n)
     for start in range(0, n, batch_size):
         yield dataset.subset(perm[start:start + batch_size])
 

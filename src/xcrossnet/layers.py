@@ -55,6 +55,14 @@ def _as_rows(x, stage: str) -> np.ndarray:
     return x
 
 
+def _upstream(grad, expected: tuple, stage: str) -> np.ndarray:
+    """Coerce a backward pass's upstream gradient to float64 of its output's shape."""
+    grad = np.asarray(grad, dtype=np.float64)
+    if grad.shape != expected:
+        raise DimensionError(f"{stage}: grad has shape {grad.shape}, expected {expected}")
+    return grad
+
+
 # ---------------------------------------------------------------------------
 # cross stack on dense features
 # ---------------------------------------------------------------------------
@@ -125,11 +133,7 @@ def cross_backward(cache: CrossCache, grad_out: np.ndarray, stack: CrossStack,
     """
     rows, m = cache.d.shape
     depth = stack.depth
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != (rows, m * (depth + 1)):
-        raise DimensionError(
-            f"cross_backward: grad has shape {grad_out.shape}, "
-            f"expected {(rows, m * (depth + 1))}")
+    grad_out = _upstream(grad_out, (rows, m * (depth + 1)), "cross_backward")
     segs = grad_out.reshape(rows, depth + 1, m)
     grad_d = segs[:, 0].copy()
     running = 0.0  # gradient flowing back onto C_{l+1} from deeper layers
@@ -201,11 +205,7 @@ def embed_backward(cache: EmbedCache, grad_e: np.ndarray,
     the (row, column) slots: same order, same bits as the instance-order
     sum. Other rows' gradients are exactly zero; the cost is O(B * N * K).
     """
-    grad_e = np.asarray(grad_e, dtype=np.float64)
-    expected = (*cache.rows.shape, emb.embed_dim)
-    if grad_e.shape != expected:
-        raise DimensionError(
-            f"embed_backward: grad has shape {grad_e.shape}, expected {expected}")
+    grad_e = _upstream(grad_e, (*cache.rows.shape, emb.embed_dim), "embed_backward")
     rows, inverse = np.unique(cache.rows.ravel(), return_inverse=True)
     slots = inverse[:, None] * emb.embed_dim + np.arange(emb.embed_dim)
     grad = np.bincount(slots.ravel(), weights=grad_e.ravel())  # int64 when empty
@@ -280,10 +280,7 @@ def product_backward(cache: ProductCache, grad_out: np.ndarray, pl: ProductLayer
     """
     rows, n, k = cache.e.shape
     t = pl.size
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != (rows, 2 * t):
-        raise DimensionError(
-            f"product_backward: grad has shape {grad_out.shape}, expected {(rows, 2 * t)}")
+    grad_out = _upstream(grad_out, (rows, 2 * t), "product_backward")
     g1, g2 = grad_out[:, :t], grad_out[:, t:]
     gu = pl.theta @ cache.et
     gu.reshape(t, rows, k)[...] *= (2.0 * g2.T)[:, :, None]
@@ -361,11 +358,7 @@ def mlp_backward_logit(cache: MlpCache, grad_logit: np.ndarray, mlp: Mlp,
     gradient and writes the parameter gradients summed over the batch,
     each weight's as one GEMM, GZ^T @ H, into grads.
     """
-    g = np.asarray(grad_logit, dtype=np.float64)
-    if g.shape != cache.logits.shape:
-        raise DimensionError(
-            f"mlp_backward_logit: grad has shape {g.shape}, "
-            f"expected {cache.logits.shape}")
+    g = _upstream(grad_logit, cache.logits.shape, "mlp_backward_logit")
     np.matmul(cache.hiddens[-1].T, g, out=grads.out_weight)
     grads.out_bias[0] = g.sum()
     gh = g[:, None] * mlp.out_weight

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, SingleClassError
+from .errors import DataError, NumericError, SingleClassError
 
 PRED_CLAMP = 1e-7  # predictions are clamped to [eps, 1-eps] inside the loss only
 
@@ -85,14 +85,18 @@ def auc(preds, labels) -> float:
 
 
 def predict_dataset(model, dataset) -> np.ndarray:
-    """Forward the whole dataset (read-only) in chunks of PREDICT_CHUNK
-    rows, preserving instance order. Each chunk's cache is dropped as its
-    forward pass returns, before the next chunk's starts."""
+    """Forward the whole dataset (read-only) in chunks of PREDICT_CHUNK rows,
+    in instance order, one chunk's cache alive at a time. NumericError names
+    the first row (1-based) whose prediction is not finite."""
     n = len(dataset)
     preds = np.empty(n)
     for start in range(0, n, PREDICT_CHUNK):
         rows = slice(start, start + PREDICT_CHUNK)
         preds[rows] = model.forward(dataset.subset(rows))[0]
+    finite = np.isfinite(preds)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise NumericError(f"the prediction for row {first + 1} is {preds[first]}, not finite")
     return preds
 
 

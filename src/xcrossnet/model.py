@@ -106,10 +106,6 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
-
 @dataclass
 class ParamEntry:
     """One registry parameter: views of its values and of its gradient."""
@@ -175,9 +171,6 @@ class ParamRegistry:
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
 
-    def total_size(self) -> int:
-        return self.values.size
-
     def split(self, flat: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
         """Views of a vector laid out like `values`: its two dense runs (the
         entries before the embedding block and those after it), which line
@@ -188,9 +181,6 @@ class ParamRegistry:
     def scale_grads(self, factor: float) -> None:
         self.grad *= factor
         self.embed_grad *= factor
-
-    def get_flat(self) -> np.ndarray:
-        return self.values.copy()
 
     def get_grad_flat(self) -> np.ndarray:
         """The gradient densified to registry order, for gradchecks and tests."""
@@ -203,7 +193,7 @@ class ParamRegistry:
     def set_flat(self, flat: np.ndarray) -> None:
         if flat.shape != self.values.shape:
             raise DimensionError(
-                f"set_flat: got {flat.shape}, expected ({self.total_size()},)")
+                f"set_flat: got {flat.shape}, expected ({self.values.size},)")
         self.values[...] = flat
 
 def _layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], tuple | None]]:
@@ -428,7 +418,7 @@ def load_checkpoint(path) -> XCrossNetModel:
         if not isinstance(header.get("config"), dict):
             raise CheckpointError("checkpoint header has no config object")
         try:
-            config = ModelConfig.from_dict(header["config"])
+            config = ModelConfig(**header["config"])
             problems = config.validate()
         except (TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint config: {exc}") from None

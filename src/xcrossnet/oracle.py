@@ -30,7 +30,7 @@ from .data import Dataset, batch_iter, stable_sigmoid
 from .errors import DimensionError, NumericError
 from .layers import CrossStack
 from .metrics import auc, logloss
-from .model import ParamRegistry
+from .model import ParamRegistry, XCrossNetModel
 from .optim import AdamState, adam_step, batch_loss_and_grad
 
 
@@ -185,13 +185,11 @@ def gradcheck_point(config, seed: int, instances: int = 3,
     loss clamp makes the probed function flat while the analytic gradient
     is not).
     """
-    from .model import XCrossNetModel
-
     model = XCrossNetModel.init(config)
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
         model.registry.set_flat(
-            rng.uniform(-param_scale, param_scale, model.registry.total_size()))
+            rng.uniform(-param_scale, param_scale, model.registry.values.size))
         dense = rng.uniform(-1.0, 1.0, (instances, config.dense_fields))
         sparse = np.column_stack(
             [rng.integers(0, v, instances) for v in config.vocab_sizes])
@@ -218,7 +216,7 @@ def gradcheck_model(model, batch, eps: float = 1e-5,
     the comparison detects wrong gradients.
     """
     registry = model.registry
-    theta0 = registry.get_flat()
+    theta0 = registry.values.copy()
     analytic_loss = batch_loss_and_grad(model, batch)
     if not math.isfinite(analytic_loss):
         raise NumericError("loss is non-finite at the gradcheck point")

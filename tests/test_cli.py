@@ -48,6 +48,15 @@ def trained_dir(tmp_path_factory, synth_dir):
     return out
 
 
+@pytest.fixture(scope="module")
+def synth_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("synthrun")
+    code = cli.main(["train", "--synth", "default", "--synth-seed", "5", "--epochs", "1",
+                     "--out", str(out)])
+    assert code == 0
+    return out
+
+
 TRAIN_FLAGS = ["--dense-fields", "4", "--sparse-fields", "4",
                "--embed-dim", "4", "--product-size", "4", "--cross-depth", "2",
                "--mlp-widths", "16", "--epochs", "2", "--batch-size", "256",
@@ -154,6 +163,31 @@ class TestTrain:
         assert code == 2
         assert "JSON object" in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("contents, code, message", [
+        (None, 3, "cannot read --config file"), ("{", 2, "config file: invalid JSON")],
+        ids=["unreadable", "invalid_json"])
+    def test_config_file_unreadable_or_not_json(self, tmp_path, capsys, contents, code,
+                                                message):
+        cfg_path = tmp_path / "cfg.json"
+        if contents is not None:
+            cfg_path.write_text(contents)
+        got, _, err = run_cli(["train", "--config", str(cfg_path),
+                               "--out", str(tmp_path / "run")], capsys)
+        assert got == code
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("run", ["synth", "file"])
+    def test_written_config_reloads_to_the_same_checkpoint(self, synth_run, trained_dir,
+                                                          tmp_path, capsys, run):
+        # config.json also holds what train derives (vocab_sizes, synth_spec)
+        first = synth_run if run == "synth" else trained_dir
+        code, _, err = run_cli(["train", "--config", str(first / "config.json"),
+                                "--out", str(tmp_path)], capsys)
+        assert code == 0, err
+        assert (tmp_path / "checkpoint.xcn").read_bytes() == \
+               (first / "checkpoint.xcn").read_bytes()
 
     def test_synth_keeps_config_file_keys(self, tmp_path):
         # keys the --config file sets are not replaced by the synth-scale
@@ -322,6 +356,35 @@ class TestEval:
         assert f"parameter {name} holds a non-finite value" in err
         assert stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_overflowing_checkpoint_exits_4(self, synth_dir, synth_run, tmp_path, capsys,
+                                            command):
+        # finite parameters whose forward pass overflows to NaN predictions
+        model = load_checkpoint(synth_run / "checkpoint.xcn")
+        model.registry["cross.w0"].values[...] = 1e200
+        save_checkpoint(model, tmp_path / "checkpoint.xcn")
+        (tmp_path / "vocab.json").write_text((synth_run / "vocab.json").read_text())
+        out = tmp_path / "p.txt"
+        extra = ["--out", str(out)] if command == "predict" else []
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, stdout, err = run_cli([command, "--checkpoint", str(tmp_path / "checkpoint.xcn"),
+                                         "--data", str(synth_dir / "valid.tsv"), *extra], capsys)
+        assert code == 4
+        assert "the prediction for row 1 is nan, not finite" in err
+        assert stdout == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_empty_data_file_exits_3(self, trained_dir, tmp_path, capsys, command):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        out = tmp_path / "p.txt"
+        extra = ["--out", str(out)] if command == "predict" else []
+        code, stdout, err = run_cli([command, "--checkpoint", str(trained_dir / "checkpoint.xcn"),
+                                     "--data", str(empty), *extra], capsys)
+        assert code == 3
+        assert f"no instances in {empty}" in err
+        assert stdout == "" and not out.exists()
+
     def test_single_class_data(self, trained_dir, tmp_path, capsys):
         rows = []
         for i in range(5):
@@ -424,9 +487,10 @@ class TestGradcheck:
     @pytest.mark.parametrize("flag, value", [
         ("--cross-depth", "0"), ("--dense-fields", "0"), ("--instances", "0"), ("--eps", "0"),
         ("--eps", "inf"), ("--tolerance", "nan"), ("--tolerance", "-1"), ("--tolerance", "0"),
-        ("--vocab-size", "0"),
+        ("--vocab-size", "0"), ("--mlp-widths", "4,x"),
     ], ids=["--cross-depth", "--dense-fields", "--instances", "--eps", "--eps-inf",
-            "--tolerance-nan", "--tolerance--1", "--tolerance-0", "--vocab-size"])
+            "--tolerance-nan", "--tolerance--1", "--tolerance-0", "--vocab-size",
+            "--mlp-widths-text"])
     def test_zero_is_usage_error(self, capsys, flag, value):
         # an explicit 0 is checked, not replaced by the default; eps and
         # tolerance must also be finite; the message names the flag given
@@ -445,6 +509,13 @@ class TestGradcheck:
                   for line in out.splitlines() if line.startswith("gradcheck ")]
         assert len(groups) == len(set(groups))  # every group exactly once
         assert "cross.w0" in groups and "mlp.out_b" in groups
+
+    def test_no_hidden_layers(self, capsys):
+        # 'none' leaves the head its output layer alone
+        code, out, _ = run_cli(["gradcheck", "--mlp-widths", "none"], capsys)
+        assert code == 0
+        assert kv(out)["gradcheck_pass"] == "true"
+        assert "group=mlp.out_w " in out and "group=mlp.w0 " not in out
 
     def test_corrupt_negative_control(self, capsys):
         code, out, _ = run_cli(["gradcheck", "--seed", "0", "--corrupt"], capsys)
@@ -506,6 +577,24 @@ class TestInspect:
         code, _, err = run_cli(["inspect", "--checkpoint", str(path)], capsys)
         assert code == 3
         assert "checkpoint config" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h.pop("config"), "checkpoint header has no config object"),
+        (lambda h: h["registry"].reverse(), "registry ordering does not match config"),
+    ], ids=["no_config", "registry_mismatch"])
+    def test_malformed_header_exits_3(self, tmp_path, capsys, edit, message):
+        model = XCrossNetModel.init(ModelConfig(
+            dense_fields=2, sparse_fields=2, vocab_sizes=(3, 3), embed_dim=2,
+            product_size=2, cross_depth=1, mlp_widths=(4,)))
+        path = tmp_path / "c.xcn"
+        save_checkpoint(model, path)
+        header, _, blob = path.read_bytes().partition(b"\n")
+        header = json.loads(header)
+        edit(header)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        code, _, err = run_cli(["inspect", "--checkpoint", str(path)], capsys)
+        assert code == 3
+        assert message in err
 
     def test_unknown_checkpoint_format(self, tmp_path, capsys):
         bad = tmp_path / "bad.xcn"

@@ -107,7 +107,7 @@ class TestEvaluate:
         # 1,100 rows span three PREDICT_CHUNK-row forward passes
         model = XCrossNetModel.init(self.CONFIG)
         model.registry.set_flat(np.random.default_rng(3).uniform(
-            -0.5, 0.5, model.registry.total_size()))
+            -0.5, 0.5, model.registry.values.size))
         rng = np.random.default_rng(4)
         n = 2 * metrics.PREDICT_CHUNK + 76
         ds = data.Dataset(rng.uniform(-1, 1, (n, 2)), rng.integers(0, 3, (n, 2)),

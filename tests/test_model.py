@@ -28,7 +28,7 @@ class TestInit:
     def test_same_seed_bitwise_identical(self):
         a = XCrossNetModel.init(SMALL)
         b = XCrossNetModel.init(SMALL)
-        assert np.array_equal(a.registry.get_flat(), b.registry.get_flat())
+        assert np.array_equal(a.registry.values, b.registry.values)
 
     def test_init_matches_per_array_reference_draws(self):
         # the draws the layers made before the flat layout: one rng.normal
@@ -51,7 +51,7 @@ class TestInit:
                 fan_in = width
             bound = np.sqrt(6.0 / (fan_in + 1))
             want += [rng.uniform(-bound, bound, fan_in), np.zeros(1)]
-            got = XCrossNetModel.init(config).registry.get_flat()
+            got = XCrossNetModel.init(config).registry.values
             assert got.tobytes() == np.concatenate([w.ravel() for w in want]).tobytes()
 
     def test_init_allocates_no_table_sized_gradient(self):
@@ -74,7 +74,7 @@ class TestInit:
         other = dataclasses.replace(SMALL, seed=12)
         a = XCrossNetModel.init(SMALL)
         b = XCrossNetModel.init(other)
-        assert not np.array_equal(a.registry.get_flat(), b.registry.get_flat())
+        assert not np.array_equal(a.registry.values, b.registry.values)
 
     def test_criteo_dimension_arithmetic(self):
         assert CRITEO.dense_out_dim == 13 * 5 == 65
@@ -122,12 +122,12 @@ class TestRegistry:
 
     def test_flat_roundtrip(self):
         m = XCrossNetModel.init(SMALL)
-        flat = m.registry.get_flat()
+        flat = m.registry.values.copy()
         assert flat.shape == (m.num_parameters()["total"],)
         rng = np.random.default_rng(0)
         new = rng.normal(size=flat.shape)
         m.registry.set_flat(new)
-        assert np.array_equal(m.registry.get_flat(), new)
+        assert np.array_equal(m.registry.values, new)
         # registry views alias the layer arrays
         assert m.cross.weights[0][0] == new[0]
 
@@ -152,7 +152,7 @@ class TestRegistry:
         assert m.registry.grad.size == values.size - embed
         # split and view find the same parts of any vector laid out like values
         m.registry.set_flat(np.arange(values.size, dtype=np.float64))
-        flat = m.registry.get_flat()
+        flat = m.registry.values.copy()
         for e in m.registry:
             assert np.array_equal(e.view(flat), e.values)
         runs, block = m.registry.split(flat)
@@ -196,7 +196,7 @@ class TestForwardBackward:
     def test_batch_forward_matches_rows_one_at_a_time(self):
         m = XCrossNetModel.init(SMALL)
         m.registry.set_flat(np.random.default_rng(8).uniform(
-            -0.3, 0.3, m.registry.total_size()))
+            -0.3, 0.3, m.registry.values.size))
         batch = random_batch(SMALL, np.random.default_rng(9), n=17)
         probs, cache = m.forward(batch)
         assert probs.shape == (17,)
@@ -314,7 +314,7 @@ class TestForwardBackward:
         # rounding, not bit for bit
         m = XCrossNetModel.init(SMALL)
         m.registry.set_flat(np.random.default_rng(10).uniform(
-            -0.3, 0.3, m.registry.total_size()))
+            -0.3, 0.3, m.registry.values.size))
         batch = random_batch(SMALL, np.random.default_rng(5), n=7)
         optim.batch_loss_and_grad(m, batch)
         batched = m.registry.get_grad_flat()
@@ -333,7 +333,7 @@ class TestForwardBackward:
         # same batch in the same order gives the same bits
         m = XCrossNetModel.init(SMALL)
         m.registry.set_flat(np.random.default_rng(11).uniform(
-            -0.3, 0.3, m.registry.total_size()))
+            -0.3, 0.3, m.registry.values.size))
         batch = random_batch(SMALL, np.random.default_rng(6), n=9)
         optim.batch_loss_and_grad(m, batch)
         first = m.registry.get_grad_flat()
@@ -391,7 +391,7 @@ class TestCheckpoint:
         path = tmp_path / "model.xcn"
         save_checkpoint(m, path)
         loaded = load_checkpoint(path)
-        assert np.array_equal(loaded.registry.get_flat(), m.registry.get_flat())
+        assert np.array_equal(loaded.registry.values, m.registry.values)
         assert loaded.config == m.config
         # saving the loaded model reproduces the same bytes
         path2 = tmp_path / "model2.xcn"
@@ -399,7 +399,7 @@ class TestCheckpoint:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_bytes_match_the_copying_writer(self, tmp_path):
-        # version-1 bytes: the header line, then get_flat() as "<f8"
+        # version-1 bytes: the header line, then the value vector as "<f8"
         m = XCrossNetModel.init(SMALL)
         path = tmp_path / "model.xcn"
         save_checkpoint(m, path)
@@ -407,7 +407,7 @@ class TestCheckpoint:
                   "config": m.config.to_dict(), "param_counts": m.num_parameters(),
                   "registry": m.registry.names()}
         want = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + \
-            m.registry.get_flat().astype("<f8").tobytes()
+            m.registry.values.astype("<f8").tobytes()
         assert path.read_bytes() == want
 
     def test_truncated_blob(self, tmp_path):
@@ -436,7 +436,7 @@ class TestCheckpoint:
         path = tmp_path / "model.xcn"
         save_checkpoint(m, path)
         before = path.read_bytes()
-        m.registry.set_flat(np.ones(m.registry.total_size()))
+        m.registry.set_flat(np.ones(m.registry.values.size))
 
         class TornFile:
             """Writes a prefix of the first chunk, then fails."""

@@ -69,8 +69,8 @@ class TestObjective:
         model, batch = oracle.gradcheck_point(TINY, seed=99)
         optim.batch_loss_and_grad(model, batch)
         analytic = model.registry.get_grad_flat() + \
-            2.0 * lam * model.registry.get_flat()
-        theta0 = model.registry.get_flat()
+            2.0 * lam * model.registry.values
+        theta0 = model.registry.values.copy()
 
         def f(theta):
             model.registry.set_flat(theta)
@@ -87,11 +87,11 @@ class TestObjective:
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         m = XCrossNetModel.init(TINY)
-        before = m.registry.get_flat()
+        before = m.registry.values.copy()
         assert not m.registry.get_grad_flat().any()  # a new registry's gradient
         state = optim.AdamState.init(m.registry)
         optim.adam_step(m.registry, state, lr=0.001, lam=0.0)
-        assert np.array_equal(m.registry.get_flat(), before)
+        assert np.array_equal(m.registry.values, before)
 
     def test_first_step_magnitude(self):
         # scalar parameter, g = 1: bias-corrected update is lr / (1 + eps)
@@ -112,7 +112,7 @@ class TestAdam:
             for _ in range(10):
                 optim.batch_loss_and_grad(m, batch)
                 optim.adam_step(m.registry, state, lr=0.01, lam=1e-4)
-            return m.registry.get_flat()
+            return m.registry.values.copy()
 
         assert np.array_equal(run(), run())
 
@@ -216,8 +216,8 @@ class TestRowSparseUpdate:
         rng = np.random.default_rng(14)
         lazy, dense = XCrossNetModel.init(config), XCrossNetModel.init(config)
         state = optim.AdamState.init(lazy.registry)
-        m_ref = np.zeros(dense.registry.total_size())
-        v_ref = np.zeros(dense.registry.total_size())
+        m_ref = np.zeros(dense.registry.values.size)
+        v_ref = np.zeros(dense.registry.values.size)
         for t in range(1, 6):
             batch = tiny_batch(rng, n=8, config=config)
             batch.sparse[:] = np.column_stack(
@@ -226,7 +226,7 @@ class TestRowSparseUpdate:
             optim.adam_step(lazy.registry, state, lr=0.01, lam=1e-3)
             optim.batch_loss_and_grad(dense, batch)
             dense_adam_step(dense.registry, m_ref, v_ref, t, lr=0.01, lam=1e-3)
-        assert np.array_equal(lazy.registry.get_flat(), dense.registry.get_flat())
+        assert np.array_equal(lazy.registry.values, dense.registry.values)
         assert np.array_equal(state.m, m_ref)
         assert np.array_equal(state.v, v_ref)
 
@@ -237,8 +237,8 @@ class TestRowSparseUpdate:
         rng = np.random.default_rng(16)
         fast, ref = XCrossNetModel.init(WIDE), XCrossNetModel.init(WIDE)
         state = optim.AdamState.init(fast.registry)
-        m_ref = np.zeros(ref.registry.total_size())
-        v_ref = np.zeros(ref.registry.total_size())
+        m_ref = np.zeros(ref.registry.values.size)
+        v_ref = np.zeros(ref.registry.values.size)
         for t in range(1, 4):
             batch = tiny_batch(rng, n=6, config=WIDE)
             optim.batch_loss_and_grad(fast, batch)
@@ -279,11 +279,11 @@ class TestFit:
     def test_zero_lr_keeps_parameters_and_loss(self):
         train, _ = self.synth_small()
         m = XCrossNetModel.init(TINY)
-        before = m.registry.get_flat()
+        before = m.registry.values.copy()
         cfg = optim.TrainConfig(lr=0.0, batch_size=1024, l2=0.0, epochs=2,
                                 seed=0, eval_every=0)
         log = optim.fit(m, train, cfg)
-        assert np.array_equal(m.registry.get_flat(), before)
+        assert np.array_equal(m.registry.values, before)
         # a frozen model: each record's loss is the logloss of the batch
         # that epoch's shuffle yields
         batches = [b for epoch in range(2)
@@ -314,7 +314,7 @@ class TestFit:
     def test_non_finite_loss_raises(self):
         train, _ = self.synth_small()
         m = XCrossNetModel.init(TINY)
-        flat = m.registry.get_flat()
+        flat = m.registry.values.copy()
         flat[0] = np.nan
         m.registry.set_flat(flat)
         cfg = optim.TrainConfig(lr=0.001, batch_size=256, epochs=1, seed=0)
