@@ -33,6 +33,7 @@ _configure_threads()
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -44,8 +45,8 @@ from . import data as data_mod
 from . import metrics, optim, oracle
 from .errors import (CheckpointError, DataError, NumericError, SingleClassError,
                      XCrossNetError, int_problems, is_number)
-from .model import (BALANCE_CONVENTIONS, ModelConfig, XCrossNetModel, balance_index,
-                    load_checkpoint, save_checkpoint)
+from .model import (ModelConfig, XCrossNetModel, balance_index, load_checkpoint,
+                    save_checkpoint)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -114,18 +115,30 @@ def _echo(key, value) -> None:
     print(f"{key}={value}")
 
 
-def _model_config(settings: dict, vocab_sizes) -> ModelConfig:
+def _model_config(settings: dict, vocab_sizes) -> tuple[ModelConfig, list[str]]:
     """The ModelConfig of the MODEL_KEYS in settings, passed as given so
-    that validate() rejects values of the wrong type."""
-    return ModelConfig(vocab_sizes=vocab_sizes, **{key: settings[key] for key in MODEL_KEYS})
+    that validate() rejects values of the wrong type, and validate()'s
+    problems but those of vocab_sizes, which the caller derives."""
+    config = ModelConfig(vocab_sizes=vocab_sizes, **{key: settings[key] for key in MODEL_KEYS})
+    return config, [p for p in config.validate() if not p.startswith("vocab_sizes:")]
+
+
+def _synth_spec(cfg) -> "data_mod.SynthSpec | None":
+    """The spec of a --synth run (the default, with --synth-seed's seed if
+    given); None for a run on files."""
+    if cfg["synth"] is None:
+        return None
+    spec, seed = data_mod.DEFAULT_SYNTH_SPEC, cfg["synth_seed"]
+    return spec if seed is None else dataclasses.replace(spec, seed=seed)
 
 
 def _resolve_run_config(args) -> tuple[dict, optim.TrainConfig]:
     """The run settings, in layers: the Criteo defaults; under --synth, the
     desk scale and the synthetic data's field counts; the --config file; the
-    flags. Returns them and their TrainConfig; UsageError lists every bad one."""
+    flags. Returns them and their TrainConfig; UsageError lists every bad one.
+    The file's vocab_sizes and synth_spec, which train writes, are kept."""
     problems = []
-    given = {}
+    given, reloaded = {}, {}
     if getattr(args, "config", None):
         try:
             with open(args.config) as f:
@@ -136,9 +149,9 @@ def _resolve_run_config(args) -> tuple[dict, optim.TrainConfig]:
             raise UsageError([f"config file: invalid JSON ({exc})"]) from None
         if not isinstance(given, dict):
             raise UsageError(["config file: expected a JSON object"])
-        # the vocab sizes and synth spec that train derives are accepted on reload
-        problems += [f"{key}: unknown config key" for key in given
-                     if key not in RUN_DEFAULTS and key not in ("vocab_sizes", "synth_spec")]
+        reloaded = {key: given.pop(key) for key in ("vocab_sizes", "synth_spec")
+                    if key in given}
+        problems += [f"{key}: unknown config key" for key in given if key not in RUN_DEFAULTS]
         given = {key: value for key, value in given.items() if key in RUN_DEFAULTS}
     given.update({key: getattr(args, key) for key in RUN_DEFAULTS
                   if getattr(args, key, None) is not None})
@@ -168,9 +181,14 @@ def _resolve_run_config(args) -> tuple[dict, optim.TrainConfig]:
     problems += int_problems({"min_freq": cfg["min_freq"]})
     if cfg["synth_seed"] is not None:
         problems += int_problems({"synth_seed": cfg["synth_seed"]}, low=0)
+    spec = _synth_spec(cfg)  # compared as train writes it: through JSON
+    derived = json.loads(json.dumps(None if spec is None else dataclasses.asdict(spec)))
+    if reloaded.get("synth_spec", derived) != derived:
+        problems.append(f"synth_spec: the config file has {reloaded['synth_spec']!r}, "
+                        f"the run derives {derived!r}")
+    cfg.update(reloaded)
     # the data determines the vocab sizes; every other model setting is checked now
-    problems += [problem for problem in _model_config(cfg, ()).validate()
-                 if not problem.startswith("vocab_sizes:")]
+    problems += _model_config(cfg, ())[1]
     train_cfg = optim.TrainConfig(**{key: cfg[key] for key in TRAIN_KEYS})
     problems += train_cfg.validate()
     if problems:
@@ -180,34 +198,28 @@ def _resolve_run_config(args) -> tuple[dict, optim.TrainConfig]:
 
 def _load_training_data(cfg):
     """Returns (train_ds, valid_ds_or_None, vocab, provenance)."""
-    if cfg["synth"] is not None:
-        spec = data_mod.DEFAULT_SYNTH_SPEC
-        if cfg["synth_seed"] is not None:
-            spec = dataclasses.replace(spec, seed=cfg["synth_seed"])
+    spec = _synth_spec(cfg)
+    if spec is not None:
         sdata = data_mod.synth_generate(spec)
         return (sdata.train_dataset(), sdata.valid_dataset(), sdata.vocab(),
-                {"synth_spec": spec.to_dict()})
-    n_dense, n_sparse = cfg["dense_fields"], cfg["sparse_fields"]
-    lines = list(data_mod.read_lines(cfg["train_data"]))
-    n_train = len(lines)
+                {"synth_spec": dataclasses.asdict(spec)})
+    n_dense, n_sparse, path = cfg["dense_fields"], cfg["sparse_fields"], cfg["train_data"]
+    n_train = None  # every line trains when --valid-data is given
     if not cfg["valid_data"]:
         # the held-out split is the tail of the training file
-        n_train -= int(round(len(lines) * cfg["valid_fraction"]))
-    if not n_train:
-        raise DataError("training split is empty")
-    # vocab comes from the training split only
-    vocab = data_mod.build_vocab(lines[:n_train], n_dense, n_sparse,
-                                 min_freq=cfg["min_freq"])
-    rows = data_mod.parse_lines(lines, vocab, n_dense, n_sparse)
-    del lines
+        n_lines = sum(1 for _ in data_mod.read_lines(path))
+        n_train = n_lines - int(round(n_lines * cfg["valid_fraction"]))
+    # vocab comes from the training split only; the file is streamed twice
+    vocab = data_mod.build_vocab(itertools.islice(data_mod.read_lines(path), n_train),
+                                 n_dense, n_sparse, min_freq=cfg["min_freq"])
+    rows = data_mod.parse_lines(data_mod.read_lines(path), vocab, n_dense, n_sparse)
     train_ds = rows.subset(slice(None, n_train))
+    if not len(train_ds):
+        raise DataError("training split is empty")
     if cfg["valid_data"]:
-        valid_ds = data_mod.parse_lines(data_mod.read_lines(cfg["valid_data"]),
-                                        vocab, n_dense, n_sparse)
-    else:
-        valid_ds = rows.subset(slice(n_train, None))
-    if not len(valid_ds):
-        valid_ds = None
+        valid_ds = data_mod.load_tsv(cfg["valid_data"], vocab, n_dense, n_sparse)
+    else:  # an empty tail means no validation
+        valid_ds = rows.subset(slice(n_train, None)) or None
     provenance = {"train_data": cfg["train_data"], "valid_data": cfg["valid_data"],
                   "valid_fraction": cfg["valid_fraction"]}
     return train_ds, valid_ds, vocab, provenance
@@ -218,16 +230,16 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     train_ds, valid_ds, vocab, provenance = _load_training_data(cfg)
-    model_cfg = _model_config(cfg, vocab.sizes())
-
-    resolved = dict(cfg)
-    resolved["vocab_sizes"] = list(model_cfg.vocab_sizes)
-    resolved.update(provenance)
+    sizes = list(vocab.sizes())
+    if cfg.get("vocab_sizes", sizes) != sizes:
+        raise DataError(f"vocab_sizes: the config file has {cfg['vocab_sizes']!r}, "
+                        f"the training data gives {sizes}")
+    resolved = {**cfg, "vocab_sizes": sizes, **provenance}
     (out_dir / "config.json").write_text(json.dumps(resolved, indent=2,
                                                     sort_keys=True) + "\n")
     (out_dir / "vocab.json").write_text(vocab.to_json() + "\n")
 
-    model = XCrossNetModel.init(model_cfg)
+    model = XCrossNetModel.init(_model_config(cfg, sizes)[0])
     checkpoint_path = out_dir / "checkpoint.xcn"
     log_path = out_dir / "train_log.ndjson"
     interrupted = False
@@ -301,10 +313,8 @@ def cmd_predict(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     args.mlp_widths = _parse_widths(args.mlp_widths)
-    config = _model_config(vars(args), (args.vocab_size,) * args.sparse_fields)
+    config, problems = _model_config(vars(args), (args.vocab_size,) * args.sparse_fields)
     # the one vocab_size flag is checked as given, not as the per-field tuple
-    problems = [problem for problem in config.validate()
-                if not problem.startswith("vocab_sizes:")]
     problems += int_problems({"vocab_size": args.vocab_size, "instances": args.instances})
     problems += [f"{name}: must be a finite number > 0, got {value!r}"
                  for name, value in (("eps", args.eps), ("tolerance", args.tolerance))
@@ -331,7 +341,7 @@ def cmd_gradcheck(args) -> int:
 def cmd_synth(args) -> int:
     spec = data_mod.DEFAULT_SYNTH_SPEC
     spec = dataclasses.replace(spec, **{key: value for key, value in vars(args).items()
-                                        if key in spec.to_dict() and value is not None})
+                                        if key in dataclasses.asdict(spec) and value is not None})
     problems = spec.validate()
     if problems:
         raise UsageError(problems)
@@ -340,9 +350,7 @@ def cmd_synth(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     train_path, valid_path = out_dir / "train.tsv", out_dir / "valid.tsv"
     sdata.write_tsv(train_path, valid_path)
-    np.savetxt(out_dir / "train_scores.txt", sdata.train_scores)
-    np.savetxt(out_dir / "valid_scores.txt", sdata.valid_scores)
-    (out_dir / "spec.json").write_text(json.dumps(spec.to_dict(), indent=2,
+    (out_dir / "spec.json").write_text(json.dumps(dataclasses.asdict(spec), indent=2,
                                                   sort_keys=True) + "\n")
     _echo("train_tsv", train_path)
     _echo("valid_tsv", valid_path)
@@ -351,6 +359,7 @@ def cmd_synth(args) -> int:
     n = spec.n_train
     _echo("positive_ratio_train", float(np.mean(sdata.labels[:n])))
     for split, rows in (("train", slice(None, n)), ("valid", slice(n, None))):
+        np.savetxt(out_dir / f"{split}_scores.txt", sdata.scores[rows])
         try:
             _echo(f"bayes_auc_{split}", metrics.auc(sdata.scores[rows], sdata.labels[rows]))
         except SingleClassError:
@@ -360,13 +369,12 @@ def cmd_synth(args) -> int:
 
 def cmd_inspect(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    for key, value in model.config.to_dict().items():
+    for key, value in dataclasses.asdict(model.config).items():
         _echo(f"config.{key}", value)
     for stage, count in model.num_parameters().items():
         _echo(f"params.{stage}", count)
-    for convention in BALANCE_CONVENTIONS:
-        _echo(f"balance_index.{convention}",
-              balance_index(model.config, convention))
+    for convention, value in balance_index(model.config).items():
+        _echo(f"balance_index.{convention}", value)
     return EXIT_OK
 
 

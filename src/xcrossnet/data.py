@@ -41,7 +41,7 @@ import itertools
 import json
 import math
 import zlib
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -571,9 +571,6 @@ class SynthSpec:
                             f"for {self.dense_fields} fields")
         return problems
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 #: Desk-scale default used by `train --synth default` and the acceptance run.
 DEFAULT_SYNTH_SPEC = SynthSpec()
@@ -603,14 +600,6 @@ class SynthData:
 
     def valid_dataset(self) -> Dataset:
         return self._dataset(slice(self.spec.n_train, None))
-
-    @property
-    def train_scores(self) -> np.ndarray:
-        return self.scores[:self.spec.n_train]
-
-    @property
-    def valid_scores(self) -> np.ndarray:
-        return self.scores[self.spec.n_train:]
 
     def vocab(self) -> FieldVocab:
         return FieldVocab.identity([self.spec.vocab_size] * self.spec.sparse_fields)

@@ -104,8 +104,5 @@ def evaluate(model, dataset) -> EvalReport:
     preds = predict_dataset(model, dataset)
     n_pos = int(np.count_nonzero(dataset.labels == 1.0))
     n_neg = len(dataset) - n_pos
-    try:
-        auc_value = auc(preds, dataset.labels)
-    except SingleClassError:
-        auc_value = None
+    auc_value = auc(preds, dataset.labels) if n_pos and n_neg else None
     return EvalReport(auc_value, logloss(preds, dataset.labels), n_pos, n_neg)

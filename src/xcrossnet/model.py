@@ -26,11 +26,6 @@ from .errors import CheckpointError, DimensionError, int_problems, is_int
 CHECKPOINT_MAGIC = "xcrossnet-checkpoint"
 CHECKPOINT_VERSION = 1
 
-#: The two conventions for counting the dense-stage output dimension in the
-#: balance index: "include_input" counts the copied raw input segment
-#: (M * (depth + 1)); "cross_only" counts just the cross vectors (M * depth).
-BALANCE_CONVENTIONS = ("include_input", "cross_only")
-
 @dataclass
 class ModelConfig:
     """Topology and init seed.
@@ -58,8 +53,8 @@ class ModelConfig:
             self.mlp_widths = tuple(self.mlp_widths)
 
     @classmethod
-    def criteo_default(cls, vocab_sizes, seed: int = 0) -> "ModelConfig":
-        return cls(dense_fields=13, sparse_fields=26, vocab_sizes=vocab_sizes, seed=seed)
+    def criteo_default(cls, vocab_sizes) -> "ModelConfig":
+        return cls(dense_fields=13, sparse_fields=26, vocab_sizes=vocab_sizes)
 
     @property
     def dense_out_dim(self) -> int:
@@ -103,9 +98,6 @@ class ModelConfig:
             problems.append("mlp_widths: widths must be >= 1")
         return problems + int_problems({"seed": self.seed}, low=0)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 @dataclass
 class ParamEntry:
     """One registry parameter: views of its values and of its gradient."""
@@ -127,15 +119,15 @@ class ParamRegistry:
     MLP (w0, b0, ...), output weight, output bias, each C-order raveled.
 
     `values` holds them all; every entry's values, and every layer array,
-    is a view into it. `grad` holds the gradient of every dense entry (all
-    but the embedding tables) in the same order; each entry's `grad` is a
-    view into it, and the model's stage gradient carriers are made of those
-    views, so the stages' backward passes write it in place. The embedding
-    tables are adjacent in `values` and form one (sum vocab, K) block,
-    `embed_block`. Their gradient is compact: `embed_rows` holds the sorted
-    distinct block rows the last batch looked up, `embed_grad` one gradient
-    row for each, and every other row's gradient is zero. No table-sized
-    gradient exists.
+    is a view into it. `grad` holds the batch-mean gradient of every dense
+    entry (all but the embedding tables) in the same order; each entry's
+    `grad` is a view into it, and the model's stage gradient carriers are
+    made of those views, so the stages' backward passes write it in place.
+    The embedding tables are adjacent in `values` and form one (sum vocab,
+    K) block, `embed_block`. Their gradient is compact: `embed_rows` holds
+    the sorted distinct block rows the last batch looked up, `embed_grad`
+    one gradient row for each, and every other row's gradient is zero. No
+    table-sized gradient exists.
     """
 
     def __init__(self, shapes, embed: range = range(0)):
@@ -177,10 +169,6 @@ class ParamRegistry:
         up with `grad_runs`, and its (sum vocab, K) block."""
         a, b = self.embed.start, self.embed.stop
         return (flat[:a], flat[b:]), flat[a:b].reshape(self.embed_block.shape)
-
-    def scale_grads(self, factor: float) -> None:
-        self.grad *= factor
-        self.embed_grad *= factor
 
     def get_grad_flat(self) -> np.ndarray:
         """The gradient densified to registry order, for gradchecks and tests."""
@@ -300,21 +288,21 @@ class XCrossNetModel:
                                  concat_cache, mlp_cache)
 
     def backward(self, cache: "ModelCache", labels) -> None:
-        """Write the batch's summed logloss gradient into the registry.
+        """Write the gradient of the batch's mean logloss into the registry.
 
         The sigmoid/logloss chain collapses to (prob - label) at each row's
-        logit, so the pass starts there. Each stage's backward pass runs
-        once over the batch. The dense stages write their parameter
-        gradients, summed over the rows, straight into the registry's
-        gradient vector through the carriers built at construction, and the
-        embedding's compact (rows, grad) pair replaces the registry's. The
-        concat stage's (B, x0_dim) input gradient splits at dense_out_dim
-        into the dense and sparse stage outputs' gradients. The previous
-        gradient is overwritten, not added to. Callers scale_grads(1 / B)
-        afterwards to get the mean gradient.
+        logit, so the pass starts there, scaled by 1 / B. Each stage's
+        backward pass runs once over the batch. The dense stages write their
+        parameter gradients, summed over the rows, straight into the
+        registry's gradient vector through the carriers built at
+        construction, and the embedding's compact (rows, grad) pair replaces
+        the registry's. The concat stage's (B, x0_dim) input gradient splits
+        at dense_out_dim into the dense and sparse stage outputs' gradients.
+        The previous gradient is overwritten, not added to.
         """
         reg = self.registry
-        grad_logit = cache.mlp.probs - np.asarray(labels, dtype=np.float64)
+        labels = np.asarray(labels, dtype=np.float64)
+        grad_logit = (cache.mlp.probs - labels) * (1.0 / len(labels))
         grad_h0 = layers.mlp_backward_logit(cache.mlp, grad_logit, self.mlp, self.mlp_grad)
         grad_x0 = layers.concat_cross_backward(cache.concat, grad_h0, self.concat,
                                                self.concat_grad)
@@ -347,20 +335,17 @@ class ModelCache:
     concat: layers.CrossCache
     mlp: layers.MlpCache
 
-def balance_index(config: ModelConfig, convention: str = "include_input") -> float:
+def balance_index(config: ModelConfig) -> dict[str, float]:
     """(dense-out dim / sparse-out dim) / (dense fields / sparse fields).
 
     A value of 1 means the two representation branches are as wide,
-    relative to each other, as the raw field counts are.
+    relative to each other, as the raw field counts are. "include_input"
+    counts the copied raw input segment in the dense-out dim
+    (M * (depth + 1)); "cross_only" counts just the cross vectors (M * depth).
     """
-    if convention not in BALANCE_CONVENTIONS:
-        raise ValueError(
-            f"convention must be one of {BALANCE_CONVENTIONS}, got {convention!r}")
-    oc_dim = config.dense_out_dim
-    if convention == "cross_only":
-        oc_dim -= config.dense_fields  # the copied raw input segment
-    op_dim = 2 * config.product_size
-    return (oc_dim / op_dim) / (config.dense_fields / config.sparse_fields)
+    op_dim, fields = 2 * config.product_size, config.dense_fields / config.sparse_fields
+    return {"include_input": (config.dense_out_dim / op_dim) / fields,
+            "cross_only": ((config.dense_out_dim - config.dense_fields) / op_dim) / fields}
 
 # ---------------------------------------------------------------------------
 # checkpoint format
@@ -380,7 +365,7 @@ def save_checkpoint(model: XCrossNetModel, path) -> None:
     header = {
         "format": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "param_counts": model.num_parameters(),
         "registry": model.registry.names(),
     }

@@ -1,5 +1,6 @@
 """Logloss objective (metrics.logloss) with L2 regularization, Adam, and
-the training loop.
+the training loop. Adam steps from the batch-mean gradient that the
+model's backward pass leaves in the registry.
 
 Regularization is the squared L2 norm over every registry parameter
 (biases and embedding tables included), applied in coupled form: the
@@ -116,13 +117,11 @@ def _update(theta, g, m, v, state: AdamState, lr, lam, c1, c2) -> None:
 def batch_loss_and_grad(model, batch) -> float:
     """Mean logloss over the batch; mean gradient left in the registry.
 
-    One forward and one backward pass over the whole batch: the backward
-    pass writes the gradient summed over the rows, then it is scaled by
-    1 / B. The result is a pure function of the batch content.
+    One forward and one backward pass over the whole batch. The result is
+    a pure function of the batch content.
     """
     probs, cache = model.forward(batch)
     model.backward(cache, batch.labels)
-    model.registry.scale_grads(1.0 / len(batch))
     return logloss(probs, batch.labels)
 
 

@@ -165,42 +165,45 @@ def relative_error(analytic, numeric, atol: float = 1e-10) -> np.ndarray:
     return np.divide(diff, scale, out=np.zeros_like(scale), where=diff > atol)
 
 
-def relu_kink_risk(mlp, cache, floor: float = 1e-4) -> bool:
+#: A gradcheck point's parameter draw bound, its largest |logit|, its draws
+#: before giving up, and how near the ReLU kink a pre-activation may sit.
+PARAM_SCALE, LOGIT_CAP, MAX_TRIES, KINK_FLOOR = 0.3, 8.0, 50, 1e-4
+
+
+def relu_kink_risk(mlp, cache) -> bool:
     """True if any pre-activation of mlp, in the forward pass that left cache
-    (its MlpCache), sits within floor of the ReLU kink. Each pre-activation
+    (its MlpCache), sits within KINK_FLOOR of the ReLU kink. Each pre-activation
     Z_i = H_{i-1} @ W_i^T + b_i is rebuilt from the H_i the cache keeps."""
-    return any(np.any(np.abs(h @ w.T + b) < floor)
+    return any(np.any(np.abs(h @ w.T + b) < KINK_FLOOR)
                for h, w, b in zip(cache.hiddens, mlp.weights, mlp.biases))
 
 
-def gradcheck_point(config, seed: int, instances: int = 3,
-                    param_scale: float = 0.3, logit_cap: float = 8.0,
-                    max_tries: int = 50):
+def gradcheck_point(config, seed: int, instances: int = 3):
     """A (model, batch) pair where finite differences are trustworthy.
 
     The training-scale init puts late-stage gradients below what central
     differences can resolve, so the check point redraws every parameter
-    uniform +-param_scale. Draws are rejected while any MLP pre-activation
-    sits near the ReLU kink or any |logit| exceeds logit_cap (past ~16 the
+    uniform +-PARAM_SCALE. Draws are rejected while any MLP pre-activation
+    sits near the ReLU kink or any |logit| exceeds LOGIT_CAP (past ~16 the
     loss clamp makes the probed function flat while the analytic gradient
     is not).
     """
     model = XCrossNetModel.init(config)
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         model.registry.set_flat(
-            rng.uniform(-param_scale, param_scale, model.registry.values.size))
+            rng.uniform(-PARAM_SCALE, PARAM_SCALE, model.registry.values.size))
         dense = rng.uniform(-1.0, 1.0, (instances, config.dense_fields))
         sparse = np.column_stack(
             [rng.integers(0, v, instances) for v in config.vocab_sizes])
         labels = rng.integers(0, 2, instances).astype(np.float64)
         batch = Dataset(dense, sparse, labels)
         cache = model.forward(batch)[1].mlp
-        if np.max(np.abs(cache.logits)) <= logit_cap and \
+        if np.max(np.abs(cache.logits)) <= LOGIT_CAP and \
                 not relu_kink_risk(model.mlp, cache):
             return model, batch
     raise NumericError(
-        f"no well-conditioned gradcheck point found in {max_tries} draws")
+        f"no well-conditioned gradcheck point found in {MAX_TRIES} draws")
 
 
 def gradcheck_model(model, batch, eps: float = 1e-5,
@@ -241,14 +244,14 @@ def gradcheck_model(model, batch, eps: float = 1e-5,
 # ---------------------------------------------------------------------------
 
 
-def lr_baseline_auc(train: Dataset, valid: Dataset, *, epochs: int = 5,
-                    lr: float = 1e-3, batch_size: int = 512, l2: float = 1e-4,
-                    seed: int = 0) -> float:
+def lr_baseline_auc(train: Dataset, valid: Dataset) -> float:
     """Validation AUC of plain logistic regression on dense + one-hot sparse.
 
     The forward/gradient math is its own vectorized code, but the update
     reuses the production Adam step and batch iterator, so the comparison
     against the full model isolates the representation, not the optimizer.
+    The run is fixed: 5 epochs of 512-row batches shuffled from seed 0,
+    Adam at lr 1e-3 with L2 1e-4.
     """
     vocab_sizes = [int(max(train.sparse[:, i].max(), valid.sparse[:, i].max())) + 1
                    for i in range(train.n_sparse)]
@@ -265,8 +268,8 @@ def lr_baseline_auc(train: Dataset, valid: Dataset, *, epochs: int = 5,
             z = z + w_cat[ds.sparse[:, i]]
         return z
 
-    for epoch in range(epochs):
-        for batch in batch_iter(train, batch_size, seed=(seed, epoch)):
+    for epoch in range(5):
+        for batch in batch_iter(train, 512, seed=(0, epoch)):
             p = stable_sigmoid(logits_of(batch))
             g = (p - batch.labels) / len(batch)
             registry["w_dense"].grad[:] = batch.dense.T @ g
@@ -275,5 +278,5 @@ def lr_baseline_auc(train: Dataset, valid: Dataset, *, epochs: int = 5,
                 grad_cat[:] = 0.0
                 np.add.at(grad_cat, batch.sparse[:, i], g)
             registry["bias"].grad[0] = g.sum()
-            adam_step(registry, state, lr, l2)
+            adam_step(registry, state, 1e-3, 1e-4)
     return auc(stable_sigmoid(logits_of(valid)), valid.labels)

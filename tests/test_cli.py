@@ -1,11 +1,13 @@
+import dataclasses
 import gzip
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from xcrossnet import cli
+from xcrossnet import cli, data
 from xcrossnet.errors import NumericError
 from xcrossnet.model import XCrossNetModel, ModelConfig, load_checkpoint, save_checkpoint
 
@@ -95,6 +97,12 @@ class TestSynth:
         assert code == 2
         assert f"config error: {name}" in err
         assert not out.exists()
+
+    def test_writes_the_true_scores_of_each_split(self, synth_dir):
+        spec = dataclasses.replace(data.DEFAULT_SYNTH_SPEC, n_train=1200, n_valid=400)
+        scores = data.synth_generate(spec).scores
+        assert np.array_equal(np.loadtxt(synth_dir / "train_scores.txt"), scores[:1200])
+        assert np.array_equal(np.loadtxt(synth_dir / "valid_scores.txt"), scores[1200:])
 
     def test_one_class_split_has_no_bayes_auc(self, tmp_path, capsys):
         # a split of one instance holds one class: its AUC is absent, as in eval
@@ -189,6 +197,34 @@ class TestTrain:
         assert (tmp_path / "checkpoint.xcn").read_bytes() == \
                (first / "checkpoint.xcn").read_bytes()
 
+    @staticmethod
+    def edited_config(run_dir, tmp_path, **edits):
+        cfg = json.loads((run_dir / "config.json").read_text())
+        for key, value in edits.items():
+            cfg[key] = {**cfg[key], **value} if isinstance(value, dict) else value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return path
+
+    def test_edited_synth_spec_is_usage_error(self, synth_run, tmp_path, capsys):
+        # a reloaded synth_spec must be the one the run derives
+        cfg_path = self.edited_config(synth_run, tmp_path, synth_spec={"n_train": 10})
+        code, out, err = run_cli(["train", "--config", str(cfg_path),
+                                  "--out", str(tmp_path / "run")], capsys)
+        assert code == 2 and out == ""
+        assert "synth_spec: the config file has {" in err and "'n_train': 10" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_edited_vocab_sizes_is_data_error(self, synth_run, tmp_path, capsys):
+        # a reloaded vocab_sizes must be the one the training data gives
+        cfg_path = self.edited_config(synth_run, tmp_path, vocab_sizes=[99, 99, 99, 99])
+        code, out, err = run_cli(["train", "--config", str(cfg_path),
+                                  "--out", str(tmp_path / "run")], capsys)
+        assert code == 3 and out == ""
+        assert "vocab_sizes: the config file has [99, 99, 99, 99], " \
+               "the training data gives [4, 4, 4, 4]" in err
+        assert not (tmp_path / "run" / "config.json").exists()
+
     def test_synth_keeps_config_file_keys(self, tmp_path):
         # keys the --config file sets are not replaced by the synth-scale
         # defaults; keys it leaves out are
@@ -273,6 +309,49 @@ class TestTrain:
              "--out", str(tmp_path)], capsys)
         assert code == 0
         assert "final_auc" in kv(out)
+
+    def test_empty_held_out_tail_means_no_validation(self, synth_dir, tmp_path, capsys):
+        code, out, _ = run_cli(
+            ["train", "--train-data", str(synth_dir / "train.tsv"),
+             "--valid-fraction", "0", *TRAIN_FLAGS, "--epochs", "1",
+             "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert not [key for key in kv(out) if key.startswith(("final_", "val_"))]
+
+    def test_empty_valid_data_file_exits_3(self, synth_dir, tmp_path, capsys):
+        # validation is not silently turned off
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        code, out, err = run_cli(
+            ["train", "--train-data", str(synth_dir / "train.tsv"),
+             "--valid-data", str(empty), *TRAIN_FLAGS, "--out", str(tmp_path / "run")],
+            capsys)
+        assert code == 3 and out == ""
+        assert f"no instances in {empty}" in err
+
+    def test_training_file_is_streamed(self, tmp_path):
+        # the file is read twice in CHUNK_LINES chunks and never held whole:
+        # over three chunks of Criteo-shaped lines the ingest peaks at about
+        # twice the parsed arrays (the chunks' parts and their concatenation),
+        # where a list of every raw line as well peaks at about 3.1 times
+        rng = np.random.default_rng(0)
+        n = 3 * data.CHUNK_LINES
+        counts = rng.integers(0, 1000, (n, 13)).tolist()
+        tokens = (rng.integers(1, 50, (n, 26)) * 2654435761 % 2 ** 32).tolist()
+        path = tmp_path / "rows.tsv"
+        path.write_text("".join(
+            "\t".join([str(r % 2), *map(str, c), *(f"{t:08x}" for t in s)]) + "\n"
+            for r, (c, s) in enumerate(zip(counts, tokens))))
+        cfg, _ = cli._resolve_run_config(cli.build_parser().parse_args(
+            ["train", "--train-data", str(path), "--out", str(tmp_path / "run")]))
+        tracemalloc.start()
+        try:
+            splits = cli._load_training_data(cfg)[:2]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = sum(a.nbytes for ds in splits for a in (ds.dense, ds.sparse, ds.labels))
+        assert peak <= 2.5 * arrays
 
     def test_bad_line_in_held_out_tail_names_its_file_line(self, synth_dir, tmp_path,
                                                            capsys):

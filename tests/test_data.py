@@ -410,8 +410,6 @@ class TestSynth:
         spec = dataclasses.replace(data.DEFAULT_SYNTH_SPEC, n_train=300, n_valid=80)
         sd = data.synth_generate(spec)
         assert sd.scores.shape == (380,)
-        assert sd.train_scores.shape == (300,)
-        assert sd.valid_scores.shape == (80,)
 
     def test_bayes_auc_stable_across_data_seeds(self):
         # same task (fixed task_seed), fresh instance draws per seed
@@ -419,7 +417,7 @@ class TestSynth:
         for seed in (1, 2, 3):
             spec = dataclasses.replace(data.DEFAULT_SYNTH_SPEC, seed=seed)
             sd = data.synth_generate(spec)
-            aucs.append(metrics.auc(sd.train_scores, sd.train_dataset().labels))
+            aucs.append(metrics.auc(sd.scores[:spec.n_train], sd.train_dataset().labels))
         center = sum(aucs) / len(aucs)
         assert max(abs(a - center) for a in aucs) <= 0.005
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -14,7 +15,7 @@ SMALL = ModelConfig(dense_fields=3, sparse_fields=4, vocab_sizes=(5, 5, 5, 5),
                     embed_dim=5, product_size=6, cross_depth=2,
                     mlp_widths=(8,), seed=11)
 
-CRITEO = ModelConfig.criteo_default(vocab_sizes=(3,) * 26, seed=0)
+CRITEO = ModelConfig.criteo_default(vocab_sizes=(3,) * 26)
 
 
 def random_batch(config, rng, n=4):
@@ -56,7 +57,6 @@ class TestInit:
 
     def test_init_allocates_no_table_sized_gradient(self):
         # vocab 10^5 x 3: the values are the only table-sized allocation
-        import dataclasses
         config = dataclasses.replace(SMALL, sparse_fields=3, vocab_sizes=(100_000,) * 3)
         tracemalloc.start()
         try:
@@ -70,7 +70,6 @@ class TestInit:
         assert m.registry.embed_grad.nbytes < table_bytes
 
     def test_different_seed_differs(self):
-        import dataclasses
         other = dataclasses.replace(SMALL, seed=12)
         a = XCrossNetModel.init(SMALL)
         b = XCrossNetModel.init(other)
@@ -94,7 +93,6 @@ class TestInit:
         ("vocab_sizes", (5, 5, 5.0, 5)), ("mlp_widths", (8.5,)),
     ])
     def test_wrongly_typed_config_rejected(self, field, value):
-        import dataclasses
         bad = dataclasses.replace(SMALL, **{field: value})
         problems = bad.validate()
         assert len(problems) == 1 and problems[0].startswith(f"{field}:")
@@ -214,6 +212,28 @@ class TestForwardBackward:
         # out_bias sees the logit gradient directly
         assert m.registry["mlp.out_b"].grad[0] == probs[0] - 1.0
 
+    def test_backward_seeds_the_mean_gradient(self):
+        # backward starts from (p - y) / B; at B = 8, a power of two, every
+        # gradient is bitwise 1/8 of what the stages give from p - y itself
+        m = XCrossNetModel.init(SMALL)
+        m.registry.set_flat(np.random.default_rng(14).uniform(
+            -0.3, 0.3, m.registry.values.size))
+        batch = random_batch(SMALL, np.random.default_rng(15), n=8)
+        m.backward(m.forward(batch)[1], batch.labels)
+
+        probs, cache = m.forward(batch)
+        spare = XCrossNetModel(SMALL)
+        g = layers.mlp_backward_logit(cache.mlp, probs - batch.labels, m.mlp, spare.mlp_grad)
+        g = layers.concat_cross_backward(cache.concat, g, m.concat, spare.concat_grad)
+        split = SMALL.dense_out_dim
+        layers.cross_backward(cache.cross, g[:, :split], m.cross, spare.cross_grad)
+        grad_e = layers.product_backward(cache.product, g[:, split:], m.product,
+                                         spare.product_grad)
+        rows, embed_grad = layers.embed_backward(cache.embed, grad_e, m.embedding)
+        assert np.array_equal(m.registry.grad, spare.registry.grad * (1.0 / 8))
+        assert np.array_equal(m.registry.embed_rows, rows)
+        assert np.array_equal(m.registry.embed_grad, embed_grad * (1.0 / 8))
+
     def test_saturated_correct_prediction_has_tiny_gradient(self):
         m = XCrossNetModel.init(SMALL)
         m.registry["mlp.out_b"].values[0] = 40.0  # force prob ~ 1
@@ -225,8 +245,9 @@ class TestForwardBackward:
     def test_concat_stage_matches_the_closed_form_bitwise(self):
         # the concat stage, a depth-one CrossStack over X0 = [OC, OP], has
         # the bits of its formulas written out: x1 = x0 * s + b with
-        # s = <x0, w>, dw = X0^T ds, db = sum G1, dX0 = G0 + G1 * s + ds * w;
-        # dX0 splits at dense_out_dim into the two stages' gradients
+        # s = <x0, w>, dw = X0^T ds, db = sum G1, dX0 = G0 + G1 * s + ds * w,
+        # from the logit gradient (p - y) / B; dX0 splits at dense_out_dim
+        # into the two stages' gradients
         m = XCrossNetModel.init(CRITEO)
         rng = np.random.default_rng(13)
         m.registry["concat.b"].values[...] = rng.normal(0.0, 0.01, CRITEO.x0_dim)
@@ -244,8 +265,8 @@ class TestForwardBackward:
         assert np.array_equal(cache.mlp.hiddens[0], np.concatenate([x0, x1], axis=1))
 
         spare = XCrossNetModel(CRITEO)
-        g = layers.mlp_backward_logit(cache.mlp, cache.mlp.probs - batch.labels, m.mlp,
-                                      spare.mlp_grad)
+        seed = (cache.mlp.probs - batch.labels) * (1.0 / len(batch))
+        g = layers.mlp_backward_logit(cache.mlp, seed, m.mlp, spare.mlp_grad)
         dim = CRITEO.x0_dim
         g0, g1 = g[:, :dim], g[:, dim:]
         ds = np.einsum("bd,bd->b", g1, x0)
@@ -265,7 +286,7 @@ class TestForwardBackward:
         # the stages write their parameter gradients into the registry in
         # place: at the Criteo topology (B = 8) a backward pass allocates
         # a small part of the 3.4 MB dense gradient, not another copy of it
-        config = ModelConfig.criteo_default((1000,) * 26, seed=0)
+        config = ModelConfig.criteo_default((1000,) * 26)
         m = XCrossNetModel.init(config)
         batch = random_batch(config, np.random.default_rng(12), n=8)
         _, cache = m.forward(batch)
@@ -279,7 +300,7 @@ class TestForwardBackward:
 
     @pytest.fixture(scope="class")
     def criteo_rows(self):
-        config = ModelConfig.criteo_default((1000,) * 26, seed=0)
+        config = ModelConfig.criteo_default((1000,) * 26)
         return XCrossNetModel.init(config), random_batch(config, np.random.default_rng(13),
                                                          n=4 * metrics.PREDICT_CHUNK)
 
@@ -365,7 +386,7 @@ class TestForwardBackward:
         def lossy_backward(cache, labels):
             backward(cache, labels)
             grad = model.registry.grad
-            grad[np.abs(grad) < 1e-7 * len(labels)] = 0.0
+            grad[np.abs(grad) < 1e-7] = 0.0
 
         monkeypatch.setattr(model, "backward", lossy_backward)
         assert oracle.gradcheck_model(model, batch)["mlp.w0"] == 1.0
@@ -404,7 +425,7 @@ class TestCheckpoint:
         path = tmp_path / "model.xcn"
         save_checkpoint(m, path)
         header = {"format": "xcrossnet-checkpoint", "version": 1,
-                  "config": m.config.to_dict(), "param_counts": m.num_parameters(),
+                  "config": dataclasses.asdict(m.config), "param_counts": m.num_parameters(),
                   "registry": m.registry.names()}
         want = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + \
             m.registry.values.astype("<f8").tobytes()
@@ -481,15 +502,11 @@ class TestBalanceIndex:
     def test_criteo_both_conventions(self):
         cfg = ModelConfig(dense_fields=13, sparse_fields=26, vocab_sizes=(2,) * 26,
                           product_size=100, cross_depth=4)
-        assert abs(balance_index(cfg, "cross_only") - 0.52) < 1e-15
-        assert abs(balance_index(cfg, "include_input") - 0.65) < 1e-15
+        assert abs(balance_index(cfg)["cross_only"] - 0.52) < 1e-15
+        assert abs(balance_index(cfg)["include_input"] - 0.65) < 1e-15
 
     def test_symmetric_config_gives_one(self):
         # equal field counts and equal branch widths
         cfg = ModelConfig(dense_fields=4, sparse_fields=4, vocab_sizes=(3,) * 4,
                           product_size=4, cross_depth=1)
-        assert balance_index(cfg, "include_input") == 1.0
-
-    def test_unknown_convention(self):
-        with pytest.raises(ValueError):
-            balance_index(SMALL, "whatever")
+        assert balance_index(cfg)["include_input"] == 1.0

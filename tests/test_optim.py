@@ -160,8 +160,8 @@ class TestRowSparseUpdate:
     def test_touched_rows_match_dense_reference(self):
         # lambda = 0: each table's gradient equals a dense table built with
         # np.add.at over the per-row embedding gradients of the batched
-        # stages, in row order, then scaled; a previous batch's rows are
-        # zeroed again
+        # stages, seeded with (p - y) / B, in row order; a previous batch's
+        # rows are zeroed again
         m = XCrossNetModel.init(WIDE)
         rng = np.random.default_rng(12)
         optim.batch_loss_and_grad(m, tiny_batch(rng, n=8, config=WIDE))
@@ -171,7 +171,8 @@ class TestRowSparseUpdate:
 
         probs, cache = m.forward(batch)
         spare = XCrossNetModel(WIDE)  # its carriers take the recomputed dense gradients
-        gh0 = layers.mlp_backward_logit(cache.mlp, probs - batch.labels, m.mlp, spare.mlp_grad)
+        seed = (probs - batch.labels) * (1.0 / len(batch))
+        gh0 = layers.mlp_backward_logit(cache.mlp, seed, m.mlp, spare.mlp_grad)
         gx0 = layers.concat_cross_backward(cache.concat, gh0, m.concat, spare.concat_grad)
         grad_e = layers.product_backward(cache.product, gx0[:, WIDE.dense_out_dim:],
                                          m.product, spare.product_grad)
@@ -179,7 +180,6 @@ class TestRowSparseUpdate:
         for f, vocab in enumerate(WIDE.vocab_sizes):
             expected = np.zeros((vocab, WIDE.embed_dim))
             np.add.at(expected, batch.sparse[:, f], grad_e[:, f])
-            expected *= 1.0 / len(batch)
             assert np.array_equal(m.registry[f"embed.field{f}"].view(grad), expected)
         # the compact gradient holds exactly the looked-up rows of each field
         assert np.array_equal(m.registry.embed_rows,
@@ -368,4 +368,4 @@ def test_synth_model_learns_past_lr_toward_bayes():
         l2=cli.RUN_DEFAULTS["l2"], epochs=3))
     val_auc = metrics.evaluate(model, valid).auc
     assert val_auc - oracle.lr_baseline_auc(train, valid) >= 0.025
-    assert metrics.auc(sd.valid_scores, valid.labels) - val_auc <= 0.02
+    assert metrics.auc(sd.scores[len(train):], valid.labels) - val_auc <= 0.02
