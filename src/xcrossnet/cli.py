@@ -62,22 +62,11 @@ class UsageError(Exception):
 
 
 # The settings of ModelConfig (all but the vocab sizes, which the data
-# determines) and of TrainConfig; both take the run's one seed.
+# determines; its seed also shuffles the batches) and of TrainConfig.
 MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ModelConfig) if f.name != "vocab_sizes")
 TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(optim.TrainConfig))
-
-# The Criteo-protocol defaults, which file-based training uses as-is: the
-# dataclasses' own, plus the settings of the data.
-RUN_DEFAULTS = {
-    **{key: getattr(ModelConfig.criteo_default(()), key) for key in MODEL_KEYS},
-    **dataclasses.asdict(optim.TrainConfig()),
-    "train_data": None,
-    "valid_data": None,
-    "valid_fraction": 0.1,
-    "min_freq": 10,
-    "synth": None,
-    "synth_seed": None,
-}
+_CRITEO_DEFAULTS = {**{key: getattr(ModelConfig.criteo_default(()), key) for key in MODEL_KEYS},
+                    **dataclasses.asdict(optim.TrainConfig())}
 
 # Architecture/batch defaults of a --synth run, which the --config file and
 # the flags override: the synthetic task is desk scale and does not need the
@@ -89,6 +78,18 @@ SYNTH_SCALE_DEFAULTS = {
     "mlp_widths": (64,),
     "batch_size": 512,
 }
+
+# The settings of each kind of train run: a run on files takes the Criteo
+# protocol and its files', a --synth run the desk scale and its data's.
+RUN_DEFAULTS = {
+    "file": {**_CRITEO_DEFAULTS, "train_data": None, "valid_data": None,
+             "valid_fraction": 0.1, "min_freq": 10},
+    "synth": {**_CRITEO_DEFAULTS, **SYNTH_SCALE_DEFAULTS,
+              "dense_fields": data_mod.DEFAULT_SYNTH_SPEC.dense_fields,
+              "sparse_fields": data_mod.DEFAULT_SYNTH_SPEC.sparse_fields,
+              "synth": None, "synth_seed": None},
+}
+_RUN_NAMES = {"file": "a run on files", "synth": "a --synth run"}
 
 GRADCHECK_DEFAULTS = dict(dense_fields=3, sparse_fields=4, vocab_size=5,
                           embed_dim=5, product_size=6, cross_depth=2,
@@ -123,25 +124,17 @@ def _model_config(settings: dict, vocab_sizes) -> tuple[ModelConfig, list[str]]:
     return config, [p for p in config.validate() if not p.startswith("vocab_sizes:")]
 
 
-def _synth_spec(cfg) -> "data_mod.SynthSpec | None":
-    """The spec of a --synth run (the default, with --synth-seed's seed if
-    given); None for a run on files."""
-    if cfg["synth"] is None:
-        return None
-    spec, seed = data_mod.DEFAULT_SYNTH_SPEC, cfg["synth_seed"]
-    return spec if seed is None else dataclasses.replace(spec, seed=seed)
-
-
 def _resolve_run_config(args) -> tuple[dict, optim.TrainConfig]:
-    """The run settings, in layers: the Criteo defaults; under --synth, the
-    desk scale and the synthetic data's field counts; the --config file; the
-    flags. Returns them and their TrainConfig; UsageError lists every bad one.
-    The file's vocab_sizes and synth_spec, which train writes, are kept."""
+    """The run settings: the defaults of the run's kind (--synth if the file
+    or the flags give synth), then the --config file, then the flags, and a
+    --synth run's synth_spec. Returns them and their TrainConfig; UsageError
+    lists every bad one. The file's vocab_sizes, which train writes, is kept."""
     problems = []
     given, reloaded = {}, {}
+    known = {**RUN_DEFAULTS["file"], **RUN_DEFAULTS["synth"]}  # in a fixed order
     if getattr(args, "config", None):
         try:
-            with open(args.config) as f:
+            with open(args.config, encoding="utf-8") as f:
                 given = json.load(f)
         except OSError as exc:
             raise DataError(f"cannot read --config file: {exc}") from None
@@ -151,23 +144,31 @@ def _resolve_run_config(args) -> tuple[dict, optim.TrainConfig]:
             raise UsageError(["config file: expected a JSON object"])
         reloaded = {key: given.pop(key) for key in ("vocab_sizes", "synth_spec")
                     if key in given}
-        problems += [f"{key}: unknown config key" for key in given if key not in RUN_DEFAULTS]
-        given = {key: value for key, value in given.items() if key in RUN_DEFAULTS}
-    given.update({key: getattr(args, key) for key in RUN_DEFAULTS
+    given.update({key: getattr(args, key) for key in known
                   if getattr(args, key, None) is not None})
-    cfg = dict(RUN_DEFAULTS)
-    spec = data_mod.DEFAULT_SYNTH_SPEC
-    if given.get("synth") is not None:
-        cfg.update(SYNTH_SCALE_DEFAULTS, dense_fields=spec.dense_fields,
-                   sparse_fields=spec.sparse_fields)
-    cfg.update(given)
+    kind, other = ("synth", "file") if given.get("synth") is not None else ("file", "synth")
+    cfg = dict(RUN_DEFAULTS[kind])
+    for key, value in given.items():
+        if key in cfg:
+            cfg[key] = value
+        elif key not in known:
+            problems.append(f"{key}: unknown config key")
+        elif value != RUN_DEFAULTS[other][key]:  # older config.json files list both kinds'
+            problems.append(f"{key}: not a setting of {_RUN_NAMES[kind]}")
     cfg["mlp_widths"] = _parse_widths(cfg["mlp_widths"])
 
-    if cfg["synth"] is None:
+    if kind == "file":
         if not cfg["train_data"]:
             problems.append("train_data: required unless --synth is used "
                             "(pass --train-data)")
+        fraction = cfg["valid_fraction"]
+        if not is_number(fraction) or not 0.0 <= fraction < 1.0:
+            problems.append(f"valid_fraction: must be a number in [0, 1), got {fraction!r}")
+        elif cfg["valid_data"] and fraction != RUN_DEFAULTS["file"]["valid_fraction"]:
+            problems.append("valid_fraction: unused, as valid_data is given")
+        problems += int_problems({"min_freq": cfg["min_freq"]})
     else:
+        spec = data_mod.DEFAULT_SYNTH_SPEC
         if cfg["synth"] != "default":
             problems.append(f"synth: only 'default' is defined, got {cfg['synth']!r}")
         for key in ("dense_fields", "sparse_fields"):  # fixed by the synthetic data
@@ -175,34 +176,30 @@ def _resolve_run_config(args) -> tuple[dict, optim.TrainConfig]:
                 problems.append(f"{key}: --synth default has {getattr(spec, key)}, "
                                 f"got {cfg[key]!r}")
             cfg[key] = getattr(spec, key)
-    fraction = cfg["valid_fraction"]
-    if not is_number(fraction) or not 0.0 <= fraction < 1.0:
-        problems.append(f"valid_fraction: must be a number in [0, 1), got {fraction!r}")
-    problems += int_problems({"min_freq": cfg["min_freq"]})
-    if cfg["synth_seed"] is not None:
-        problems += int_problems({"synth_seed": cfg["synth_seed"]}, low=0)
-    spec = _synth_spec(cfg)  # compared as train writes it: through JSON
-    derived = json.loads(json.dumps(None if spec is None else dataclasses.asdict(spec)))
-    if reloaded.get("synth_spec", derived) != derived:
-        problems.append(f"synth_spec: the config file has {reloaded['synth_spec']!r}, "
+        if cfg["synth_seed"] is not None:
+            problems += int_problems({"synth_seed": cfg["synth_seed"]}, low=0)
+            spec = dataclasses.replace(spec, seed=cfg["synth_seed"])
+        cfg["synth_spec"] = dataclasses.asdict(spec)
+    derived = json.loads(json.dumps(cfg.get("synth_spec")))  # as train writes it
+    file_spec = reloaded.pop("synth_spec", derived)
+    if file_spec != derived:
+        problems.append(f"synth_spec: the config file has {file_spec!r}, "
                         f"the run derives {derived!r}")
-    cfg.update(reloaded)
+    cfg.update(reloaded)  # the vocab_sizes train wrote, which it compares with the data's
     # the data determines the vocab sizes; every other model setting is checked now
     problems += _model_config(cfg, ())[1]
     train_cfg = optim.TrainConfig(**{key: cfg[key] for key in TRAIN_KEYS})
     problems += train_cfg.validate()
     if problems:
-        raise UsageError(dict.fromkeys(problems))  # the shared seed is checked twice
+        raise UsageError(problems)
     return cfg, train_cfg
 
 
 def _load_training_data(cfg):
-    """Returns (train_ds, valid_ds_or_None, vocab, provenance)."""
-    spec = _synth_spec(cfg)
-    if spec is not None:
-        sdata = data_mod.synth_generate(spec)
-        return (sdata.train_dataset(), sdata.valid_dataset(), sdata.vocab(),
-                {"synth_spec": dataclasses.asdict(spec)})
+    """Returns (train_ds, valid_ds_or_None, vocab)."""
+    if "synth_spec" in cfg:
+        sdata = data_mod.synth_generate(data_mod.SynthSpec(**cfg["synth_spec"]))
+        return sdata.train_dataset(), sdata.valid_dataset(), sdata.vocab()
     n_dense, n_sparse, path = cfg["dense_fields"], cfg["sparse_fields"], cfg["train_data"]
     n_train = None  # every line trains when --valid-data is given
     if not cfg["valid_data"]:
@@ -220,23 +217,20 @@ def _load_training_data(cfg):
         valid_ds = data_mod.load_tsv(cfg["valid_data"], vocab, n_dense, n_sparse)
     else:  # an empty tail means no validation
         valid_ds = rows.subset(slice(n_train, None)) or None
-    provenance = {"train_data": cfg["train_data"], "valid_data": cfg["valid_data"],
-                  "valid_fraction": cfg["valid_fraction"]}
-    return train_ds, valid_ds, vocab, provenance
+    return train_ds, valid_ds, vocab
 
 
 def cmd_train(args) -> int:
     cfg, train_cfg = _resolve_run_config(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_ds, valid_ds, vocab, provenance = _load_training_data(cfg)
+    train_ds, valid_ds, vocab = _load_training_data(cfg)
     sizes = list(vocab.sizes())
     if cfg.get("vocab_sizes", sizes) != sizes:
         raise DataError(f"vocab_sizes: the config file has {cfg['vocab_sizes']!r}, "
                         f"the training data gives {sizes}")
-    resolved = {**cfg, "vocab_sizes": sizes, **provenance}
-    (out_dir / "config.json").write_text(json.dumps(resolved, indent=2,
-                                                    sort_keys=True) + "\n")
+    (out_dir / "config.json").write_text(
+        json.dumps({**cfg, "vocab_sizes": sizes}, indent=2, sort_keys=True) + "\n")
     (out_dir / "vocab.json").write_text(vocab.to_json() + "\n")
 
     model = XCrossNetModel.init(_model_config(cfg, sizes)[0])
@@ -282,7 +276,7 @@ def _load_scoring_inputs(args) -> tuple[XCrossNetModel, data_mod.Dataset]:
                 f"no vocab file next to the checkpoint ({vocab_path}); "
                 "pass --vocab explicitly")
     try:
-        vocab = data_mod.FieldVocab.from_json(Path(vocab_path).read_text())
+        vocab = data_mod.FieldVocab.from_json(Path(vocab_path).read_text(encoding="utf-8"))
     except (OSError, DataError) as exc:
         raise DataError(f"cannot load vocab from {vocab_path}: {exc}") from None
     if any(v > m for v, m in zip(vocab.sizes(), model.config.vocab_sizes)):
@@ -399,13 +393,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train a model, write checkpoint+log")
     p_train.add_argument("--config", help="JSON config file; flags override it")
-    add_flags(p_train, train_data=str, valid_data=str)
-    p_train.add_argument("--valid-fraction", dest="valid_fraction", type=float,
-                         help="held-out tail fraction of --train-data rows "
-                              "when no --valid-data is given")
+    p_train.add_argument("--train-data", help="run on files: the training TSV")
+    p_train.add_argument("--valid-data", help="run on files: the validation TSV")
+    p_train.add_argument("--valid-fraction", type=float, help="run on files without "
+                         "--valid-data: the held-out tail fraction of --train-data")
+    p_train.add_argument("--min-freq", type=int,
+                         help="run on files: tokens seen fewer times are OOV")
     p_train.add_argument("--synth", choices=["default"],
                          help="train on the built-in synthetic task")
-    add_flags(p_train, synth_seed=int, min_freq=int)
+    p_train.add_argument("--synth-seed", type=int,
+                         help="--synth run: the seed of the instance draws")
     add_model_flags(p_train)
     add_flags(p_train, seed=int, lr=float, batch_size=int, l2=float, epochs=int,
               eval_every=int)

@@ -154,7 +154,7 @@ def read_lines(path):
     """The lines of a text file, gunzipped if its name ends in .gz; a
     truncated or corrupt gzip stream, or a byte that is not UTF-8, raises
     DataError naming the file."""
-    with gzip.open(path, "rt") if str(path).endswith(".gz") else open(path) as f:
+    with (gzip.open if str(path).endswith(".gz") else open)(path, "rt", encoding="utf-8") as f:
         try:
             yield from f
         except (EOFError, UnicodeDecodeError, zlib.error) as exc:

@@ -90,9 +90,10 @@ def predict_dataset(model, dataset) -> np.ndarray:
     the first row (1-based) whose prediction is not finite."""
     n = len(dataset)
     preds = np.empty(n)
-    for start in range(0, n, PREDICT_CHUNK):
-        rows = slice(start, start + PREDICT_CHUNK)
-        preds[rows] = model.forward(dataset.subset(rows))[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # the isfinite check reports it
+        for start in range(0, n, PREDICT_CHUNK):
+            rows = slice(start, start + PREDICT_CHUNK)
+            preds[rows] = model.forward(dataset.subset(rows))[0]
     finite = np.isfinite(preds)
     if not finite.all():
         first = int(np.argmin(finite))

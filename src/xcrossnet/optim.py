@@ -131,15 +131,14 @@ class TrainConfig:
     batch_size: int = 4096
     l2: float = 1e-4
     epochs: int = 1
-    seed: int = 0
     eval_every: int = 1  # epochs between validation passes; 0 disables
 
     def validate(self) -> list[str]:
         """Collect every problem: lr and l2 must be finite numbers >= 0, the
-        counts and the seed Python ints (bool is not accepted as either)."""
+        counts Python ints (bool is not accepted as either)."""
         return finite_problems({"lr": self.lr, "l2": self.l2}, low=0) + \
-            int_problems({"batch_size": self.batch_size}) + int_problems(
-                {"epochs": self.epochs, "seed": self.seed, "eval_every": self.eval_every}, low=0)
+            int_problems({"batch_size": self.batch_size}) + \
+            int_problems({"epochs": self.epochs, "eval_every": self.eval_every}, low=0)
 
 
 def fit(model, train: "data_mod.Dataset", config: TrainConfig,
@@ -149,7 +148,7 @@ def fit(model, train: "data_mod.Dataset", config: TrainConfig,
     Returns (and streams to callbacks) one record per batch:
     {step, epoch, train_logloss, wall_ms}; on the validation cadence an
     extra record additionally carries val_auc / val_logloss. Epoch e is
-    shuffled by default_rng((config.seed, e)).
+    shuffled by default_rng((model.config.seed, e)).
     """
     if len(train) == 0:
         raise DataError("cannot fit on an empty dataset")
@@ -170,7 +169,7 @@ def fit(model, train: "data_mod.Dataset", config: TrainConfig,
     step = 0
     for epoch in range(config.epochs):
         for batch in data_mod.batch_iter(train, config.batch_size,
-                                         seed=(config.seed, epoch)):
+                                         seed=(model.config.seed, epoch)):
             loss = batch_loss_and_grad(model, batch)
             if not math.isfinite(loss):
                 raise NumericError(

@@ -1,8 +1,11 @@
 import dataclasses
 import gzip
+import importlib.util
 import json
 import os
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,8 +154,41 @@ class TestTrain:
             "dense_fields": 13, "sparse_fields": 26, "embed_dim": 20, "product_size": 100,
             "cross_depth": 4, "mlp_widths": (400, 400), "seed": 0, "lr": 0.001,
             "batch_size": 4096, "l2": 1e-4, "epochs": 1, "eval_every": 1,
-            "train_data": "f", "valid_data": None, "valid_fraction": 0.1, "min_freq": 10,
-            "synth": None, "synth_seed": None}
+            "train_data": "f", "valid_data": None, "valid_fraction": 0.1, "min_freq": 10}
+
+    def test_synth_default_settings(self):
+        # the desk scale, and the synthetic data's field counts and spec
+        args = cli.build_parser().parse_args(["train", "--synth", "default", "--out", "d"])
+        cfg, _ = cli._resolve_run_config(args)
+        assert cfg == {
+            "dense_fields": 4, "sparse_fields": 4, "embed_dim": 8, "product_size": 8,
+            "cross_depth": 3, "mlp_widths": (64,), "seed": 0, "lr": 0.001,
+            "batch_size": 512, "l2": 1e-4, "epochs": 1, "eval_every": 1,
+            "synth": "default", "synth_seed": None,
+            "synth_spec": dataclasses.asdict(data.DEFAULT_SYNTH_SPEC)}
+
+    @pytest.mark.parametrize("flags, problem", [
+        (["--synth", "default", "--train-data", "t.tsv"],
+         "train_data: not a setting of a --synth run"),
+        (["--synth", "default", "--valid-data", "v.tsv"],
+         "valid_data: not a setting of a --synth run"),
+        (["--synth", "default", "--min-freq", "500"],
+         "min_freq: not a setting of a --synth run"),
+        (["--synth", "default", "--valid-fraction", "0.5"],
+         "valid_fraction: not a setting of a --synth run"),
+        (["--train-data", "t.tsv", "--synth-seed", "99"],
+         "synth_seed: not a setting of a run on files"),
+        (["--train-data", "t.tsv", "--valid-data", "v.tsv", "--valid-fraction", "0.5"],
+         "valid_fraction: unused, as valid_data is given"),
+    ], ids=["synth_train_data", "synth_valid_data", "synth_min_freq", "synth_valid_fraction",
+            "file_synth_seed", "file_valid_fraction_with_valid_data"])
+    def test_unused_setting_is_usage_error(self, tmp_path, capsys, flags, problem):
+        # not ignored: the run would train as if it had not been given
+        code, out, err = run_cli(["train", *flags, "--epochs", "0",
+                                  "--out", str(tmp_path / "run")], capsys)
+        assert code == 2 and out == ""
+        assert err == f"config error: {problem}\n"
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_config_key_listed(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -186,12 +222,19 @@ class TestTrain:
         assert message in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("run", ["synth", "file"])
+    @pytest.mark.parametrize("run, older_keys", [
+        ("synth", {}), ("file", {}),
+        ("synth", dict(train_data=None, valid_data=None, valid_fraction=0.1, min_freq=10)),
+        ("file", dict(synth=None, synth_seed=None))],
+        ids=["synth", "file", "synth_older", "file_older"])
     def test_written_config_reloads_to_the_same_checkpoint(self, synth_run, trained_dir,
-                                                          tmp_path, capsys, run):
-        # config.json also holds what train derives (vocab_sizes, synth_spec)
+                                                          tmp_path, capsys, run, older_keys):
+        # config.json also holds what train derives (vocab_sizes, synth_spec);
+        # older ones also list the other kind of run's settings at their defaults
         first = synth_run if run == "synth" else trained_dir
-        code, _, err = run_cli(["train", "--config", str(first / "config.json"),
+        cfg_path = self.edited_config(first, tmp_path, **older_keys) if older_keys \
+            else first / "config.json"
+        code, _, err = run_cli(["train", "--config", str(cfg_path),
                                 "--out", str(tmp_path)], capsys)
         assert code == 0, err
         assert (tmp_path / "checkpoint.xcn").read_bytes() == \
@@ -388,6 +431,24 @@ class TestTrain:
         assert kv(out)["interrupted"] == "true"
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_benchmark_trains_the_synth_run_model(monkeypatch):
+    # perfbench's synth-train workload writes its model and optimizer
+    # settings out by hand; they must stay those of `train --synth default`
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # child.py imports its siblings
+    spec = importlib.util.spec_from_file_location("perfbench_child", PERFBENCH / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    cfg, train_cfg = cli._resolve_run_config(cli.build_parser().parse_args(
+        ["train", "--synth", "default", "--out", "d"]))
+    sizes = (4, 5, 6, 7)
+    workload = child.WORKLOADS["synth-train"]
+    assert workload.model_config(sizes) == cli._model_config(cfg, sizes)[0]
+    assert (workload.batch_size, child.LR) == (train_cfg.batch_size, train_cfg.lr)
+
+
 class TestEval:
     def test_reproduces_final_training_metrics_exactly(self, synth_dir,
                                                        trained_dir, capsys):
@@ -445,7 +506,8 @@ class TestEval:
         (tmp_path / "vocab.json").write_text((synth_run / "vocab.json").read_text())
         out = tmp_path / "p.txt"
         extra = ["--out", str(out)] if command == "predict" else []
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():  # numpy's overflow warnings are not printed
+            warnings.simplefilter("error", RuntimeWarning)
             code, stdout, err = run_cli([command, "--checkpoint", str(tmp_path / "checkpoint.xcn"),
                                          "--data", str(synth_dir / "valid.tsv"), *extra], capsys)
         assert code == 4

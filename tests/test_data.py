@@ -1,6 +1,9 @@
 import dataclasses
 import gzip
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from collections import Counter
@@ -133,6 +136,25 @@ class TestIngestionPurity:
         ds = data.load_tsv(path, VOCAB2, 2, 2)
         assert len(ds) == 2
         assert ds.labels.tolist() == [1.0, 0.0]
+
+    def test_files_are_utf8_in_any_locale(self, tmp_path):
+        # in the C locale, a file opened without an encoding decodes as ASCII
+        plain, packed = tmp_path / "rows.tsv", tmp_path / "rows.tsv.gz"
+        plain.write_bytes("1\t2\t\u00e9\n".encode("utf-8"))
+        packed.write_bytes(gzip.compress(plain.read_bytes()))
+        script = ("import locale, sys\n"
+                  "from xcrossnet import data\n"
+                  "print(locale.getpreferredencoding(False))\n"
+                  "for path in sys.argv[1:]:\n"
+                  "    print(ascii(data.build_vocab(data.read_lines(path), 1, 1, 1).mappings))\n")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": str(Path(data.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-c", script, str(plain), str(packed)],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        encoding, *mappings = run.stdout.splitlines()
+        assert "utf" not in encoding.lower()
+        assert mappings == [ascii([{"\u00e9": 1}])] * 2
 
 
 def reference_normalize(x: float) -> float:

@@ -281,13 +281,13 @@ class TestFit:
         m = XCrossNetModel.init(TINY)
         before = m.registry.values.copy()
         cfg = optim.TrainConfig(lr=0.0, batch_size=1024, l2=0.0, epochs=2,
-                                seed=0, eval_every=0)
+                                eval_every=0)
         log = optim.fit(m, train, cfg)
         assert np.array_equal(m.registry.values, before)
         # a frozen model: each record's loss is the logloss of the batch
         # that epoch's shuffle yields
         batches = [b for epoch in range(2)
-                   for b in data.batch_iter(train, 1024, seed=(0, epoch))]
+                   for b in data.batch_iter(train, 1024, seed=(TINY.seed, epoch))]
         assert [r["train_logloss"] for r in log] == \
             [optim.logloss(m.forward(b)[0], b.labels) for b in batches]
 
@@ -295,7 +295,7 @@ class TestFit:
         train, valid = self.synth_small()
         m = XCrossNetModel.init(TINY)
         cfg = optim.TrainConfig(lr=0.001, batch_size=512, l2=1e-4, epochs=3,
-                                seed=1, eval_every=1)
+                                eval_every=1)
         log = optim.fit(m, train, cfg, valid=valid)
         vals = [r["val_logloss"] for r in log if "val_logloss" in r]
         assert len(vals) == 3
@@ -307,7 +307,7 @@ class TestFit:
         one = train.subset([0])
         m = XCrossNetModel.init(TINY)
         cfg = optim.TrainConfig(lr=0.001, batch_size=1, l2=0.0, epochs=2000,
-                                seed=2, eval_every=0)
+                                eval_every=0)
         log = optim.fit(m, one, cfg)
         assert log[-1]["train_logloss"] < 0.01
 
@@ -317,7 +317,7 @@ class TestFit:
         flat = m.registry.values.copy()
         flat[0] = np.nan
         m.registry.set_flat(flat)
-        cfg = optim.TrainConfig(lr=0.001, batch_size=256, epochs=1, seed=0)
+        cfg = optim.TrainConfig(lr=0.001, batch_size=256, epochs=1)
         with pytest.raises(NumericError):
             optim.fit(m, train, cfg)
 
@@ -338,8 +338,7 @@ class TestFit:
     def test_log_record_schema(self):
         train, valid = self.synth_small()
         m = XCrossNetModel.init(TINY)
-        cfg = optim.TrainConfig(lr=0.001, batch_size=4096, epochs=1, seed=0,
-                                eval_every=1)
+        cfg = optim.TrainConfig(lr=0.001, batch_size=4096, epochs=1, eval_every=1)
         seen = []
         optim.fit(m, train, cfg, valid=valid, callbacks=[seen.append])
         assert {"step", "epoch", "train_logloss", "wall_ms"} <= set(seen[0])
@@ -354,18 +353,17 @@ def test_synth_model_learns_past_lr_toward_bayes():
     # gaps were AUC - LR 0.039-0.047 and Bayes - AUC 0.007-0.011; the
     # margins leave room for that spread, not for a model that stops
     # learning the planted crosses
-    scale = cli.SYNTH_SCALE_DEFAULTS
+    run = cli.RUN_DEFAULTS["synth"]
     sd = data.synth_generate(data.DEFAULT_SYNTH_SPEC)
     train, valid = sd.train_dataset(), sd.valid_dataset()
     config = ModelConfig(
         dense_fields=train.n_dense, sparse_fields=train.n_sparse,
-        vocab_sizes=sd.vocab().sizes(), embed_dim=scale["embed_dim"],
-        product_size=scale["product_size"], cross_depth=scale["cross_depth"],
-        mlp_widths=scale["mlp_widths"], seed=cli.RUN_DEFAULTS["seed"])
+        vocab_sizes=sd.vocab().sizes(), embed_dim=run["embed_dim"],
+        product_size=run["product_size"], cross_depth=run["cross_depth"],
+        mlp_widths=run["mlp_widths"], seed=run["seed"])
     model = XCrossNetModel.init(config)
     optim.fit(model, train, optim.TrainConfig(
-        lr=cli.RUN_DEFAULTS["lr"], batch_size=scale["batch_size"],
-        l2=cli.RUN_DEFAULTS["l2"], epochs=3))
+        lr=run["lr"], batch_size=run["batch_size"], l2=run["l2"], epochs=3))
     val_auc = metrics.evaluate(model, valid).auc
     assert val_auc - oracle.lr_baseline_auc(train, valid) >= 0.025
     assert metrics.auc(sd.scores[len(train):], valid.labels) - val_auc <= 0.02
