@@ -12,7 +12,6 @@ from .errors import (
     DataError,
     DimensionError,
     NumericError,
-    SingleClassError,
     XCrossNetError,
 )
 
@@ -21,7 +20,6 @@ __all__ = [
     "DimensionError",
     "DataError",
     "CheckpointError",
-    "SingleClassError",
     "NumericError",
     "__version__",
 ]

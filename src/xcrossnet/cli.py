@@ -43,8 +43,8 @@ import numpy as np
 
 from . import data as data_mod
 from . import metrics, optim, oracle
-from .errors import (CheckpointError, DataError, NumericError, SingleClassError,
-                     XCrossNetError, int_problems, is_number)
+from .errors import (CheckpointError, DataError, NumericError, XCrossNetError, int_problems,
+                     is_number)
 from .model import (ModelConfig, XCrossNetModel, balance_index, load_checkpoint,
                     save_checkpoint)
 
@@ -111,7 +111,11 @@ def _parse_widths(text):
 
 
 def _echo(key, value) -> None:
-    if isinstance(value, float):
+    """Print key=value: a float as its repr, None (a score that one class
+    leaves undefined) as unavailable."""
+    if value is None:
+        value = "unavailable"
+    elif isinstance(value, float):
         value = repr(value)
     print(f"{key}={value}")
 
@@ -257,9 +261,8 @@ def cmd_train(args) -> int:
         _echo("interrupted", "true")
         return 130
     if valid_ds is not None:
-        report = metrics.evaluate(model, valid_ds)
-        for line in report.lines():
-            print(f"final_{line}")
+        for key, value in dataclasses.asdict(metrics.evaluate(model, valid_ds)).items():
+            _echo(f"final_{key}", value)
     return EXIT_OK
 
 
@@ -288,9 +291,8 @@ def _load_scoring_inputs(args) -> tuple[XCrossNetModel, data_mod.Dataset]:
 
 def cmd_eval(args) -> int:
     model, ds = _load_scoring_inputs(args)
-    report = metrics.evaluate(model, ds)
-    for line in report.lines():
-        print(line)
+    for key, value in dataclasses.asdict(metrics.evaluate(model, ds)).items():
+        _echo(key, value)
     return EXIT_OK
 
 
@@ -354,10 +356,7 @@ def cmd_synth(args) -> int:
     _echo("positive_ratio_train", float(np.mean(sdata.labels[:n])))
     for split, rows in (("train", slice(None, n)), ("valid", slice(n, None))):
         np.savetxt(out_dir / f"{split}_scores.txt", sdata.scores[rows])
-        try:
-            _echo(f"bayes_auc_{split}", metrics.auc(sdata.scores[rows], sdata.labels[rows]))
-        except SingleClassError:
-            _echo(f"bayes_auc_{split}", "unavailable")
+        _echo(f"bayes_auc_{split}", metrics.auc(sdata.scores[rows], sdata.labels[rows]))
     return EXIT_OK
 
 

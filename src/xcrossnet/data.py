@@ -51,12 +51,8 @@ from .errors import DataError, finite_problems, int_problems, is_int
 def stable_sigmoid(z: np.ndarray) -> np.ndarray:
     """Vectorized logistic link, stable in both tails."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # exp(-z) where z >= 0, exp(z) where z < 0: never overflows
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def normalize_dense(x):

@@ -20,10 +20,6 @@ class CheckpointError(XCrossNetError):
     """Checkpoint file is corrupt, truncated, or has an unknown version."""
 
 
-class SingleClassError(XCrossNetError):
-    """AUC requested for a label vector containing only one class."""
-
-
 class NumericError(XCrossNetError):
     """A non-finite value appeared where the math guarantees finiteness."""
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError, SingleClassError
+from .errors import DataError, NumericError
 
 PRED_CLAMP = 1e-7  # predictions are clamped to [eps, 1-eps] inside the loss only
 
@@ -22,15 +22,6 @@ class EvalReport:
     logloss: float
     n_pos: int
     n_neg: int
-
-    def lines(self) -> list[str]:
-        auc_text = "unavailable" if self.auc is None else repr(self.auc)
-        return [
-            f"auc={auc_text}",
-            f"logloss={self.logloss!r}",
-            f"n_pos={self.n_pos}",
-            f"n_neg={self.n_neg}",
-        ]
 
 
 def logloss(preds, labels) -> float:
@@ -48,22 +39,16 @@ def logloss(preds, labels) -> float:
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values all receive the mean of their rank span."""
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    n = len(values)
-    # group boundaries of runs of equal values in the sorted order
-    edges = np.flatnonzero(np.concatenate(
-        ([True], sorted_vals[1:] != sorted_vals[:-1], [True])))
-    starts, ends = edges[:-1], edges[1:]
-    group_rank = (starts + ends + 1) / 2.0  # mean of ranks start+1 .. end
-    ranks = np.empty(n)
-    ranks[order] = np.repeat(group_rank, ends - starts)
-    return ranks
+    # -0.0 ties with 0.0, and NaNs, which sort last, tie with each other
+    _, group, counts = np.unique(np.asarray(values, dtype=np.float64), return_inverse=True,
+                                 return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2.0)[group]  # mean of ranks end-count+1 .. end
 
 
-def auc(preds, labels) -> float:
-    """Probability a random positive outranks a random negative (Mann-Whitney).
+def auc(preds, labels) -> float | None:
+    """Probability a random positive outranks a random negative (Mann-Whitney),
+    or None when the labels hold only one class.
 
     Computed from average ranks, so ties contribute half credit, matching
     the pairwise definition exactly.
@@ -77,8 +62,7 @@ def auc(preds, labels) -> float:
     n_pos = int(np.count_nonzero(pos))
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise SingleClassError(
-            f"AUC needs both classes; got {n_pos} positives, {n_neg} negatives")
+        return None
     ranks = average_ranks(preds)
     pos_rank_sum = float(np.sum(ranks[pos]))
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
@@ -104,6 +88,5 @@ def predict_dataset(model, dataset) -> np.ndarray:
 def evaluate(model, dataset) -> EvalReport:
     preds = predict_dataset(model, dataset)
     n_pos = int(np.count_nonzero(dataset.labels == 1.0))
-    n_neg = len(dataset) - n_pos
-    auc_value = auc(preds, dataset.labels) if n_pos and n_neg else None
-    return EvalReport(auc_value, logloss(preds, dataset.labels), n_pos, n_neg)
+    return EvalReport(auc(preds, dataset.labels), logloss(preds, dataset.labels),
+                      n_pos, len(dataset) - n_pos)

@@ -13,6 +13,7 @@ compact, one row per table row the batch looked up.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -184,29 +185,28 @@ class ParamRegistry:
                 f"set_flat: got {flat.shape}, expected ({self.values.size},)")
         self.values[...] = flat
 
-def _layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], tuple | None]]:
-    """(name, shape, draw) of every parameter in registry order. draw is
-    ("normal", std), ("uniform", bound) or None for a zero start."""
+def _layout(config: ModelConfig):
+    """Yields (name, shape, draw) of every parameter in registry order, one
+    at a time, so that a reader can stop early. draw is ("normal", std),
+    ("uniform", bound) or None for a zero start."""
     m, n, k, t = (config.dense_fields, config.sparse_fields, config.embed_dim,
                   config.product_size)
-    specs = []
     for l in range(config.cross_depth):
-        specs += [(f"cross.w{l}", (m,), ("normal", 0.01)), (f"cross.b{l}", (m,), None)]
-    specs += [(f"embed.field{i}", (v, k), ("normal", 0.01))
-              for i, v in enumerate(config.vocab_sizes)]
-    specs += [("product.theta", (t, n), ("normal", 0.01)),
-              ("product.order1", (t, n, k), ("normal", 0.01)),
-              ("concat.w", (config.x0_dim,), ("normal", 0.01)),
-              ("concat.b", (config.x0_dim,), None)]
+        yield from [(f"cross.w{l}", (m,), ("normal", 0.01)), (f"cross.b{l}", (m,), None)]
+    yield from ((f"embed.field{i}", (v, k), ("normal", 0.01))
+                for i, v in enumerate(config.vocab_sizes))
+    yield from [("product.theta", (t, n), ("normal", 0.01)),
+                ("product.order1", (t, n, k), ("normal", 0.01)),
+                ("concat.w", (config.x0_dim,), ("normal", 0.01)),
+                ("concat.b", (config.x0_dim,), None)]
     fan_in = config.mlp_input_dim
     for i, width in enumerate(config.mlp_widths):
         bound = np.sqrt(6.0 / (fan_in + width))
-        specs += [(f"mlp.w{i}", (width, fan_in), ("uniform", bound)),
-                  (f"mlp.b{i}", (width,), None)]
+        yield from [(f"mlp.w{i}", (width, fan_in), ("uniform", bound)),
+                    (f"mlp.b{i}", (width,), None)]
         fan_in = width
-    specs += [("mlp.out_w", (fan_in,), ("uniform", np.sqrt(6.0 / (fan_in + 1)))),
-              ("mlp.out_b", (1,), None)]
-    return specs
+    yield from [("mlp.out_w", (fan_in,), ("uniform", np.sqrt(6.0 / (fan_in + 1)))),
+                ("mlp.out_b", (1,), None)]
 
 class XCrossNetModel:
     """The four stages wired together, plus the shared parameter registry.
@@ -385,9 +385,11 @@ def save_checkpoint(model: XCrossNetModel, path) -> None:
         raise
 
 def load_checkpoint(path) -> XCrossNetModel:
-    """Read a checkpoint; the payload is read straight into the new
-    model's value vector (through one payload-sized buffer only on a
-    big-endian host). A NaN or an infinity in it is refused, naming its entry."""
+    """Read a checkpoint. Its registry and payload size are checked against
+    its config before any parameter is allocated; the payload is then read
+    straight into the new model's value vector (through one payload-sized
+    buffer only on a big-endian host). A NaN or an infinity in it is
+    refused, naming its entry."""
     with open(path, "rb") as f:
         header_line = f.readline()
         try:
@@ -409,14 +411,17 @@ def load_checkpoint(path) -> XCrossNetModel:
             raise CheckpointError(f"malformed checkpoint config: {exc}") from None
         if problems:
             raise CheckpointError("invalid checkpoint config: " + "; ".join(problems))
-        model = XCrossNetModel(config)
-        if header.get("registry") != model.registry.names():
+        names = header.get("registry")
+        layout = list(itertools.islice(_layout(config), len(names) + 1)
+                      if isinstance(names, list) else ())
+        if [name for name, _, _ in layout] != names:
             raise CheckpointError("checkpoint registry ordering does not match config")
-        values = model.registry.values
         payload = os.fstat(f.fileno()).st_size - f.tell()
-        if payload != values.nbytes:
-            raise CheckpointError(
-                f"parameter blob has {payload} bytes, expected {values.nbytes}")
+        nbytes = 8 * sum(math.prod(shape) for _, shape, _ in layout)
+        if payload != nbytes:
+            raise CheckpointError(f"parameter blob has {payload} bytes, expected {nbytes}")
+        model = XCrossNetModel(config)
+        values = model.registry.values
         target = values if values.dtype == np.dtype("<f8") else np.empty(values.shape, "<f8")
         if f.readinto(memoryview(target).cast("B")) != values.nbytes:
             raise CheckpointError("parameter blob ended early")

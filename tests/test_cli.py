@@ -16,8 +16,10 @@ from xcrossnet.model import XCrossNetModel, ModelConfig, load_checkpoint, save_c
 
 
 def run_cli(argv, capsys):
+    """Run the CLI; no stdout line may print a value as None."""
     code = cli.main(argv)
     captured = capsys.readouterr()
+    assert "None" not in kv(captured.out).values(), captured.out
     return code, captured.out, captured.err
 
 
@@ -352,6 +354,23 @@ class TestTrain:
              "--out", str(tmp_path)], capsys)
         assert code == 0
         assert "final_auc" in kv(out)
+
+    def test_one_class_held_out_tail_has_no_auc(self, synth_dir, tmp_path, capsys):
+        # the last 10% of the lines, the held-out split, are all label 0
+        lines = (synth_dir / "train.tsv").read_text().splitlines(keepends=True)
+        tail = len(lines) // 10
+        path = tmp_path / "train.tsv"
+        path.write_text("".join(lines[:-tail] + ["0" + line[1:] for line in lines[-tail:]]))
+        code, out, _ = run_cli(
+            ["train", "--train-data", str(path), "--valid-fraction", "0.1", *TRAIN_FLAGS,
+             "--epochs", "1", "--out", str(tmp_path / "run")], capsys)
+        assert code == 0
+        pairs = kv(out)
+        assert pairs["val_auc"] == pairs["final_auc"] == "unavailable"
+        assert (pairs["final_n_pos"], pairs["final_n_neg"]) == ("0", str(tail))
+        records = [json.loads(line) for line in
+                   (tmp_path / "run" / "train_log.ndjson").read_text().splitlines()]
+        assert [r["val_auc"] for r in records if "val_logloss" in r] == [None]
 
     def test_empty_held_out_tail_means_no_validation(self, synth_dir, tmp_path, capsys):
         code, out, _ = run_cli(
@@ -736,6 +755,38 @@ class TestInspect:
         code, _, err = run_cli(["inspect", "--checkpoint", str(path)], capsys)
         assert code == 3
         assert message in err
+
+    @pytest.mark.parametrize("command", ["inspect", "eval", "predict"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c["vocab_sizes"].__setitem__(0, 10 ** 12),
+         "parameter blob has 936 bytes, expected 16000000000888"),
+        (lambda c: c.update(cross_depth=10 ** 4),
+         "checkpoint registry ordering does not match config"),
+    ], ids=["huge_vocab", "deep_cross"])
+    def test_header_sizes_are_checked_before_any_allocation(self, tmp_path, capsys, command,
+                                                             edit, message):
+        # a header naming a 16 TB table, or 2 * 10^4 cross entries, costs nothing
+        model = XCrossNetModel.init(ModelConfig(
+            dense_fields=2, sparse_fields=2, vocab_sizes=(3, 3), embed_dim=2,
+            product_size=2, cross_depth=1, mlp_widths=(4,)))
+        path = tmp_path / "c.xcn"
+        save_checkpoint(model, path)
+        header, _, blob = path.read_bytes().partition(b"\n")
+        header = json.loads(header)
+        edit(header["config"])
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        extra = {"inspect": [], "eval": ["--data", "unused.tsv"],
+                 "predict": ["--data", "unused.tsv", "--out", str(tmp_path / "p.txt")]}
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli([command, "--checkpoint", str(path), *extra[command]],
+                                   capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert err == f"error: {message}\n"
+        assert peak < 2 ** 20
 
     def test_unknown_checkpoint_format(self, tmp_path, capsys):
         bad = tmp_path / "bad.xcn"

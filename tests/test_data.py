@@ -41,6 +41,25 @@ class TestNormalization:
         assert data.normalize_dense(xs).tobytes() == expected.tobytes()
 
 
+class TestStableSigmoid:
+    def test_matches_the_two_branch_reference_bitwise(self):
+        z = np.array([-0.0, 0.0, -800.0, 800.0,
+                      *np.random.default_rng(0).uniform(-30, 30, 500)])
+        pos = z >= 0
+        expected = np.empty_like(z)
+        expected[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        expected[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
+        with np.errstate(over="raise", invalid="raise"):
+            got = data.stable_sigmoid(z)
+        assert got.tobytes() == expected.tobytes()
+        assert got[:4].tolist() == [0.5, 0.5, 0.0, 1.0]
+
+    def test_nan_gives_nan_and_infinities_saturate(self):
+        with np.errstate(over="raise", invalid="raise"):
+            got = data.stable_sigmoid(np.array([np.nan, -1.0, np.inf, -np.inf]))
+        assert np.isnan(got[0]) and got[2:].tolist() == [1.0, 0.0]
+
+
 class TestParse:
     def test_missing_dense_is_zero(self):
         row = data.parse_criteo_line("1\t3\t\tb\tx\n", VOCAB2, 2, 2)
