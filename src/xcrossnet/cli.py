@@ -261,44 +261,46 @@ def cmd_train(args) -> int:
         _echo("interrupted", "true")
         return 130
     if valid_ds is not None:
-        for key, value in dataclasses.asdict(metrics.evaluate(model, valid_ds)).items():
+        report = metrics.evaluate(metrics.predict_dataset(model, valid_ds), valid_ds.labels)
+        for key, value in dataclasses.asdict(report).items():
             _echo(f"final_{key}", value)
     return EXIT_OK
 
 
-def _load_scoring_inputs(args) -> tuple[XCrossNetModel, data_mod.Dataset]:
-    """The model of --checkpoint and the rows of --data, parsed with the
-    vocab of --vocab, or the one next to the checkpoint; DataError unless
+def _scores(args) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions and labels of --data under --checkpoint, forwarded chunk by chunk as
+    parsed with --vocab (default: vocab.json next to the checkpoint); DataError unless
     that vocab maps no token past the model's embedding tables."""
     model = load_checkpoint(args.checkpoint)
-    vocab_path = getattr(args, "vocab", None)
-    if vocab_path is None:
-        vocab_path = Path(args.checkpoint).parent / "vocab.json"
-        if not Path(vocab_path).exists():
-            raise DataError(
-                f"no vocab file next to the checkpoint ({vocab_path}); "
-                "pass --vocab explicitly")
+    vocab_path = args.vocab or Path(args.checkpoint).parent / "vocab.json"
     try:
         vocab = data_mod.FieldVocab.from_json(Path(vocab_path).read_text(encoding="utf-8"))
-    except (OSError, DataError) as exc:
+    except OSError as exc:
+        raise DataError(f"cannot read vocab {vocab_path} ({exc.strerror}); pass --vocab") from None
+    except DataError as exc:
         raise DataError(f"cannot load vocab from {vocab_path}: {exc}") from None
     if any(v > m for v, m in zip(vocab.sizes(), model.config.vocab_sizes)):
         raise DataError(f"vocab {vocab_path} has sizes {vocab.sizes()}, more than "
                         f"the model's {tuple(model.config.vocab_sizes)}")
-    return model, data_mod.load_tsv(args.data, vocab, model.config.dense_fields,
-                                    model.config.sparse_fields)
+    preds, labels, n = [], [], 0
+    for rows in data_mod.parse_chunks(data_mod.read_lines(args.data), vocab,
+                                      model.config.dense_fields, model.config.sparse_fields):
+        preds.append(metrics.predict_dataset(model, rows, row_offset=n))
+        labels.append(rows.labels)
+        n += len(rows)
+    if not n:
+        raise DataError(f"no instances in {args.data}")
+    return np.concatenate(preds), np.concatenate(labels)
 
 
 def cmd_eval(args) -> int:
-    model, ds = _load_scoring_inputs(args)
-    for key, value in dataclasses.asdict(metrics.evaluate(model, ds)).items():
+    for key, value in dataclasses.asdict(metrics.evaluate(*_scores(args))).items():
         _echo(key, value)
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
-    model, ds = _load_scoring_inputs(args)
-    preds = metrics.predict_dataset(model, ds)
+    preds, _ = _scores(args)
     with open(args.out, "w") as f:
         for p in preds:
             f.write(repr(float(p)) + "\n")

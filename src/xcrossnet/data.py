@@ -110,10 +110,6 @@ class FieldVocab:
     def __init__(self, mappings: list[dict[str, int]]):
         self.mappings = mappings
 
-    @property
-    def n_fields(self) -> int:
-        return len(self.mappings)
-
     def sizes(self) -> tuple[int, ...]:
         # +1 for the reserved OOV/missing id
         return tuple(len(m) + 1 for m in self.mappings)
@@ -301,15 +297,14 @@ class _Chunk:
         return picked.tobytes().decode("utf-8", "surrogatepass").split("\t")[:-1]
 
 
-def _each_chunk(lines, n_fields: int, parse) -> list:
-    """[parse(chunk) for each _Chunk of CHUNK_LINES lines of lines], an
+def _each_chunk(lines, n_fields: int, parse):
+    """Yields parse(chunk) for each _Chunk of CHUNK_LINES lines of lines, an
     iterable of str; a chunk is dropped before the next one is read."""
-    lines, first, out = iter(lines), 0, []
+    lines, first = iter(lines), 0
     while (chunk := _Chunk(lines, first, n_fields)).n_lines:
         first += chunk.n_lines
-        out.append(parse(chunk))
+        yield parse(chunk)
         del chunk
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +355,8 @@ def build_vocab(lines, n_dense: int, n_sparse: int, min_freq: int = 10) -> Field
             keys, lengths = chunk.keys(1 + n_dense + i)
             counts.add(*np.unique(keys[lengths > 0], return_counts=True))
 
-    _each_chunk(lines, 1 + n_dense + n_sparse, count)
+    for _ in _each_chunk(lines, 1 + n_dense + n_sparse, count):
+        pass
     mappings = []
     for counts in fields:
         keys, n = counts.merge()
@@ -439,8 +435,8 @@ def _dense_values(chunk: _Chunk, rows: int, n_dense: int) -> np.ndarray:
     return values.reshape(rows, n_dense)
 
 
-def _parse_chunk(chunk: _Chunk, tables: list[_FieldTable], n_dense: int):
-    """(dense, sparse, labels) of a chunk; raises DataError at its first bad line."""
+def _parse_chunk(chunk: _Chunk, tables: list[_FieldTable], n_dense: int) -> Dataset:
+    """The rows of a chunk; raises DataError at its first bad line."""
     starts, lengths = chunk.spans(0, 1)
     label = chunk.buf[starts] - np.uint8(ord("0"))
     bad = np.flatnonzero((lengths != 1) | (label > 1))
@@ -455,20 +451,27 @@ def _parse_chunk(chunk: _Chunk, tables: list[_FieldTable], n_dense: int):
     sparse = np.empty((chunk.n_ok, len(tables)), dtype=np.int64)
     for i, table in enumerate(tables):
         sparse[:, i] = table.lookup(chunk, 1 + n_dense + i)
-    return dense, sparse, label.astype(np.float64)
+    return Dataset(dense, sparse, label.astype(np.float64))
+
+
+def parse_chunks(lines, vocab: FieldVocab, n_dense: int, n_sparse: int):
+    """The Dataset of each CHUNK_LINES Criteo-format lines of lines (an
+    iterable of str), each parsed as it is read; the vocab's field count is
+    checked at the call."""
+    if len(vocab.mappings) != n_sparse:
+        raise DataError(f"vocab has {len(vocab.mappings)} fields, "
+                        f"the data {n_sparse} categorical fields")
+    tables = [_FieldTable(m) for m in vocab.mappings]
+    return _each_chunk(lines, 1 + n_dense + n_sparse,
+                       lambda chunk: _parse_chunk(chunk, tables, n_dense))
 
 
 def parse_lines(lines, vocab: FieldVocab, n_dense: int, n_sparse: int) -> Dataset:
     """Parse Criteo-format lines (an iterable of str) chunk by chunk."""
-    if vocab.n_fields != n_sparse:
-        raise DataError(f"vocab has {vocab.n_fields} fields, "
-                        f"the data {n_sparse} categorical fields")
-    tables = [_FieldTable(m) for m in vocab.mappings]
-    parts = _each_chunk(lines, 1 + n_dense + n_sparse,
-                        lambda chunk: _parse_chunk(chunk, tables, n_dense))
-    if not parts:
-        return Dataset(np.zeros((0, n_dense)), np.zeros((0, n_sparse)), np.zeros(0))
-    return Dataset(*(np.concatenate(column) for column in zip(*parts)))
+    parts = [Dataset(np.zeros((0, n_dense)), np.zeros((0, n_sparse), np.int64), np.zeros(0)),
+             *parse_chunks(lines, vocab, n_dense, n_sparse)]
+    return Dataset(*(np.concatenate([getattr(part, column) for part in parts])
+                     for column in ("dense", "sparse", "labels")))
 
 
 def parse_criteo_line(line: str, vocab: FieldVocab, n_dense: int,

@@ -174,13 +174,9 @@ class Embedding:
         return self.table.shape[1]
 
 
-@dataclass
-class EmbedCache:
-    rows: np.ndarray  # (B, N) block rows: each id plus its field's offset
-
-
-def embed_forward(ids, emb: Embedding) -> tuple[np.ndarray, EmbedCache]:
-    """Look up every row's id per field; returns (E of shape (B, N, K), cache)."""
+def embed_forward(ids, emb: Embedding) -> tuple[np.ndarray, np.ndarray]:
+    """Look up every row's id per field; returns (E of shape (B, N, K), cache),
+    the cache being the (B, N) block rows: each id plus its field's offset."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2 or ids.shape[1] != emb.n_fields:
         raise DimensionError(
@@ -192,10 +188,10 @@ def embed_forward(ids, emb: Embedding) -> tuple[np.ndarray, EmbedCache]:
             f"embed_forward: id {ids[bad[:, i], i][0]} out of range for field {i} "
             f"(vocab {emb.vocab_sizes[i]}); map unknowns to 0 at ingestion")
     rows = ids + emb.offsets
-    return np.take(emb.table, rows, axis=0), EmbedCache(rows)
+    return np.take(emb.table, rows, axis=0), rows
 
 
-def embed_backward(cache: EmbedCache, grad_e: np.ndarray,
+def embed_backward(cache: np.ndarray, grad_e: np.ndarray,
                    emb: Embedding) -> tuple[np.ndarray, np.ndarray]:
     """The lookup's gradient in compact form: (rows, grad).
 
@@ -205,8 +201,8 @@ def embed_backward(cache: EmbedCache, grad_e: np.ndarray,
     the (row, column) slots: same order, same bits as the instance-order
     sum. Other rows' gradients are exactly zero; the cost is O(B * N * K).
     """
-    grad_e = _upstream(grad_e, (*cache.rows.shape, emb.embed_dim), "embed_backward")
-    rows, inverse = np.unique(cache.rows.ravel(), return_inverse=True)
+    grad_e = _upstream(grad_e, (*cache.shape, emb.embed_dim), "embed_backward")
+    rows, inverse = np.unique(cache.ravel(), return_inverse=True)
     slots = inverse[:, None] * emb.embed_dim + np.arange(emb.embed_dim)
     grad = np.bincount(slots.ravel(), weights=grad_e.ravel())  # int64 when empty
     return rows, grad.astype(np.float64, copy=False).reshape(-1, emb.embed_dim)
@@ -229,10 +225,6 @@ class ProductLayer:
 
     theta: np.ndarray
     order1: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.theta.shape[0]
 
 
 @dataclass
@@ -279,7 +271,7 @@ def product_backward(cache: ProductCache, grad_out: np.ndarray, pl: ProductLayer
     Returns grad_E (B, N, K) and writes dtheta and dorder1 into grads.
     """
     rows, n, k = cache.e.shape
-    t = pl.size
+    t = pl.theta.shape[0]
     grad_out = _upstream(grad_out, (rows, 2 * t), "product_backward")
     g1, g2 = grad_out[:, :t], grad_out[:, t:]
     gu = pl.theta @ cache.et

@@ -25,7 +25,8 @@ class EvalReport:
 
 
 def logloss(preds, labels) -> float:
-    """Mean binary cross-entropy with clamped predictions; never NaN/Inf."""
+    """Mean binary cross-entropy with clamped predictions: finite for finite
+    predictions, NaN if one is NaN (fit names the step from that NaN)."""
     preds = np.asarray(preds, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if preds.ndim != 1 or preds.shape != labels.shape:
@@ -58,6 +59,8 @@ def auc(preds, labels) -> float | None:
     if preds.shape != labels.shape or preds.ndim != 1:
         raise ValueError(f"preds {preds.shape} and labels {labels.shape} must be "
                          "equal-length vectors")
+    if np.isnan(preds).any():  # a NaN would rank above every number
+        raise NumericError(f"auc: the prediction for row {np.argmax(np.isnan(preds)) + 1} is NaN")
     pos = labels == 1.0
     n_pos = int(np.count_nonzero(pos))
     n_neg = len(labels) - n_pos
@@ -68,10 +71,10 @@ def auc(preds, labels) -> float | None:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def predict_dataset(model, dataset) -> np.ndarray:
+def predict_dataset(model, dataset, row_offset: int = 0) -> np.ndarray:
     """Forward the whole dataset (read-only) in chunks of PREDICT_CHUNK rows,
     in instance order, one chunk's cache alive at a time. NumericError names
-    the first row (1-based) whose prediction is not finite."""
+    the first row whose prediction is not finite, counting from row_offset + 1."""
     n = len(dataset)
     preds = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):  # the isfinite check reports it
@@ -81,12 +84,11 @@ def predict_dataset(model, dataset) -> np.ndarray:
     finite = np.isfinite(preds)
     if not finite.all():
         first = int(np.argmin(finite))
-        raise NumericError(f"the prediction for row {first + 1} is {preds[first]}, not finite")
+        raise NumericError(f"the prediction for row {row_offset + first + 1} is "
+                           f"{preds[first]}, not finite")
     return preds
 
 
-def evaluate(model, dataset) -> EvalReport:
-    preds = predict_dataset(model, dataset)
-    n_pos = int(np.count_nonzero(dataset.labels == 1.0))
-    return EvalReport(auc(preds, dataset.labels), logloss(preds, dataset.labels),
-                      n_pos, len(dataset) - n_pos)
+def evaluate(preds, labels) -> EvalReport:
+    n_pos = int(np.count_nonzero(np.asarray(labels) == 1.0))
+    return EvalReport(auc(preds, labels), logloss(preds, labels), n_pos, len(labels) - n_pos)

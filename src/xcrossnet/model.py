@@ -330,7 +330,7 @@ class ModelCache:
     stage's is a CrossCache over X0."""
 
     cross: layers.CrossCache
-    embed: layers.EmbedCache
+    embed: np.ndarray  # (B, N) block rows
     product: layers.ProductCache
     concat: layers.CrossCache
     mlp: layers.MlpCache

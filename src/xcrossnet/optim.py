@@ -30,7 +30,7 @@ import numpy as np
 
 from . import data as data_mod
 from .errors import DataError, NumericError, finite_problems, int_problems
-from .metrics import evaluate, logloss
+from .metrics import evaluate, logloss, predict_dataset
 
 # Adam's decay rates and denominator offset (Kingma and Ba's defaults)
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -180,7 +180,7 @@ def fit(model, train: "data_mod.Dataset", config: TrainConfig,
                   "wall_ms": (time.perf_counter() - started) * 1e3})
         if valid is not None and config.eval_every and \
                 (epoch + 1) % config.eval_every == 0:
-            report = evaluate(model, valid)
+            report = evaluate(predict_dataset(model, valid), valid.labels)
             emit({"step": step, "epoch": epoch,
                   "train_logloss": records[-1]["train_logloss"],
                   "val_auc": report.auc, "val_logloss": report.logloss,

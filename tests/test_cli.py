@@ -380,6 +380,29 @@ class TestTrain:
         assert code == 0
         assert not [key for key in kv(out) if key.startswith(("final_", "val_"))]
 
+    @pytest.mark.parametrize("flags, config, problem", [
+        (["--train-data", "t.tsv", "--valid-fraction", "1.5"], None,
+         "valid_fraction: must be a number in [0, 1), got 1.5"),
+        ([], {"synth": "other"}, "synth: only 'default' is defined, got 'other'"),
+    ], ids=["valid_fraction_past_one", "synth_not_default"])
+    def test_bad_setting_value_is_usage_error(self, tmp_path, capsys, flags, config,
+                                              problem):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            flags = [*flags, "--config", str(tmp_path / "cfg.json")]
+        code, out, err = run_cli(["train", *flags, "--out", str(tmp_path / "run")], capsys)
+        assert code == 2 and out == ""
+        assert err == f"config error: {problem}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_empty_training_file_exits_3(self, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        code, out, err = run_cli(["train", "--train-data", str(empty), *TRAIN_FLAGS,
+                                  "--out", str(tmp_path / "run")], capsys)
+        assert code == 3 and out == ""
+        assert "training split is empty" in err
+
     def test_empty_valid_data_file_exits_3(self, synth_dir, tmp_path, capsys):
         # validation is not silently turned off
         empty = tmp_path / "empty.tsv"
@@ -585,7 +608,7 @@ class TestEval:
         code, _, err = run_cli(["eval", "--checkpoint", str(lone),
                                 "--data", "unused.tsv"], capsys)
         assert code == 3
-        assert "--vocab" in err
+        assert str(tmp_path / "vocab.json") in err and "--vocab" in err
 
 
 class TestPredict:
@@ -616,6 +639,75 @@ class TestPredict:
         assert code == 3
         assert f"line 1: dense field 1: not finite: '{token}'" in err
         assert not out.exists()
+
+
+class TestStreamedScoring:
+    """eval and predict parse and forward --data one chunk at a time, and
+    print or write nothing unless every chunk scores."""
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(data, "CHUNK_LINES", 4)
+
+    @staticmethod
+    def score(command, run_dir, path, tmp_path, capsys):
+        out = tmp_path / "p.txt"
+        extra = ["--out", str(out)] if command == "predict" else []
+        code, stdout, err = run_cli([command, "--checkpoint", str(run_dir / "checkpoint.xcn"),
+                                     "--data", str(path), *extra], capsys)
+        return code, stdout, err, out.exists()
+
+    @pytest.mark.usefixtures("small_chunks")
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_non_finite_row_past_the_first_chunk_names_its_file_row(
+            self, synth_run, tmp_path, capsys, command):
+        model = load_checkpoint(synth_run / "checkpoint.xcn")
+        model.registry["embed.field0"].values[1] = 1e200  # the row of token c1
+        save_checkpoint(model, tmp_path / "checkpoint.xcn")
+        (tmp_path / "vocab.json").write_text((synth_run / "vocab.json").read_text())
+        rows = tmp_path / "rows.tsv"
+        rows.write_text("".join(f"{r % 2}\t0.5\t-0.25\t1.0\t0.0\tc{1 if r == 7 else 2}"
+                                "\tc2\tc3\tc0\n" for r in range(1, 11)))
+        code, stdout, err, written = self.score(command, tmp_path, rows, tmp_path, capsys)
+        assert code == 4
+        assert "the prediction for row 7 is" in err
+        assert stdout == "" and not written
+
+    @pytest.mark.usefixtures("small_chunks")
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_bad_label_on_the_last_line_of_the_third_chunk(self, synth_dir, trained_dir,
+                                                           tmp_path, capsys, command):
+        lines = (synth_dir / "valid.tsv").read_text().splitlines(keepends=True)[:11]
+        lines[-1] = "2" + lines[-1][1:]
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("".join(lines))
+        code, stdout, err, written = self.score(command, trained_dir, bad, tmp_path, capsys)
+        assert code == 3
+        assert "line 11: label must be 0 or 1, got '2'" in err
+        assert stdout == "" and not written
+
+    def test_peak_memory_grows_with_the_kept_scores_only(self, synth_run, tmp_path, capsys):
+        # parsed rows are dropped chunk by chunk: from 20k to 80k lines the
+        # peak grows by what eval ranks (the AUC's sort dominates) and by the
+        # predictions predict writes, not by the parsed file (113 B a line)
+        spec = dataclasses.replace(data.DEFAULT_SYNTH_SPEC, n_train=80_000, n_valid=1)
+        data.synth_generate(spec).write_tsv(tmp_path / "all.tsv", tmp_path / "unused.tsv")
+        lines = (tmp_path / "all.tsv").read_text().splitlines(keepends=True)
+        for n in (20_000, 80_000):
+            (tmp_path / f"{n}.tsv").write_text("".join(lines[:n]))
+        del lines
+        for command, bound in (("eval", 48), ("predict", 24)):
+            peaks = []
+            for n in (20_000, 80_000):
+                tracemalloc.start()
+                try:
+                    code, *_ = self.score(command, synth_run, tmp_path / f"{n}.tsv", tmp_path,
+                                          capsys)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                assert code == 0
+            assert (peaks[1] - peaks[0]) / 60_000 <= bound, (command, peaks)
 
 
 class TestUnreadableInput:

@@ -319,6 +319,33 @@ def lines_with(bad: dict[int, str], n: int = 3 * CHUNK) -> list[str]:
     return [bad.get(k, GOOD) + "\n" for k in range(1, n + 1)]
 
 
+class TestParseChunks:
+    def test_each_chunk_is_parsed_as_it_is_read(self, monkeypatch):
+        # one Dataset per CHUNK_LINES lines, which together are parse_lines'
+        monkeypatch.setattr(data, "CHUNK_LINES", CHUNK)
+        lines = lines_with({2: "0\t5\t6\tb\t"}, n=10)
+        read = []
+        chunks = data.parse_chunks((read.append(line) or line for line in lines), VOCAB2, 2, 2)
+        assert read == []
+        first = next(chunks)
+        assert len(first) == len(read) == CHUNK
+        parts = [first, *chunks]
+        assert [len(part) for part in parts] == [4, 4, 2]
+        whole = data.parse_lines(lines, VOCAB2, 2, 2)
+        for column in ("dense", "sparse", "labels"):
+            assert np.concatenate([getattr(part, column) for part in parts]).tobytes() == \
+                getattr(whole, column).tobytes()
+
+    def test_vocab_field_count_is_checked_at_the_call(self):
+        with pytest.raises(DataError, match="vocab has 1 fields, the data 2"):
+            data.parse_chunks(iter(()), data.FieldVocab([{"a": 1}]), 2, 2)
+
+    def test_no_lines_parse_to_no_rows(self):
+        ds = data.parse_lines([], VOCAB2, 2, 2)
+        assert (ds.dense.shape, ds.sparse.shape, ds.labels.shape) == ((0, 2), (0, 2), (0,))
+        assert (ds.dense.dtype, ds.sparse.dtype) == (np.float64, np.int64)
+
+
 class TestErrorsNameTheLine:
     """A bad line in the second chunk is reported with its line number in
     the file and the same field and token text as a one-line parse."""

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xcrossnet import data, metrics, optim
+from xcrossnet.errors import NumericError
 from xcrossnet.model import ModelConfig, XCrossNetModel
 
 
@@ -37,6 +38,13 @@ class TestAuc:
     def test_single_class(self):
         assert metrics.auc([0.1, 0.2], [1, 1]) is None
         assert metrics.auc([0.1, 0.2], [0, 0]) is None
+
+    @pytest.mark.parametrize("preds, row", [([math.nan, 0.1, 0.2], 1), ([0.3, math.nan, 0.2], 2)],
+                             ids=["first_row", "later_row"])
+    def test_nan_prediction_is_refused(self, preds, row):
+        # NaN sorts last: ranked, the first case would score 1.0 and the second 0.5
+        with pytest.raises(NumericError, match=f"prediction for row {row} is NaN"):
+            metrics.auc(preds, [1, 0, 0])
 
     def test_matches_pairwise_oracle_with_ties(self):
         rng = np.random.default_rng(0)
@@ -81,22 +89,23 @@ class TestEvaluate:
     def test_zero_model_report(self):
         model = XCrossNetModel(self.CONFIG)
         ds = self.small_dataset([1, 0, 1, 0])
-        report = metrics.evaluate(model, ds)
+        report = metrics.evaluate(metrics.predict_dataset(model, ds), ds.labels)
         assert report.auc == 0.5
         assert abs(report.logloss - math.log(2)) < 1e-12
         assert (report.n_pos, report.n_neg) == (2, 2)
 
     def test_single_class_reports_no_auc(self):
         model = XCrossNetModel(self.CONFIG)
-        report = metrics.evaluate(model, self.small_dataset([1, 1, 1]))
+        ds = self.small_dataset([1, 1, 1])
+        report = metrics.evaluate(metrics.predict_dataset(model, ds), ds.labels)
         assert report.auc is None
         assert math.isfinite(report.logloss)
 
     def test_evaluate_is_pure(self):
         model = XCrossNetModel.init(self.CONFIG)
         ds = self.small_dataset([1, 0, 0, 1, 1])
-        a = metrics.evaluate(model, ds)
-        b = metrics.evaluate(model, ds)
+        a = metrics.evaluate(metrics.predict_dataset(model, ds), ds.labels)
+        b = metrics.evaluate(metrics.predict_dataset(model, ds), ds.labels)
         assert (a.auc, a.logloss) == (b.auc, b.logloss)
 
     def test_chunked_predictions_match_one_batch(self):
@@ -117,7 +126,7 @@ class TestEvaluate:
     def test_logloss_matches_optim_exactly(self):
         model = XCrossNetModel.init(self.CONFIG)
         ds = self.small_dataset([1, 0, 0, 1])
-        report = metrics.evaluate(model, ds)
+        report = metrics.evaluate(metrics.predict_dataset(model, ds), ds.labels)
         preds = metrics.predict_dataset(model, ds)
         assert report.logloss == optim.logloss(preds, ds.labels)
 

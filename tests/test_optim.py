@@ -364,6 +364,6 @@ def test_synth_model_learns_past_lr_toward_bayes():
     model = XCrossNetModel.init(config)
     optim.fit(model, train, optim.TrainConfig(
         lr=run["lr"], batch_size=run["batch_size"], l2=run["l2"], epochs=3))
-    val_auc = metrics.evaluate(model, valid).auc
+    val_auc = metrics.evaluate(metrics.predict_dataset(model, valid), valid.labels).auc
     assert val_auc - oracle.lr_baseline_auc(train, valid) >= 0.025
     assert metrics.auc(sd.scores[len(train):], valid.labels) - val_auc <= 0.02
