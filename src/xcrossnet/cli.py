@@ -250,8 +250,8 @@ def cmd_train(args) -> int:
                 _echo("val_logloss", record["val_logloss"])
 
         try:
-            optim.fit(model, train_ds, train_cfg, valid=valid_ds,
-                      callbacks=[on_record])
+            records = optim.fit(model, train_ds, train_cfg, valid=valid_ds,
+                                callbacks=[on_record])
         except KeyboardInterrupt:
             interrupted = True
     save_checkpoint(model, checkpoint_path)
@@ -261,9 +261,12 @@ def cmd_train(args) -> int:
         _echo("interrupted", "true")
         return 130
     if valid_ds is not None:
-        report = metrics.evaluate(metrics.predict_dataset(model, valid_ds), valid_ds.labels)
-        for key, value in dataclasses.asdict(report).items():
-            _echo(f"final_{key}", value)
+        final = records[-1]  # fit's validation of the last epoch, if it made one
+        if "val_logloss" not in final:
+            report = metrics.evaluate(metrics.predict_dataset(model, valid_ds), valid_ds.labels)
+            final = {f"val_{key}": value for key, value in dataclasses.asdict(report).items()}
+        for key in (f.name for f in dataclasses.fields(metrics.EvalReport)):
+            _echo(f"final_{key}", final[f"val_{key}"])
     return EXIT_OK
 
 

@@ -2,9 +2,9 @@
 
 The registry owns every parameter in one flat float64 vector that the
 layers, the optimizer, the finite-difference checks and the checkpoint
-writer share: each layer array is a view into it. Its ordering is fixed and
-documented (see ParamRegistry); random initialization draws happen in
-exactly that order so a seed pins the whole parameter vector bit-for-bit.
+writer share: each layer array is a view into it. Its entry order is fixed
+and documented (see ParamRegistry); random initialization draws and the
+checkpoint payload follow it, so a seed pins every parameter bit-for-bit.
 The dense parameters' gradient is a second flat vector, which the stages'
 backward passes write through views; the embedding tables' gradient is
 compact, one row per table row the batch looked up.
@@ -113,22 +113,22 @@ class ParamEntry:
         return flat[self.start:self.start + self.values.size].reshape(self.values.shape)
 
 class ParamRegistry:
-    """Every parameter in one flat float64 vector, in a fixed order.
+    """Every parameter in one flat float64 vector.
 
-    Ordering: cross stack (w0, b0, w1, b1, ...), embedding tables in field
-    order, product theta then order-1 weights, concat weight then bias,
-    MLP (w0, b0, ...), output weight, output bias, each C-order raveled.
+    Registry order: cross stack (w0, b0, w1, b1, ...), embedding tables in
+    field order, product theta then order-1 weights, concat weight then
+    bias, MLP (w0, b0, ...), output weight, output bias, each C-order
+    raveled. Init draws and checkpoint bytes follow it.
 
-    `values` holds them all; every entry's values, and every layer array,
-    is a view into it. `grad` holds the batch-mean gradient of every dense
-    entry (all but the embedding tables) in the same order; each entry's
-    `grad` is a view into it, and the model's stage gradient carriers are
-    made of those views, so the stages' backward passes write it in place.
-    The embedding tables are adjacent in `values` and form one (sum vocab,
-    K) block, `embed_block`. Their gradient is compact: `embed_rows` holds
-    the sorted distinct block rows the last batch looked up, `embed_grad`
-    one gradient row for each, and every other row's gradient is zero. No
-    table-sized gradient exists.
+    `values` holds the dense entries (all but the tables) in registry
+    order, then the tables as one (sum vocab, K) block, `embed_block`;
+    every entry's values, and every layer array, is a view into it. `grad`
+    holds the dense entries' batch-mean gradient at their offsets in
+    `values`: each entry's `grad` and the model's stage gradient carriers
+    are views into it, which the stages' backward passes write in place.
+    The tables' gradient is compact: `embed_rows` holds the sorted distinct
+    block rows the last batch looked up, `embed_grad` one gradient row for
+    each; every other row's gradient is zero. No table-sized one exists.
     """
 
     def __init__(self, shapes, embed: range = range(0)):
@@ -136,23 +136,20 @@ class ParamRegistry:
         embed: the indices of the entries that form the embedding block,
         which must be adjacent and share their last dimension."""
         sizes = [math.prod(shape) for _, shape in shapes]
-        starts = np.cumsum([0, *sizes]).tolist()
-        self.values = np.zeros(starts[-1])
-        self.embed = slice(starts[embed.start], starts[embed.stop])
-        skip = self.embed.stop - self.embed.start
+        placed = sorted(range(len(shapes)), key=lambda i: i in embed)  # dense first
+        starts = dict(zip(placed, np.cumsum([0] + [sizes[i] for i in placed]).tolist()))
+        self.values = np.zeros(sum(sizes))
         # written here, so that its pages fault at build, not in a timed step
-        self.grad = np.full(self.values.size - skip, 0.0)
+        self.grad = np.full(sum(sizes) - sum(sizes[i] for i in embed), 0.0)
         k = shapes[embed.start][1][-1] if embed else 1
-        self.embed_block = self.values[self.embed].reshape(-1, k)
-        self.grad_runs = (self.grad[:self.embed.start], self.grad[self.embed.start:])
+        self.embed_block = self.values[self.grad.size:].reshape(-1, k)
         self.embed_rows = np.zeros(0, dtype=np.intp)
         self.embed_grad = np.zeros((0, k))
         self.entries = []
-        for i, ((name, shape), start, size) in enumerate(zip(shapes, starts, sizes)):
-            at = start if start < self.embed.start else start - skip
-            grad = None if i in embed else self.grad[at:at + size].reshape(shape)
-            self.entries.append(ParamEntry(
-                name, self.values[start:start + size].reshape(shape), grad, start))
+        for i, ((name, shape), size) in enumerate(zip(shapes, sizes)):
+            at = slice(starts[i], starts[i] + size)
+            grad = None if i in embed else self.grad[at].reshape(shape)
+            self.entries.append(ParamEntry(name, self.values[at].reshape(shape), grad, at.start))
         self._by_name = {e.name: e for e in self.entries}
 
     def __iter__(self):
@@ -164,18 +161,17 @@ class ParamRegistry:
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
 
-    def split(self, flat: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-        """Views of a vector laid out like `values`: its two dense runs (the
-        entries before the embedding block and those after it), which line
-        up with `grad_runs`, and its (sum vocab, K) block."""
-        a, b = self.embed.start, self.embed.stop
-        return (flat[:a], flat[b:]), flat[a:b].reshape(self.embed_block.shape)
+    def split(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Views of a vector laid out like `values`: its dense run, which
+        lines up with `grad`, and its (sum vocab, K) block."""
+        n = self.grad.size
+        return flat[:n], flat[n:].reshape(self.embed_block.shape)
 
     def get_grad_flat(self) -> np.ndarray:
-        """The gradient densified to registry order, for gradchecks and tests."""
+        """The gradient densified like `values`, for gradchecks and tests."""
         flat = np.zeros(self.values.size)
-        (head, tail), block = self.split(flat)
-        head[...], tail[...] = self.grad_runs
+        dense, block = self.split(flat)
+        dense[...] = self.grad
         block[self.embed_rows] = self.embed_grad
         return flat
 
@@ -353,14 +349,14 @@ def balance_index(config: ModelConfig) -> dict[str, float]:
 #
 # One file: a single JSON header line (format marker, version, config,
 # per-stage parameter counts, registry ordering), a newline, then every
-# parameter as little-endian float64 in registry order: the registry's
-# value vector itself. Loading is bitwise exact.
+# parameter as little-endian float64, entry by entry in registry order
+# (not the value vector's placement). Loading is bitwise exact.
 
 def save_checkpoint(model: XCrossNetModel, path) -> None:
     """Write the checkpoint atomically: the bytes go to a temporary file
     beside `path`, which then replaces it, so a save that fails or is
-    interrupted leaves any previous file at `path` as it was. The payload
-    is written from the value vector without a copy (converted first only
+    interrupted leaves any previous file at `path` as it was. Each entry's
+    values are written from its view without a copy (converted first only
     on a big-endian host)."""
     header = {
         "format": CHECKPOINT_MAGIC,
@@ -375,7 +371,8 @@ def save_checkpoint(model: XCrossNetModel, path) -> None:
         with open(tmp, "wb") as f:
             f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
             f.write(b"\n")
-            f.write(model.registry.values.astype("<f8", copy=False))
+            for entry in model.registry:
+                f.write(entry.values.astype("<f8", copy=False))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -386,10 +383,10 @@ def save_checkpoint(model: XCrossNetModel, path) -> None:
 
 def load_checkpoint(path) -> XCrossNetModel:
     """Read a checkpoint. Its registry and payload size are checked against
-    its config before any parameter is allocated; the payload is then read
-    straight into the new model's value vector (through one payload-sized
-    buffer only on a big-endian host). A NaN or an infinity in it is
-    refused, naming its entry."""
+    its config before any parameter is allocated; each entry is then read
+    straight into its view in the new model (through one entry-sized buffer
+    only on a big-endian host), and a NaN or an infinity in it is refused,
+    naming the entry."""
     with open(path, "rb") as f:
         header_line = f.readline()
         try:
@@ -421,13 +418,13 @@ def load_checkpoint(path) -> XCrossNetModel:
         if payload != nbytes:
             raise CheckpointError(f"parameter blob has {payload} bytes, expected {nbytes}")
         model = XCrossNetModel(config)
-        values = model.registry.values
-        target = values if values.dtype == np.dtype("<f8") else np.empty(values.shape, "<f8")
-        if f.readinto(memoryview(target).cast("B")) != values.nbytes:
-            raise CheckpointError("parameter blob ended early")
-    if target is not values:
-        values[...] = target
-    for entry in model.registry:  # min and max find a NaN or inf with no bool array
-        if not (math.isfinite(entry.values.min()) and math.isfinite(entry.values.max())):
-            raise CheckpointError(f"parameter {entry.name} holds a non-finite value")
+        for entry in model.registry:  # min and max below find a NaN or inf with no bool array
+            values = entry.values
+            target = values if values.dtype == np.dtype("<f8") else np.empty(values.shape, "<f8")
+            if f.readinto(memoryview(target).cast("B")) != values.nbytes:
+                raise CheckpointError("parameter blob ended early")
+            if target is not values:
+                values[...] = target
+            if not (math.isfinite(values.min()) and math.isfinite(values.max())):
+                raise CheckpointError(f"parameter {entry.name} holds a non-finite value")
     return model

@@ -15,8 +15,8 @@ updated whole on every step, as in plain Adam. When a batch touches every
 row, the step is bitwise the plain Adam step.
 
 The moments are two flat vectors laid out like the registry's value
-vector. A step makes one in-place pass over the dense parameters and one
-over the gathered embedding rows of the registry's compact gradient; both
+vector. A step makes one in-place pass over its dense run and one over
+the gathered embedding rows of the registry's compact gradient; both
 keep the operation order of the update expression, so they have its bits.
 """
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -75,10 +75,9 @@ def adam_step(registry, state: AdamState, lr: float, lam: float = 0.0) -> None:
     state.t += 1
     c1 = 1.0 - BETA1 ** state.t
     c2 = 1.0 - BETA2 ** state.t
-    (theta_runs, theta_block), (m_runs, m_block), (v_runs, v_block) = (
+    (theta_run, theta_block), (m_run, m_block), (v_run, v_block) = (
         registry.split(a) for a in (registry.values, state.m, state.v))
-    for parts in zip(theta_runs, registry.grad_runs, m_runs, v_runs):
-        _update(*parts, state, lr, lam, c1, c2)
+    _update(theta_run, registry.grad, m_run, v_run, state, lr, lam, c1, c2)
     rows = registry.embed_rows
     theta, m, v = theta_block[rows], m_block[rows], v_block[rows]
     _update(theta.ravel(), registry.embed_grad.ravel(), m.ravel(), v.ravel(),
@@ -147,8 +146,9 @@ def fit(model, train: "data_mod.Dataset", config: TrainConfig,
 
     Returns (and streams to callbacks) one record per batch:
     {step, epoch, train_logloss, wall_ms}; on the validation cadence an
-    extra record additionally carries val_auc / val_logloss. Epoch e is
-    shuffled by default_rng((model.config.seed, e)).
+    extra record additionally carries the EvalReport of the validation set
+    as val_auc, val_logloss, val_n_pos and val_n_neg. Epoch e is shuffled
+    by default_rng((model.config.seed, e)).
     """
     if len(train) == 0:
         raise DataError("cannot fit on an empty dataset")
@@ -183,6 +183,6 @@ def fit(model, train: "data_mod.Dataset", config: TrainConfig,
             report = evaluate(predict_dataset(model, valid), valid.labels)
             emit({"step": step, "epoch": epoch,
                   "train_logloss": records[-1]["train_logloss"],
-                  "val_auc": report.auc, "val_logloss": report.logloss,
+                  **{f"val_{key}": value for key, value in asdict(report).items()},
                   "wall_ms": (time.perf_counter() - started) * 1e3})
     return records

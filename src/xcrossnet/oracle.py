@@ -191,8 +191,8 @@ def gradcheck_point(config, seed: int, instances: int = 3):
     model = XCrossNetModel.init(config)
     rng = np.random.default_rng(seed)
     for _ in range(MAX_TRIES):
-        model.registry.set_flat(
-            rng.uniform(-PARAM_SCALE, PARAM_SCALE, model.registry.values.size))
+        for entry in model.registry:  # in registry order, as one vector's draws
+            entry.values[...] = rng.uniform(-PARAM_SCALE, PARAM_SCALE, entry.values.shape)
         dense = rng.uniform(-1.0, 1.0, (instances, config.dense_fields))
         sparse = np.column_stack(
             [rng.integers(0, v, instances) for v in config.vocab_sizes])

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from xcrossnet import cli, data
+from xcrossnet import cli, data, metrics, optim
 from xcrossnet.errors import NumericError
 from xcrossnet.model import XCrossNetModel, ModelConfig, load_checkpoint, save_checkpoint
 
@@ -311,6 +311,15 @@ class TestTrain:
         assert f"{key}:" in err
         assert not (tmp_path / "run").exists()
 
+    def test_mlp_widths_not_a_list_is_usage_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"mlp_widths": 5}))
+        code, out, err = run_cli(["train", "--synth", "default", "--config",
+                                  str(cfg_path), "--out", str(tmp_path / "run")], capsys)
+        assert code == 2 and out == ""
+        assert "mlp_widths: expected a list of integers, got 5" in err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("lr", "fast"), ("lr", None), ("min_freq", None), ("valid_fraction", "x"),
         ("epochs", 0.5), ("batch_size", True)])
@@ -460,6 +469,40 @@ class TestTrain:
         assert code == 4
         assert "non-finite" in err
 
+    @pytest.mark.parametrize("flags, forwards", [([], 2), (["--eval-every", "0"], 1),
+                                                 (["--eval-every", "3"], 1)])
+    def test_final_metrics_forward_the_validation_set_once(self, synth_dir, tmp_path, capsys,
+                                                           monkeypatch, flags, forwards):
+        # the final_* lines come from fit's validation of the last epoch; only a
+        # run whose last epoch did not validate forwards the set for them
+        calls, predict_dataset = [], metrics.predict_dataset
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return predict_dataset(*args, **kwargs)
+
+        for module in (metrics, optim):
+            monkeypatch.setattr(module, "predict_dataset", counted)
+        code, out, _ = run_cli(["train", "--train-data", str(synth_dir / "train.tsv"),
+                                "--valid-data", str(synth_dir / "valid.tsv"), *TRAIN_FLAGS,
+                                *flags, "--out", str(tmp_path)], capsys)
+        monkeypatch.undo()
+        assert code == 0 and len(calls) == forwards
+        model = load_checkpoint(tmp_path / "checkpoint.xcn")
+        vocab = data.FieldVocab.from_json((tmp_path / "vocab.json").read_text())
+        valid = data.load_tsv(synth_dir / "valid.tsv", vocab, 4, 4)
+        report = dataclasses.asdict(
+            metrics.evaluate(metrics.predict_dataset(model, valid), valid.labels))
+        pairs = kv(out)
+        assert {key: pairs[f"final_{key}"] for key in report} == \
+            {key: repr(value) for key, value in report.items()}
+        records = [json.loads(line) for line in
+                   (tmp_path / "train_log.ndjson").read_text().splitlines()]
+        validated = [r for r in records if "val_logloss" in r]
+        assert len(validated) == (0 if flags else 2)
+        if validated:  # the last epoch's validation gave the final_* lines
+            assert {key: validated[-1][f"val_{key}"] for key in report} == report
+
     def test_interrupt_still_writes_checkpoint(self, synth_dir, tmp_path,
                                                capsys, monkeypatch):
         def interrupted(*a, **k):
@@ -525,7 +568,9 @@ class TestEval:
         # the same payload, with one value of one entry overwritten
         path = trained_dir / "checkpoint.xcn"
         header, _, payload = path.read_bytes().partition(b"\n")
-        at = 8 * load_checkpoint(path).registry[name].start
+        registry = load_checkpoint(path).registry
+        names = registry.names()  # the payload's order
+        at = 8 * sum(registry[n].values.size for n in names[:names.index(name)])
         bad = tmp_path / "checkpoint.xcn"
         bad.write_bytes(header + b"\n" + payload[:at] + np.array(float(value), "<f8").tobytes()
                         + payload[at + 8:])
@@ -626,6 +671,16 @@ class TestPredict:
         assert len(preds) == 400
         assert all(0.0 < p < 1.0 for p in preds)
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_out_in_a_missing_directory_exits_3(self, synth_dir, trained_dir, tmp_path,
+                                                capsys):
+        out = tmp_path / "missing" / "p.txt"
+        code, stdout, err = run_cli(
+            ["predict", "--checkpoint", str(trained_dir / "checkpoint.xcn"),
+             "--data", str(synth_dir / "valid.tsv"), "--out", str(out)], capsys)
+        assert code == 3 and stdout == ""
+        assert err.startswith("i/o error:")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("token", ["nan", "inf", "1e400"])
     def test_non_finite_dense_token_exits_3(self, trained_dir, tmp_path,

@@ -454,6 +454,14 @@ class TestBatchIter:
         with pytest.raises(DataError):
             next(data.batch_iter(empty, 4))
 
+    def test_batch_size_zero_is_refused(self):
+        with pytest.raises(DataError, match="batch_size must be >= 1, got 0"):
+            next(data.batch_iter(self.make(), 0))
+
+    def test_column_lengths_must_agree(self):
+        with pytest.raises(DataError, match="column lengths differ: 2, 3, 2"):
+            data.Dataset(np.zeros((2, 1)), np.zeros((3, 1), dtype=np.int64), np.zeros(2))
+
 
 class TestSynth:
     def test_null_model_positive_ratio(self):

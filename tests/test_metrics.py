@@ -131,6 +131,14 @@ class TestEvaluate:
         assert report.logloss == optim.logloss(preds, ds.labels)
 
 
+@pytest.mark.parametrize("score", [metrics.auc, metrics.logloss])
+@pytest.mark.parametrize("preds, labels", [([0.1, 0.9], [1, 0, 1]), ([[0.1, 0.9]], [[1, 0]])],
+                         ids=["lengths", "not_vectors"])
+def test_shape_mismatch_is_refused(score, preds, labels):
+    with pytest.raises(ValueError, match="preds"):
+        score(preds, labels)
+
+
 def test_average_ranks_tie_groups():
     ranks = metrics.average_ranks(np.array([0.1, 0.3, 0.1, 0.7]))
     assert ranks.tolist() == [1.5, 3.0, 1.5, 4.0]

@@ -52,8 +52,8 @@ class TestInit:
                 fan_in = width
             bound = np.sqrt(6.0 / (fan_in + 1))
             want += [rng.uniform(-bound, bound, fan_in), np.zeros(1)]
-            got = XCrossNetModel.init(config).registry.values
-            assert got.tobytes() == np.concatenate([w.ravel() for w in want]).tobytes()
+            got = [e.values for e in XCrossNetModel.init(config).registry]
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     def test_init_allocates_no_table_sized_gradient(self):
         # vocab 10^5 x 3: the values are the only table-sized allocation
@@ -153,12 +153,27 @@ class TestRegistry:
         flat = m.registry.values.copy()
         for e in m.registry:
             assert np.array_equal(e.view(flat), e.values)
-        runs, block = m.registry.split(flat)
-        dense = [e.values.ravel() for e in m.registry if e.grad is not None]
-        assert np.array_equal(np.concatenate(runs), np.concatenate(dense))
-        assert [r.size for r in runs] == [g.size for g in m.registry.grad_runs]
+        dense, block = m.registry.split(flat)
+        want = [e.values.ravel() for e in m.registry if e.grad is not None]
+        assert np.array_equal(dense, np.concatenate(want))
+        assert dense.size == m.registry.grad.size
         assert np.array_equal(block, m.embedding.table)
 
+    def test_dense_entries_lead_and_the_block_is_the_tail(self):
+        # numbering values and grad alike gives each dense entry the same
+        # numbers in both: the same offset
+        reg = XCrossNetModel(SMALL).registry
+        reg.set_flat(np.arange(reg.values.size, dtype=np.float64))
+        reg.grad[...] = np.arange(reg.grad.size)
+        dense = [e for e in reg if e.grad is not None]
+        assert np.array_equal(reg.split(reg.values)[0],
+                              np.concatenate([e.values.ravel() for e in dense]))
+        for e in dense:
+            assert np.array_equal(e.values, e.grad)
+        assert np.array_equal(reg.embed_block.ravel(),
+                              np.arange(reg.grad.size, reg.values.size))
+        tables = [e.values.ravel() for e in reg if e.grad is None]
+        assert np.array_equal(np.concatenate(tables), reg.embed_block.ravel())
 
     def test_stage_gradients_tile_the_gradient_vector(self):
         # the backward passes' carriers are views of registry.grad that
@@ -420,7 +435,8 @@ class TestCheckpoint:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_bytes_match_the_copying_writer(self, tmp_path):
-        # version-1 bytes: the header line, then the value vector as "<f8"
+        # version-1 bytes: the header line, then each entry's values as
+        # "<f8", in registry order
         m = XCrossNetModel.init(SMALL)
         path = tmp_path / "model.xcn"
         save_checkpoint(m, path)
@@ -428,8 +444,23 @@ class TestCheckpoint:
                   "config": dataclasses.asdict(m.config), "param_counts": m.num_parameters(),
                   "registry": m.registry.names()}
         want = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + \
-            m.registry.values.astype("<f8").tobytes()
+            b"".join(e.values.astype("<f8").tobytes() for e in m.registry)
         assert path.read_bytes() == want
+
+    def test_each_entry_loads_its_registry_order_slice(self, tmp_path):
+        # a version-1 file built by hand whose payload numbers the values
+        m = XCrossNetModel(SMALL)
+        header = {"format": "xcrossnet-checkpoint", "version": 1,
+                  "config": dataclasses.asdict(m.config), "param_counts": m.num_parameters(),
+                  "registry": m.registry.names()}
+        path = tmp_path / "model.xcn"
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n"
+                         + np.arange(m.registry.values.size, dtype="<f8").tobytes())
+        at = 0
+        for e in load_checkpoint(path).registry:
+            assert np.array_equal(e.values.ravel(), np.arange(at, at + e.values.size))
+            at += e.values.size
+        assert at == m.registry.values.size
 
     def test_truncated_blob(self, tmp_path):
         # a payload 16 bytes short or 8 bytes long is refused
