@@ -261,7 +261,7 @@ def cmd_train(args) -> int:
         _echo("interrupted", "true")
         return 130
     if valid_ds is not None:
-        final = records[-1]  # fit's validation of the last epoch, if it made one
+        final = records[-1] if records else {}  # fit's validation of the last epoch, if any
         if "val_logloss" not in final:
             report = metrics.evaluate(metrics.predict_dataset(model, valid_ds), valid_ds.labels)
             final = {f"val_{key}": value for key, value in dataclasses.asdict(report).items()}

@@ -14,10 +14,17 @@ table row only on steps whose batch touches it. Every other parameter is
 updated whole on every step, as in plain Adam. When a batch touches every
 row, the step is bitwise the plain Adam step.
 
-The moments are two flat vectors laid out like the registry's value
-vector. A step makes one in-place pass over its dense run and one over
-the gathered embedding rows of the registry's compact gradient; both
-keep the operation order of the update expression, so they have its bits.
+The dense run's moments are two vectors laid out like the registry's
+gradient. The embedding block's moments are compact: one row slot for each
+block row a step has updated, taken front to back in first-update order,
+so their resident memory follows the rows updated so far, not the vocab.
+That saves memory only while a run has updated a small share of the rows:
+a `train` run, whose vocab holds only tokens of its training split,
+updates every row within its first epoch, and from then on the moments
+are as large as the block, plus 4 B a row of slot map. A step makes one
+in-place pass over the dense run and one over the gathered embedding rows
+of the registry's compact gradient; both keep the operation order of the
+update expression, so they have its bits.
 """
 
 from __future__ import annotations
@@ -44,18 +51,37 @@ ADAM_CHUNK = 16384
 
 @dataclass
 class AdamState:
-    """First and second moments, flat and laid out like registry.values,
-    the step count t, and the scratch of one in-place chunk."""
+    """Adam's moments, the step count t, and the scratch of one in-place
+    chunk.
+
+    m and v are the dense run's moments, laid out like registry.grad.
+    m_rows and v_rows hold the embedding block's, one (K,) row per slot:
+    slots maps each block row to its slot, -1 until the row's first
+    update, and the first `used` slots are taken. An untaken slot is zero,
+    as are the moments of a row that was never updated.
+    """
 
     m: np.ndarray
     v: np.ndarray
+    m_rows: np.ndarray
+    v_rows: np.ndarray
+    slots: np.ndarray
     scratch: tuple[np.ndarray, np.ndarray]
+    used: int = 0
     t: int = 0
 
     @classmethod
     def init(cls, registry) -> "AdamState":
-        # zeros_like writes every page now, not in the first (timed) steps
-        return cls(m=np.zeros_like(registry.values), v=np.zeros_like(registry.values),
+        # The dense moments and the slot map are written now, so that their
+        # pages fault here, not in the first (timed) steps. The slot rows
+        # come from np.zeros, whose pages are committed only as the used
+        # prefix reaches them: rows laid out like the block would commit a
+        # 2 MB huge page at each scattered first touch. int32 slots number
+        # 2^31 rows, far more than a block of float64 rows that fits in RAM.
+        rows = registry.embed_block.shape
+        return cls(m=np.zeros_like(registry.grad), v=np.zeros_like(registry.grad),
+                   m_rows=np.zeros(rows), v_rows=np.zeros(rows),
+                   slots=np.full(rows[0], -1, dtype=np.int32),
                    scratch=(np.zeros(ADAM_CHUNK), np.zeros(ADAM_CHUNK)))
 
 
@@ -70,19 +96,23 @@ def adam_step(registry, state: AdamState, lr: float, lam: float = 0.0) -> None:
     v   <- BETA2 * v + (1 - BETA2) * g^2
     theta <- theta - lr * (m / (1 - BETA1^t)) / (sqrt(v / (1 - BETA2^t)) + EPS)
 
-    t counts steps, not the updates a row has had.
+    t counts steps, not the updates a row has had. A row updated for the
+    first time takes the next free slot, whose moments are zero.
     """
     state.t += 1
     c1 = 1.0 - BETA1 ** state.t
     c2 = 1.0 - BETA2 ** state.t
-    (theta_run, theta_block), (m_run, m_block), (v_run, v_block) = (
-        registry.split(a) for a in (registry.values, state.m, state.v))
-    _update(theta_run, registry.grad, m_run, v_run, state, lr, lam, c1, c2)
+    theta_run, theta_block = registry.split(registry.values)
+    _update(theta_run, registry.grad, state.m, state.v, state, lr, lam, c1, c2)
     rows = registry.embed_rows
-    theta, m, v = theta_block[rows], m_block[rows], v_block[rows]
+    new = rows[state.slots[rows] < 0]
+    state.slots[new] = np.arange(state.used, state.used + new.size)
+    state.used += new.size
+    slots = state.slots[rows]
+    theta, m, v = theta_block[rows], state.m_rows[slots], state.v_rows[slots]
     _update(theta.ravel(), registry.embed_grad.ravel(), m.ravel(), v.ravel(),
             state, lr, lam, c1, c2)
-    theta_block[rows], m_block[rows], v_block[rows] = theta, m, v
+    theta_block[rows], state.m_rows[slots], state.v_rows[slots] = theta, m, v
 
 
 def _update(theta, g, m, v, state: AdamState, lr, lam, c1, c2) -> None:
@@ -145,7 +175,9 @@ def fit(model, train: "data_mod.Dataset", config: TrainConfig,
     """Epochs of shuffled mini-batches with per-batch Adam updates.
 
     Returns (and streams to callbacks) one record per batch:
-    {step, epoch, train_logloss, wall_ms}; on the validation cadence an
+    {step, epoch, train_logloss, inst_per_s, wall_ms}, where inst_per_s is
+    the batch's rows over the wall time since the previous record (or since
+    fit started); on the validation cadence an
     extra record additionally carries the EvalReport of the validation set
     as val_auc, val_logloss, val_n_pos and val_n_neg. Epoch e is shuffled
     by default_rng((model.config.seed, e)).
@@ -176,8 +208,10 @@ def fit(model, train: "data_mod.Dataset", config: TrainConfig,
                     f"training loss became non-finite at step {step}")
             adam_step(model.registry, state, config.lr, config.l2)
             step += 1
+            wall_ms = (time.perf_counter() - started) * 1e3
+            since_ms = wall_ms - (records[-1]["wall_ms"] if records else 0.0)
             emit({"step": step, "epoch": epoch, "train_logloss": loss,
-                  "wall_ms": (time.perf_counter() - started) * 1e3})
+                  "inst_per_s": len(batch) / since_ms * 1e3, "wall_ms": wall_ms})
         if valid is not None and config.eval_every and \
                 (epoch + 1) % config.eval_every == 0:
             report = evaluate(predict_dataset(model, valid), valid.labels)

@@ -470,11 +470,13 @@ class TestTrain:
         assert "non-finite" in err
 
     @pytest.mark.parametrize("flags, forwards", [([], 2), (["--eval-every", "0"], 1),
-                                                 (["--eval-every", "3"], 1)])
+                                                 (["--eval-every", "3"], 1),
+                                                 (["--epochs", "0"], 1)])
     def test_final_metrics_forward_the_validation_set_once(self, synth_dir, tmp_path, capsys,
                                                            monkeypatch, flags, forwards):
         # the final_* lines come from fit's validation of the last epoch; only a
-        # run whose last epoch did not validate forwards the set for them
+        # run whose last epoch did not validate, or that trained no epoch,
+        # forwards the set for them
         calls, predict_dataset = [], metrics.predict_dataset
 
         def counted(*args, **kwargs):

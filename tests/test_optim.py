@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -124,7 +125,26 @@ class TestAdam:
             optim.batch_loss_and_grad(m, batch)
             optim.adam_step(m.registry, state, lr=0.01, lam=0.0)
             assert state.t == step + 1
-            assert np.all(state.v >= 0)
+            assert np.all(dense_moments(m.registry, state)[1] >= 0)
+
+
+def dense_moments(registry, state):
+    """Adam's first and second moments densified like registry.values, as
+    get_grad_flat densifies the gradient."""
+    seen = state.slots >= 0
+    flats = []
+    for run, rows in ((state.m, state.m_rows), (state.v, state.v_rows)):
+        flat = np.zeros(registry.values.size)
+        dense, block = registry.split(flat)
+        dense[...] = run
+        block[seen] = rows[state.slots[seen]]
+        flats.append(flat)
+    return flats
+
+
+def resident_bytes():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 
 def dense_adam_step(registry, m, v, t, lr, lam, lazy=False,
@@ -194,18 +214,20 @@ class TestRowSparseUpdate:
             optim.adam_step(m.registry, state, lr=0.01, lam=0.1)
         batch = tiny_batch(rng, n=4, config=WIDE)
         names = m.registry.names()
-        before = [(e.values.copy(), e.view(state.m).copy(),
-                   e.view(state.v).copy()) for e in m.registry]
+        moments = dense_moments(m.registry, state)
+        before = [(e.values.copy(), e.view(moments[0]), e.view(moments[1]))
+                  for e in m.registry]
         optim.batch_loss_and_grad(m, batch)
         optim.adam_step(m.registry, state, lr=0.01, lam=0.1)
+        moments = dense_moments(m.registry, state)
         for f in range(WIDE.sparse_fields):
             k = names.index(f"embed.field{f}")
             values, mom1, mom2 = before[k]
             touched = np.zeros(len(values), dtype=bool)
             touched[batch.sparse[:, f]] = True
             entry = m.registry[names[k]]
-            for old, new in ((values, entry.values), (mom1, entry.view(state.m)),
-                             (mom2, entry.view(state.v))):
+            for old, new in ((values, entry.values), (mom1, entry.view(moments[0])),
+                             (mom2, entry.view(moments[1]))):
                 assert np.array_equal(new[~touched], old[~touched])
                 assert not np.any(new[touched] == old[touched])
 
@@ -227,8 +249,9 @@ class TestRowSparseUpdate:
             optim.batch_loss_and_grad(dense, batch)
             dense_adam_step(dense.registry, m_ref, v_ref, t, lr=0.01, lam=1e-3)
         assert np.array_equal(lazy.registry.values, dense.registry.values)
-        assert np.array_equal(state.m, m_ref)
-        assert np.array_equal(state.v, v_ref)
+        m_lazy, v_lazy = dense_moments(lazy.registry, state)
+        assert np.array_equal(m_lazy, m_ref)
+        assert np.array_equal(v_lazy, v_ref)
 
     def test_in_place_step_matches_the_expression_bitwise(self):
         # three steps at lambda > 0 with batches that miss most table rows:
@@ -246,10 +269,55 @@ class TestRowSparseUpdate:
             optim.batch_loss_and_grad(ref, batch)
             dense_adam_step(ref.registry, m_ref, v_ref, t, lr=0.01, lam=1e-4, lazy=True)
         assert fast.registry.values.tobytes() == ref.registry.values.tobytes()
-        assert state.m.tobytes() == m_ref.tobytes()
-        assert state.v.tobytes() == v_ref.tobytes()
+        m_fast, v_fast = dense_moments(fast.registry, state)
+        assert m_fast.tobytes() == m_ref.tobytes()
+        assert v_fast.tobytes() == v_ref.tobytes()
         untouched = v_ref == 0.0
         assert untouched.any() and not untouched.all()
+
+    def test_rows_first_updated_at_later_steps_match_the_expression_bitwise(self):
+        # six steps: each batch looks up four rows per field that no earlier
+        # batch touched, in a shuffled row order, and two of the rows looked
+        # up so far, so the rows' slots are taken out of row order
+        rng = np.random.default_rng(18)
+        fast, ref = XCrossNetModel.init(WIDE), XCrossNetModel.init(WIDE)
+        state = optim.AdamState.init(fast.registry)
+        m_ref = np.zeros(ref.registry.values.size)
+        v_ref = np.zeros(ref.registry.values.size)
+        orders = [rng.permutation(vocab) for vocab in WIDE.vocab_sizes]
+        for t in range(1, 7):
+            batch = tiny_batch(rng, n=6, config=WIDE)
+            batch.sparse[:] = np.column_stack(
+                [np.concatenate([order[4 * t - 4:4 * t],
+                                 rng.choice(order[:4 * t], 2, replace=False)])
+                 for order in orders])
+            optim.batch_loss_and_grad(fast, batch)
+            optim.adam_step(fast.registry, state, lr=0.01, lam=1e-4)
+            optim.batch_loss_and_grad(ref, batch)
+            dense_adam_step(ref.registry, m_ref, v_ref, t, lr=0.01, lam=1e-4, lazy=True)
+        assert fast.registry.values.tobytes() == ref.registry.values.tobytes()
+        m_fast, v_fast = dense_moments(fast.registry, state)
+        assert m_fast.tobytes() == m_ref.tobytes()
+        assert v_fast.tobytes() == v_ref.tobytes()
+        slots = state.slots[state.slots >= 0]
+        assert state.used == slots.size == 24 * WIDE.sparse_fields
+        assert np.any(np.diff(slots) < 0)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="reads the resident set size from /proc/self/statm")
+    def test_moment_memory_follows_the_rows_trained(self):
+        # Adam's state and three steps of 64 rows commit far less than the
+        # embedding block, whose moments it keeps only for the rows updated
+        config = dataclasses.replace(WIDE, vocab_sizes=(200_000,) * 3, embed_dim=16)
+        m = XCrossNetModel.init(config)
+        rng = np.random.default_rng(19)
+        optim.batch_loss_and_grad(m, tiny_batch(rng, n=64, config=config))  # first-call buffers
+        before = resident_bytes()
+        state = optim.AdamState.init(m.registry)
+        for _ in range(3):
+            optim.batch_loss_and_grad(m, tiny_batch(rng, n=64, config=config))
+            optim.adam_step(m.registry, state, lr=0.01, lam=1e-4)
+        assert resident_bytes() - before < m.registry.embed_block.nbytes / 8
 
     def test_step_memory_below_one_table(self):
         # a training step allocates O(batch) for the embedding, never a
@@ -341,7 +409,16 @@ class TestFit:
         cfg = optim.TrainConfig(lr=0.001, batch_size=4096, epochs=1, eval_every=1)
         seen = []
         optim.fit(m, train, cfg, valid=valid, callbacks=[seen.append])
-        assert {"step", "epoch", "train_logloss", "wall_ms"} <= set(seen[0])
+        assert {"step", "epoch", "train_logloss", "inst_per_s", "wall_ms"} <= set(seen[0])
+        # a step's inst_per_s is its rows over the wall time since the
+        # previous record, so before the one validation the steps' seconds
+        # add up to the last step's wall_ms; a validation record has none
+        batches = [r for r in seen if "val_logloss" not in r]
+        rows = [min(4096, len(train) - i) for i in range(0, len(train), 4096)]
+        seconds = [n / r["inst_per_s"] for n, r in zip(rows, batches)]
+        assert len(batches) == len(rows) and all(s > 0 for s in seconds)
+        assert sum(seconds) == pytest.approx(batches[-1]["wall_ms"] / 1e3)
+        assert "inst_per_s" not in seen[-1]
         assert "val_auc" in seen[-1] and "val_logloss" in seen[-1]
         steps = [r["step"] for r in seen]
         assert steps == sorted(steps)
