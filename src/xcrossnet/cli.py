@@ -4,11 +4,17 @@ Exit codes: 0 ok, 1 check failure, 2 usage/config error, 3 I/O or data
 error, 4 numeric failure (a non-finite loss or prediction).
 
 Every run is deterministic under fixed seeds and inputs, writes its
-resolved configuration next to its outputs, and never mutates its inputs.
+resolved configuration next to its outputs, and never mutates its inputs;
+train also writes the thread settings and library versions that a bitwise
+rerun needs (runtime.json).
 Stdout is machine-parseable key=value lines.
 """
 
 import os
+
+# The thread-count variables of the BLAS and OpenMP pools
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
 
 
 def _configure_threads() -> None:
@@ -24,8 +30,7 @@ def _configure_threads() -> None:
         return
     if threads < 1:
         return
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    for var in THREAD_VARS:
         os.environ.setdefault(var, str(threads))
 
 
@@ -91,9 +96,10 @@ RUN_DEFAULTS = {
 }
 _RUN_NAMES = {"file": "a run on files", "synth": "a --synth run"}
 
+# a gradcheck's model is float64, the reference dtype
 GRADCHECK_DEFAULTS = dict(dense_fields=3, sparse_fields=4, vocab_size=5,
                           embed_dim=5, product_size=6, cross_depth=2,
-                          mlp_widths=(8,))
+                          mlp_widths=(8,), dtype="float64")
 
 
 def _parse_widths(text):
@@ -224,6 +230,19 @@ def _load_training_data(cfg):
     return train_ds, valid_ds, vocab
 
 
+def _runtime() -> dict:
+    """What a bitwise rerun needs beyond config.json: BLAS sums round
+    differently at another thread count or in another build, so the thread
+    variables in effect (None where unset) and the numpy and BLAS versions."""
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy before 1.26 cannot return its build config
+        blas = {}
+    return {**{var: os.environ.get(var) for var in ("XCN_THREADS", *THREAD_VARS)},
+            "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")}}
+
+
 def cmd_train(args) -> int:
     cfg, train_cfg = _resolve_run_config(args)
     out_dir = Path(args.out)
@@ -235,6 +254,8 @@ def cmd_train(args) -> int:
                         f"the training data gives {sizes}")
     (out_dir / "config.json").write_text(
         json.dumps({**cfg, "vocab_sizes": sizes}, indent=2, sort_keys=True) + "\n")
+    (out_dir / "runtime.json").write_text(json.dumps(_runtime(), indent=2, sort_keys=True)
+                                          + "\n")
     (out_dir / "vocab.json").write_text(vocab.to_json() + "\n")
 
     model = XCrossNetModel.init(_model_config(cfg, sizes)[0])

@@ -16,7 +16,9 @@ summed gradient row for each.
 
 Every stage is batch-major: it takes (B, .) arrays, one instance per row,
 and its backward pass returns (B, .) input gradients and writes parameter
-gradients summed over the batch, each a GEMM over the whole batch.
+gradients summed over the batch, each a GEMM over the whole batch. Each
+stage computes in its parameters' dtype (float32 or float64): it casts its
+inputs and its upstream gradient to it.
 
 Stages, in pipeline order:
 
@@ -46,18 +48,20 @@ from .data import stable_sigmoid
 from .errors import DataError, DimensionError
 
 
-def _as_rows(x, stage: str) -> np.ndarray:
-    """Coerce to a (B, D) float64 array holding one instance per row."""
-    x = np.asarray(x, dtype=np.float64)
+def _as_rows(x, stage: str, dtype) -> np.ndarray:
+    """Coerce to a (B, D) array holding one instance per row, in the
+    stage's parameter dtype, so that the stage computes in that dtype."""
+    x = np.asarray(x, dtype=dtype)
     if x.ndim != 2:
         raise DimensionError(
             f"{stage}: expected a (batch, dim) array, got shape {x.shape}")
     return x
 
 
-def _upstream(grad, expected: tuple, stage: str) -> np.ndarray:
-    """Coerce a backward pass's upstream gradient to float64 of its output's shape."""
-    grad = np.asarray(grad, dtype=np.float64)
+def _upstream(grad, expected: tuple, stage: str, dtype) -> np.ndarray:
+    """Coerce a backward pass's upstream gradient to the stage's parameter
+    dtype, checking that it has its output's shape."""
+    grad = np.asarray(grad, dtype=dtype)
     if grad.shape != expected:
         raise DimensionError(f"{stage}: grad has shape {grad.shape}, expected {expected}")
     return grad
@@ -83,6 +87,10 @@ class CrossStack:
     def input_dim(self) -> int:
         return len(self.weights[0]) if self.weights else 0
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.weights[0].dtype if self.weights else np.dtype(np.float64)
+
 
 @dataclass
 class CrossCache:
@@ -98,7 +106,7 @@ def cross_forward(d: np.ndarray, stack: CrossStack) -> tuple[np.ndarray, CrossCa
     layer costs O(B * M): one matrix-vector product for the row scales
     s_l = C_l @ w_l, one scale-and-add C_{l+1} = D * s_l[:, None] + b_l.
     """
-    d = _as_rows(d, "cross_forward")
+    d = _as_rows(d, "cross_forward", stack.dtype)
     if stack.depth and d.shape[1] != stack.input_dim:
         raise DimensionError(
             f"cross_forward: input has dim {d.shape[1]}, stack expects {stack.input_dim}")
@@ -133,7 +141,7 @@ def cross_backward(cache: CrossCache, grad_out: np.ndarray, stack: CrossStack,
     """
     rows, m = cache.d.shape
     depth = stack.depth
-    grad_out = _upstream(grad_out, (rows, m * (depth + 1)), "cross_backward")
+    grad_out = _upstream(grad_out, (rows, m * (depth + 1)), "cross_backward", cache.d.dtype)
     segs = grad_out.reshape(rows, depth + 1, m)
     grad_d = segs[:, 0].copy()
     running = 0.0  # gradient flowing back onto C_{l+1} from deeper layers
@@ -199,13 +207,16 @@ def embed_backward(cache: np.ndarray, grad_e: np.ndarray,
     grad[j] the sum of grad_e[b, i] over every (b, i) that looked up
     rows[j], summed in batch-row order from +0.0 by one np.bincount over
     the (row, column) slots: same order, same bits as the instance-order
-    sum. Other rows' gradients are exactly zero; the cost is O(B * N * K).
+    sum. np.bincount sums in float64 whatever the table's dtype; the rows
+    are then rounded to it. Other rows' gradients are exactly zero; the
+    cost is O(B * N * K).
     """
-    grad_e = _upstream(grad_e, (*cache.shape, emb.embed_dim), "embed_backward")
+    grad_e = _upstream(grad_e, (*cache.shape, emb.embed_dim), "embed_backward",
+                       emb.table.dtype)
     rows, inverse = np.unique(cache.ravel(), return_inverse=True)
     slots = inverse[:, None] * emb.embed_dim + np.arange(emb.embed_dim)
     grad = np.bincount(slots.ravel(), weights=grad_e.ravel())  # int64 when empty
-    return rows, grad.astype(np.float64, copy=False).reshape(-1, emb.embed_dim)
+    return rows, grad.astype(emb.table.dtype, copy=False).reshape(-1, emb.embed_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +251,7 @@ def product_forward(e: np.ndarray, pl: ProductLayer) -> tuple[np.ndarray, Produc
     P1 = E_flat @ order1_flat^T one over the (B, N * K) row layout. P2 is one
     einsum of U with itself over K: no U-sized square, bits not a square-then-sum's.
     """
-    e = np.asarray(e, dtype=np.float64)
+    e = np.asarray(e, dtype=pl.theta.dtype)
     t, n, k = pl.order1.shape
     if e.ndim != 3 or e.shape[1:] != (n, k):
         raise DimensionError(
@@ -272,7 +283,7 @@ def product_backward(cache: ProductCache, grad_out: np.ndarray, pl: ProductLayer
     """
     rows, n, k = cache.e.shape
     t = pl.theta.shape[0]
-    grad_out = _upstream(grad_out, (rows, 2 * t), "product_backward")
+    grad_out = _upstream(grad_out, (rows, 2 * t), "product_backward", cache.e.dtype)
     g1, g2 = grad_out[:, :t], grad_out[:, t:]
     gu = pl.theta @ cache.et
     gu.reshape(t, rows, k)[...] *= (2.0 * g2.T)[:, :, None]
@@ -325,7 +336,7 @@ class MlpCache:
 
 def mlp_forward(h0: np.ndarray, mlp: Mlp) -> tuple[np.ndarray, MlpCache]:
     """The head over the rows of H0 (B, D); returns the (B,) probabilities."""
-    h = _as_rows(h0, "mlp_forward")
+    h = _as_rows(h0, "mlp_forward", mlp.out_weight.dtype)
     if h.shape[1] != mlp.input_dim:
         raise DimensionError(
             f"mlp_forward: input has dim {h.shape[1]}, expected {mlp.input_dim}")
@@ -350,7 +361,7 @@ def mlp_backward_logit(cache: MlpCache, grad_logit: np.ndarray, mlp: Mlp,
     gradient and writes the parameter gradients summed over the batch,
     each weight's as one GEMM, GZ^T @ H, into grads.
     """
-    g = _upstream(grad_logit, cache.logits.shape, "mlp_backward_logit")
+    g = _upstream(grad_logit, cache.logits.shape, "mlp_backward_logit", cache.logits.dtype)
     np.matmul(cache.hiddens[-1].T, g, out=grads.out_weight)
     grads.out_bias[0] = g.sum()
     gh = g[:, None] * mlp.out_weight

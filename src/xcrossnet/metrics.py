@@ -11,8 +11,9 @@ from .errors import DataError, NumericError
 PRED_CLAMP = 1e-7  # predictions are clamped to [eps, 1-eps] inside the loss only
 
 # Rows per forward pass in predict_dataset. One chunk's activations and
-# cache are alive at a time: a 14.6 MB peak for 512 rows at the Criteo
-# shapes (tracemalloc), over half of it the product stage's transient U.
+# cache are alive at a time: a 7.4 MB peak for 512 rows at the Criteo
+# shapes in float32 (14.6 MB in float64; tracemalloc), over half of it the
+# product stage's transient U.
 PREDICT_CHUNK = 512
 
 

@@ -1,10 +1,12 @@
 """Full model assembly: topology, parameter registry, checkpoints.
 
-The registry owns every parameter in one flat float64 vector that the
-layers, the optimizer, the finite-difference checks and the checkpoint
-writer share: each layer array is a view into it. Its entry order is fixed
-and documented (see ParamRegistry); random initialization draws and the
-checkpoint payload follow it, so a seed pins every parameter bit-for-bit.
+The registry owns every parameter in one flat vector of the model's dtype
+(ModelConfig.dtype: float32 by default, or float64, the checked reference)
+that the layers, the optimizer, the finite-difference checks and the
+checkpoint writer share: each layer array is a view into it. Its entry
+order is fixed and documented (see ParamRegistry); random initialization
+draws and the checkpoint payload follow it, so a seed pins every parameter
+bit-for-bit.
 The dense parameters' gradient is a second flat vector, which the stages'
 backward passes write through views; the embedding tables' gradient is
 compact, one row per table row the batch looked up.
@@ -25,7 +27,11 @@ from . import layers
 from .errors import CheckpointError, DimensionError, int_problems, is_int
 
 CHECKPOINT_MAGIC = "xcrossnet-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+
+# The parameter dtypes: every array that scales with the parameters is of
+# the model's. float64 is the reference that gradcheck and the oracles use.
+DTYPES = ("float32", "float64")
 
 @dataclass
 class ModelConfig:
@@ -34,7 +40,9 @@ class ModelConfig:
     The stock Criteo layout is dense_fields=13, sparse_fields=26,
     embed_dim=20, cross_depth=4, mlp_widths=(400, 400); product_size
     defaults to 100 so the sparse stage output (2T = 200) is of the same
-    order as the dense stage output (65).
+    order as the dense stage output (65). dtype is that of the parameters,
+    their gradients, Adam's state and the stages' arithmetic; the data,
+    the probabilities and the scores stay float64.
     """
 
     dense_fields: int
@@ -45,6 +53,7 @@ class ModelConfig:
     cross_depth: int = 4
     mlp_widths: tuple[int, ...] = (400, 400)
     seed: int = 0
+    dtype: str = "float32"
 
     def __post_init__(self):
         # entries, and mlp_widths other than a list, are kept as given:
@@ -76,7 +85,8 @@ class ModelConfig:
 
         Every dimension, every entry of vocab_sizes and mlp_widths, and the
         seed must be a Python int (bool is not accepted), the seed >= 0 and
-        the others >= 1; mlp_widths must be a tuple or list.
+        the others >= 1; mlp_widths must be a tuple or list, dtype one of
+        DTYPES.
         """
         problems = int_problems({name: getattr(self, name) for name in (
             "dense_fields", "sparse_fields", "embed_dim", "product_size", "cross_depth")})
@@ -97,6 +107,8 @@ class ModelConfig:
                             f"{list(self.mlp_widths)!r}")
         elif any(w < 1 for w in self.mlp_widths):
             problems.append("mlp_widths: widths must be >= 1")
+        if not (isinstance(self.dtype, str) and self.dtype in DTYPES):
+            problems.append(f"dtype: must be one of {', '.join(DTYPES)}, got {self.dtype!r}")
         return problems + int_problems({"seed": self.seed}, low=0)
 
 @dataclass
@@ -113,7 +125,7 @@ class ParamEntry:
         return flat[self.start:self.start + self.values.size].reshape(self.values.shape)
 
 class ParamRegistry:
-    """Every parameter in one flat float64 vector.
+    """Every parameter in one flat vector of one dtype (float64 unless given).
 
     Registry order: cross stack (w0, b0, w1, b1, ...), embedding tables in
     field order, product theta then order-1 weights, concat weight then
@@ -122,7 +134,8 @@ class ParamRegistry:
 
     `values` holds the dense entries (all but the tables) in registry
     order, then the tables as one (sum vocab, K) block, `embed_block`;
-    every entry's values, and every layer array, is a view into it. `grad`
+    every entry's values, and every layer array, is a view into it. `grad`,
+    `embed_grad` and `get_grad_flat` are of the values' dtype. `grad`
     holds the dense entries' batch-mean gradient at their offsets in
     `values`: each entry's `grad` and the model's stage gradient carriers
     are views into it, which the stages' backward passes write in place.
@@ -131,20 +144,20 @@ class ParamRegistry:
     each; every other row's gradient is zero. No table-sized one exists.
     """
 
-    def __init__(self, shapes, embed: range = range(0)):
+    def __init__(self, shapes, embed: range = range(0), dtype=np.float64):
         """shapes: (name, shape) of every parameter in registry order;
         embed: the indices of the entries that form the embedding block,
         which must be adjacent and share their last dimension."""
         sizes = [math.prod(shape) for _, shape in shapes]
         placed = sorted(range(len(shapes)), key=lambda i: i in embed)  # dense first
         starts = dict(zip(placed, np.cumsum([0] + [sizes[i] for i in placed]).tolist()))
-        self.values = np.zeros(sum(sizes))
+        self.values = np.zeros(sum(sizes), dtype)
         # written here, so that its pages fault at build, not in a timed step
-        self.grad = np.full(sum(sizes) - sum(sizes[i] for i in embed), 0.0)
+        self.grad = np.full(sum(sizes) - sum(sizes[i] for i in embed), 0.0, dtype)
         k = shapes[embed.start][1][-1] if embed else 1
         self.embed_block = self.values[self.grad.size:].reshape(-1, k)
         self.embed_rows = np.zeros(0, dtype=np.intp)
-        self.embed_grad = np.zeros((0, k))
+        self.embed_grad = np.zeros((0, k), dtype)
         self.entries = []
         for i, ((name, shape), size) in enumerate(zip(shapes, sizes)):
             at = slice(starts[i], starts[i] + size)
@@ -169,7 +182,7 @@ class ParamRegistry:
 
     def get_grad_flat(self) -> np.ndarray:
         """The gradient densified like `values`, for gradchecks and tests."""
-        flat = np.zeros(self.values.size)
+        flat = np.zeros_like(self.values)
         dense, block = self.split(flat)
         dense[...] = self.grad
         block[self.embed_rows] = self.embed_grad
@@ -216,7 +229,8 @@ class XCrossNetModel:
         self.config = config
         n_cross = 2 * config.cross_depth
         self.registry = ParamRegistry([(name, shape) for name, shape, _ in _layout(config)],
-                                      embed=range(n_cross, n_cross + config.sparse_fields))
+                                      embed=range(n_cross, n_cross + config.sparse_fields),
+                                      dtype=config.dtype)
         self.embedding = layers.Embedding(self.registry.embed_block, config.vocab_sizes)
         self.cross, self.product, self.concat, self.mlp = self._dense_stages("values")
         # the backward passes' gradient carriers, over the registry's gradient
@@ -246,21 +260,31 @@ class XCrossNetModel:
         embedding tables (N(0, 0.01)), product theta and order-1 weights
         (N(0, 0.01)), concat weight (N(0, 0.01)), MLP matrices (uniform
         +- sqrt(6 / (fan_in + fan_out))). Biases start at zero and draw
-        nothing. Normal draws go straight into the value vector (a standard
-        normal scaled in place is bitwise rng.normal(0, std)), so the
-        tables need no temporary.
+        nothing. Every dtype draws the same float64 stream. A float64 model
+        draws its normals straight into the value vector (a standard normal
+        scaled in place is bitwise rng.normal(0, std)), so the tables need
+        no temporary; a float32 model draws each entry into one float64
+        buffer of the largest entry's size and rounds it into its view.
         """
         problems = config.validate()
         if problems:
             raise ValueError("invalid model config: " + "; ".join(problems))
         model = cls(config)
+        buffer = None if config.dtype == "float64" else \
+            np.empty(max(e.values.size for e in model.registry))
         rng = np.random.default_rng(config.seed)
         for (_, _, draw), entry in zip(_layout(config), model.registry):
-            if draw and draw[0] == "normal":
-                rng.standard_normal(out=entry.values)
-                entry.values *= draw[1]
-            elif draw:
-                entry.values[...] = rng.uniform(-draw[1], draw[1], entry.values.shape)
+            if not draw:
+                continue
+            out = entry.values if buffer is None else \
+                buffer[:entry.values.size].reshape(entry.values.shape)
+            if draw[0] == "normal":
+                rng.standard_normal(out=out)
+                out *= draw[1]
+            else:
+                out[...] = rng.uniform(-draw[1], draw[1], out.shape)
+            if out is not entry.values:
+                entry.values[...] = out
         return model
 
     # -- forward / backward -------------------------------------------------
@@ -349,8 +373,10 @@ def balance_index(config: ModelConfig) -> dict[str, float]:
 #
 # One file: a single JSON header line (format marker, version, config,
 # per-stage parameter counts, registry ordering), a newline, then every
-# parameter as little-endian float64, entry by entry in registry order
-# (not the value vector's placement). Loading is bitwise exact.
+# parameter little-endian in the config's dtype, entry by entry in registry
+# order (not the value vector's placement). Loading is bitwise exact.
+# Version 1, written before the dtype existed, has no dtype in its config
+# and a float64 payload; it loads as a float64 model.
 
 def save_checkpoint(model: XCrossNetModel, path) -> None:
     """Write the checkpoint atomically: the bytes go to a temporary file
@@ -371,8 +397,9 @@ def save_checkpoint(model: XCrossNetModel, path) -> None:
         with open(tmp, "wb") as f:
             f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
             f.write(b"\n")
+            stored = model.registry.values.dtype.newbyteorder("<")
             for entry in model.registry:
-                f.write(entry.values.astype("<f8", copy=False))
+                f.write(entry.values.astype(stored, copy=False))
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -382,11 +409,11 @@ def save_checkpoint(model: XCrossNetModel, path) -> None:
         raise
 
 def load_checkpoint(path) -> XCrossNetModel:
-    """Read a checkpoint. Its registry and payload size are checked against
-    its config before any parameter is allocated; each entry is then read
-    straight into its view in the new model (through one entry-sized buffer
-    only on a big-endian host), and a NaN or an infinity in it is refused,
-    naming the entry."""
+    """Read a checkpoint of either version. Its registry and payload size
+    are checked against its config before any parameter is allocated; each
+    entry is then read straight into its view in the new model (through one
+    entry-sized buffer only on a big-endian host), and a NaN or an infinity
+    in it is refused, naming the entry."""
     with open(path, "rb") as f:
         header_line = f.readline()
         try:
@@ -395,14 +422,21 @@ def load_checkpoint(path) -> XCrossNetModel:
             raise CheckpointError(f"unreadable checkpoint header: {exc}") from None
         if not isinstance(header, dict) or header.get("format") != CHECKPOINT_MAGIC:
             raise CheckpointError("not a model checkpoint (bad format marker)")
-        if header.get("version") != CHECKPOINT_VERSION:
+        version = header.get("version")
+        if not (is_int(version) and version in (1, CHECKPOINT_VERSION)):
             raise CheckpointError(
-                f"unsupported checkpoint version {header.get('version')!r}, "
-                f"this build reads version {CHECKPOINT_VERSION}")
-        if not isinstance(header.get("config"), dict):
+                f"unsupported checkpoint version {version!r}, "
+                f"this build reads versions 1 and {CHECKPOINT_VERSION}")
+        fields = header.get("config")
+        if not isinstance(fields, dict):
             raise CheckpointError("checkpoint header has no config object")
+        if (version == 1) == ("dtype" in fields):
+            raise CheckpointError(f"malformed checkpoint config: a version-{version} config "
+                                  f"{'has no' if version == 1 else 'needs a'} dtype")
+        if version == 1:  # float64 was the only dtype
+            fields = {**fields, "dtype": "float64"}
         try:
-            config = ModelConfig(**header["config"])
+            config = ModelConfig(**fields)
             problems = config.validate()
         except (TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint config: {exc}") from None
@@ -413,14 +447,15 @@ def load_checkpoint(path) -> XCrossNetModel:
                       if isinstance(names, list) else ())
         if [name for name, _, _ in layout] != names:
             raise CheckpointError("checkpoint registry ordering does not match config")
+        stored = np.dtype(config.dtype).newbyteorder("<")
         payload = os.fstat(f.fileno()).st_size - f.tell()
-        nbytes = 8 * sum(math.prod(shape) for _, shape, _ in layout)
+        nbytes = stored.itemsize * sum(math.prod(shape) for _, shape, _ in layout)
         if payload != nbytes:
             raise CheckpointError(f"parameter blob has {payload} bytes, expected {nbytes}")
         model = XCrossNetModel(config)
         for entry in model.registry:  # min and max below find a NaN or inf with no bool array
             values = entry.values
-            target = values if values.dtype == np.dtype("<f8") else np.empty(values.shape, "<f8")
+            target = values if values.dtype == stored else np.empty(values.shape, stored)
             if f.readinto(memoryview(target).cast("B")) != values.nbytes:
                 raise CheckpointError("parameter blob ended early")
             if target is not values:

@@ -14,17 +14,18 @@ table row only on steps whose batch touches it. Every other parameter is
 updated whole on every step, as in plain Adam. When a batch touches every
 row, the step is bitwise the plain Adam step.
 
-The dense run's moments are two vectors laid out like the registry's
-gradient. The embedding block's moments are compact: one row slot for each
-block row a step has updated, taken front to back in first-update order,
-so their resident memory follows the rows updated so far, not the vocab.
-That saves memory only while a run has updated a small share of the rows:
-a `train` run, whose vocab holds only tokens of its training split,
-updates every row within its first epoch, and from then on the moments
-are as large as the block, plus 4 B a row of slot map. A step makes one
-in-place pass over the dense run and one over the gathered embedding rows
-of the registry's compact gradient; both keep the operation order of the
-update expression, so they have its bits.
+Adam's moments and scratch are of the registry's dtype, and every step
+computes in it. The dense run's moments are two vectors laid out like the
+registry's gradient. The embedding block's moments are compact: one row
+slot for each block row a step has updated, taken front to back in
+first-update order, so their resident memory follows the rows updated so
+far, not the vocab. That saves memory only while a run has updated a
+small share of the rows: a `train` run, whose vocab holds only tokens of
+its training split, updates every row within its first epoch, and from
+then on the moments are as large as the block, plus 4 B a row of slot
+map. A step makes one in-place pass over the dense run and one over the
+gathered embedding rows of the registry's compact gradient; both keep the
+operation order of the update expression, so they have its bits.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ class AdamState:
     """Adam's moments, the step count t, and the scratch of one in-place
     chunk.
 
-    m and v are the dense run's moments, laid out like registry.grad.
+    Every array but slots is of the registry's dtype. m and v are the
+    dense run's moments, laid out like registry.grad.
     m_rows and v_rows hold the embedding block's, one (K,) row per slot:
     slots maps each block row to its slot, -1 until the row's first
     update, and the first `used` slots are taken. An untaken slot is zero,
@@ -77,12 +79,12 @@ class AdamState:
         # come from np.zeros, whose pages are committed only as the used
         # prefix reaches them: rows laid out like the block would commit a
         # 2 MB huge page at each scattered first touch. int32 slots number
-        # 2^31 rows, far more than a block of float64 rows that fits in RAM.
-        rows = registry.embed_block.shape
+        # 2^31 rows, far more than a block that fits in RAM.
+        rows, dtype = registry.embed_block.shape, registry.values.dtype
         return cls(m=np.zeros_like(registry.grad), v=np.zeros_like(registry.grad),
-                   m_rows=np.zeros(rows), v_rows=np.zeros(rows),
+                   m_rows=np.zeros(rows, dtype), v_rows=np.zeros(rows, dtype),
                    slots=np.full(rows[0], -1, dtype=np.int32),
-                   scratch=(np.zeros(ADAM_CHUNK), np.zeros(ADAM_CHUNK)))
+                   scratch=(np.zeros(ADAM_CHUNK, dtype), np.zeros(ADAM_CHUNK, dtype)))
 
 
 def adam_step(registry, state: AdamState, lr: float, lam: float = 0.0) -> None:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -186,9 +186,10 @@ def gradcheck_point(config, seed: int, instances: int = 3):
     uniform +-PARAM_SCALE. Draws are rejected while any MLP pre-activation
     sits near the ReLU kink or any |logit| exceeds LOGIT_CAP (past ~16 the
     loss clamp makes the probed function flat while the analytic gradient
-    is not).
+    is not). The model is float64 whatever config.dtype: a float32 central
+    difference rounds far above any useful tolerance.
     """
-    model = XCrossNetModel.init(config)
+    model = XCrossNetModel.init(replace(config, dtype="float64"))
     rng = np.random.default_rng(seed)
     for _ in range(MAX_TRIES):
         for entry in model.registry:  # in registry order, as one vector's draws
@@ -216,9 +217,11 @@ def gradcheck_model(model, batch, eps: float = 1e-5,
     (FD_ROUNDING_ULPS ulps of the loss over eps) agree; every other one
     counts, however small. perturb_group, when set, offsets that group's
     compared analytic gradient (not the registry's) so callers can confirm
-    the comparison detects wrong gradients.
+    the comparison detects wrong gradients. The model must be float64.
     """
     registry = model.registry
+    if registry.values.dtype != np.float64:
+        raise ValueError(f"gradcheck needs a float64 model, got {registry.values.dtype}")
     theta0 = registry.values.copy()
     analytic_loss = batch_loss_and_grad(model, batch)
     if not math.isfinite(analytic_loss):

@@ -131,6 +131,25 @@ class TestTrain:
         assert resolved["lr"] == 0.01
         assert resolved["vocab_sizes"] == [5, 5, 5, 5]
 
+    def test_runtime_json_records_what_a_bitwise_rerun_needs(self, trained_dir):
+        # the thread settings in effect and the numpy and BLAS builds
+        runtime = json.loads((trained_dir / "runtime.json").read_text())
+        assert set(runtime) == {"XCN_THREADS", *cli.THREAD_VARS, "numpy", "blas"}
+        for var in ("XCN_THREADS", *cli.THREAD_VARS):
+            assert runtime[var] == os.environ.get(var)
+        assert runtime["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert runtime["blas"] == {"name": blas["name"], "version": blas["version"]}
+
+    def test_runtime_without_a_build_config(self, monkeypatch):
+        # numpy before 1.26 has no show_config(mode=...): the BLAS is unknown
+        def old_show_config(*args, **kwargs):
+            if kwargs:
+                raise TypeError("show_config() got an unexpected keyword argument 'mode'")
+
+        monkeypatch.setattr(cli.np, "show_config", old_show_config)
+        assert cli._runtime()["blas"] == {"name": None, "version": None}
+
     def test_rerun_checkpoint_bitwise_identical(self, synth_dir, trained_dir,
                                                 tmp_path, capsys):
         code, _, _ = run_cli(
@@ -154,8 +173,8 @@ class TestTrain:
         cfg, _ = cli._resolve_run_config(args)
         assert cfg == {
             "dense_fields": 13, "sparse_fields": 26, "embed_dim": 20, "product_size": 100,
-            "cross_depth": 4, "mlp_widths": (400, 400), "seed": 0, "lr": 0.001,
-            "batch_size": 4096, "l2": 1e-4, "epochs": 1, "eval_every": 1,
+            "cross_depth": 4, "mlp_widths": (400, 400), "seed": 0, "dtype": "float32",
+            "lr": 0.001, "batch_size": 4096, "l2": 1e-4, "epochs": 1, "eval_every": 1,
             "train_data": "f", "valid_data": None, "valid_fraction": 0.1, "min_freq": 10}
 
     def test_synth_default_settings(self):
@@ -164,8 +183,8 @@ class TestTrain:
         cfg, _ = cli._resolve_run_config(args)
         assert cfg == {
             "dense_fields": 4, "sparse_fields": 4, "embed_dim": 8, "product_size": 8,
-            "cross_depth": 3, "mlp_widths": (64,), "seed": 0, "lr": 0.001,
-            "batch_size": 512, "l2": 1e-4, "epochs": 1, "eval_every": 1,
+            "cross_depth": 3, "mlp_widths": (64,), "seed": 0, "dtype": "float32",
+            "lr": 0.001, "batch_size": 512, "l2": 1e-4, "epochs": 1, "eval_every": 1,
             "synth": "default", "synth_seed": None,
             "synth_spec": dataclasses.asdict(data.DEFAULT_SYNTH_SPEC)}
 
@@ -322,7 +341,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("key, value", [
         ("lr", "fast"), ("lr", None), ("min_freq", None), ("valid_fraction", "x"),
-        ("epochs", 0.5), ("batch_size", True)])
+        ("epochs", 0.5), ("batch_size", True), ("dtype", "float16")])
     def test_config_value_of_the_wrong_type_is_usage_error(self, tmp_path, capsys,
                                                            key, value):
         # neither coerced nor let through: the run stops before training
@@ -572,10 +591,11 @@ class TestEval:
         header, _, payload = path.read_bytes().partition(b"\n")
         registry = load_checkpoint(path).registry
         names = registry.names()  # the payload's order
-        at = 8 * sum(registry[n].values.size for n in names[:names.index(name)])
+        stored = registry.values.dtype.newbyteorder("<")
+        at = stored.itemsize * sum(registry[n].values.size for n in names[:names.index(name)])
         bad = tmp_path / "checkpoint.xcn"
-        bad.write_bytes(header + b"\n" + payload[:at] + np.array(float(value), "<f8").tobytes()
-                        + payload[at + 8:])
+        bad.write_bytes(header + b"\n" + payload[:at] + np.array(float(value), stored).tobytes()
+                        + payload[at + stored.itemsize:])
         (tmp_path / "vocab.json").write_text((trained_dir / "vocab.json").read_text())
         out = tmp_path / "p.txt"
         extra = ["--out", str(out)] if command == "predict" else []
@@ -589,8 +609,9 @@ class TestEval:
     def test_overflowing_checkpoint_exits_4(self, synth_dir, synth_run, tmp_path, capsys,
                                             command):
         # finite parameters whose forward pass overflows to NaN predictions
+        # (1e30 is finite in the run's float32)
         model = load_checkpoint(synth_run / "checkpoint.xcn")
-        model.registry["cross.w0"].values[...] = 1e200
+        model.registry["cross.w0"].values[...] = 1e30
         save_checkpoint(model, tmp_path / "checkpoint.xcn")
         (tmp_path / "vocab.json").write_text((synth_run / "vocab.json").read_text())
         out = tmp_path / "p.txt"
@@ -719,7 +740,7 @@ class TestStreamedScoring:
     def test_non_finite_row_past_the_first_chunk_names_its_file_row(
             self, synth_run, tmp_path, capsys, command):
         model = load_checkpoint(synth_run / "checkpoint.xcn")
-        model.registry["embed.field0"].values[1] = 1e200  # the row of token c1
+        model.registry["embed.field0"].values[1] = 1e30  # the row of token c1
         save_checkpoint(model, tmp_path / "checkpoint.xcn")
         (tmp_path / "vocab.json").write_text((synth_run / "vocab.json").read_text())
         rows = tmp_path / "rows.tsv"
@@ -857,6 +878,7 @@ class TestInspect:
         assert code == 0
         pairs = kv(out)
         counts = model.num_parameters()
+        assert pairs["config.dtype"] == "float32"
         assert int(pairs["params.cross"]) == counts["cross"] == 104
         assert int(pairs["params.total"]) == counts["total"]
         assert float(pairs["balance_index.cross_only"]) == 0.52
@@ -908,13 +930,13 @@ class TestInspect:
     @pytest.mark.parametrize("command", ["inspect", "eval", "predict"])
     @pytest.mark.parametrize("edit, message", [
         (lambda c: c["vocab_sizes"].__setitem__(0, 10 ** 12),
-         "parameter blob has 936 bytes, expected 16000000000888"),
+         "parameter blob has 468 bytes, expected 8000000000444"),
         (lambda c: c.update(cross_depth=10 ** 4),
          "checkpoint registry ordering does not match config"),
     ], ids=["huge_vocab", "deep_cross"])
     def test_header_sizes_are_checked_before_any_allocation(self, tmp_path, capsys, command,
                                                              edit, message):
-        # a header naming a 16 TB table, or 2 * 10^4 cross entries, costs nothing
+        # a header naming an 8 TB float32 table, or 2 * 10^4 cross entries, costs nothing
         model = XCrossNetModel.init(ModelConfig(
             dense_fields=2, sparse_fields=2, vocab_sizes=(3, 3), embed_dim=2,
             product_size=2, cross_depth=1, mlp_widths=(4,)))
@@ -930,6 +952,40 @@ class TestInspect:
         try:
             code, _, err = run_cli([command, "--checkpoint", str(path), *extra[command]],
                                    capsys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert err == f"error: {message}\n"
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("command", ["inspect", "eval"])
+    @pytest.mark.parametrize("version, dtype, message", [
+        (2, "float16", "invalid checkpoint config: dtype: must be one of float32, float64, "
+                       "got 'float16'"),
+        (2, None, "malformed checkpoint config: a version-2 config needs a dtype"),
+        (1, "float64", "malformed checkpoint config: a version-1 config has no dtype"),
+    ], ids=["unknown_dtype", "version_2_without_dtype", "version_1_with_dtype"])
+    def test_bad_dtype_header_exits_3_before_any_allocation(self, tmp_path, capsys, command,
+                                                            version, dtype, message):
+        # the header also names a 10^12-row table, which no check may allocate
+        model = XCrossNetModel.init(ModelConfig(
+            dense_fields=2, sparse_fields=2, vocab_sizes=(3, 3), embed_dim=2,
+            product_size=2, cross_depth=1, mlp_widths=(4,)))
+        path = tmp_path / "c.xcn"
+        save_checkpoint(model, path)
+        header, _, blob = path.read_bytes().partition(b"\n")
+        header = json.loads(header)
+        header["version"] = version
+        header["config"]["vocab_sizes"][0] = 10 ** 12
+        header["config"].pop("dtype")
+        if dtype is not None:
+            header["config"]["dtype"] = dtype
+        path.write_bytes(json.dumps(header).encode() + b"\n" + blob)
+        extra = ["--data", "unused.tsv"] if command == "eval" else []
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli([command, "--checkpoint", str(path), *extra], capsys)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

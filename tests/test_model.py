@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import tracemalloc
 
@@ -17,6 +18,9 @@ SMALL = ModelConfig(dense_fields=3, sparse_fields=4, vocab_sizes=(5, 5, 5, 5),
 
 CRITEO = ModelConfig.criteo_default(vocab_sizes=(3,) * 26)
 
+# the float64 reference, for the tests that check float64 bits or rounding
+SMALL64 = dataclasses.replace(SMALL, dtype="float64")
+
 
 def random_batch(config, rng, n=4):
     dense = rng.uniform(-1, 1, (n, config.dense_fields))
@@ -33,8 +37,9 @@ class TestInit:
 
     def test_init_matches_per_array_reference_draws(self):
         # the draws the layers made before the flat layout: one rng.normal
-        # or rng.uniform per array, in registry order
-        for config in (SMALL, CRITEO):
+        # or rng.uniform per array, in registry order; float32 rounds them
+        for config, dtype in itertools.product((SMALL, CRITEO), ("float64", "float32")):
+            config = dataclasses.replace(config, dtype=dtype)
             rng = np.random.default_rng(config.seed)
             want = []
             for l in range(config.cross_depth):
@@ -53,11 +58,12 @@ class TestInit:
             bound = np.sqrt(6.0 / (fan_in + 1))
             want += [rng.uniform(-bound, bound, fan_in), np.zeros(1)]
             got = [e.values for e in XCrossNetModel.init(config).registry]
-            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            assert [g.tobytes() for g in got] == [w.astype(dtype).tobytes() for w in want]
 
     def test_init_allocates_no_table_sized_gradient(self):
         # vocab 10^5 x 3: the values are the only table-sized allocation
-        config = dataclasses.replace(SMALL, sparse_fields=3, vocab_sizes=(100_000,) * 3)
+        # of a float64 model, which draws straight into them
+        config = dataclasses.replace(SMALL64, sparse_fields=3, vocab_sizes=(100_000,) * 3)
         tracemalloc.start()
         try:
             m = XCrossNetModel.init(config)
@@ -123,7 +129,7 @@ class TestRegistry:
         flat = m.registry.values.copy()
         assert flat.shape == (m.num_parameters()["total"],)
         rng = np.random.default_rng(0)
-        new = rng.normal(size=flat.shape)
+        new = rng.normal(size=flat.shape).astype(flat.dtype)
         m.registry.set_flat(new)
         assert np.array_equal(m.registry.values, new)
         # registry views alias the layer arrays
@@ -207,7 +213,7 @@ class TestForwardBackward:
         assert np.array_equal(p1, p2)
 
     def test_batch_forward_matches_rows_one_at_a_time(self):
-        m = XCrossNetModel.init(SMALL)
+        m = XCrossNetModel.init(SMALL64)
         m.registry.set_flat(np.random.default_rng(8).uniform(
             -0.3, 0.3, m.registry.values.size))
         batch = random_batch(SMALL, np.random.default_rng(9), n=17)
@@ -220,7 +226,7 @@ class TestForwardBackward:
                 1e-12 * max(abs(cache.mlp.logits[i]), 1.0)
 
     def test_logit_gradient_is_prob_minus_label(self):
-        m = XCrossNetModel.init(SMALL)
+        m = XCrossNetModel.init(SMALL64)
         batch = random_batch(SMALL, np.random.default_rng(3), n=1)
         probs, cache = m.forward(batch)
         m.backward(cache, [1.0])
@@ -315,7 +321,8 @@ class TestForwardBackward:
 
     @pytest.fixture(scope="class")
     def criteo_rows(self):
-        config = ModelConfig.criteo_default((1000,) * 26)
+        # float64, whose figures the bounds below were set from
+        config = dataclasses.replace(ModelConfig.criteo_default((1000,) * 26), dtype="float64")
         return XCrossNetModel.init(config), random_batch(config, np.random.default_rng(13),
                                                          n=4 * metrics.PREDICT_CHUNK)
 
@@ -347,8 +354,8 @@ class TestForwardBackward:
     def test_batch_gradient_is_mean_of_instances(self):
         # the batched back half sums rows inside GEMMs, in an order of its
         # own, so the batch gradient matches the mean of B = 1 gradients to
-        # rounding, not bit for bit
-        m = XCrossNetModel.init(SMALL)
+        # float64 rounding, not bit for bit
+        m = XCrossNetModel.init(SMALL64)
         m.registry.set_flat(np.random.default_rng(10).uniform(
             -0.3, 0.3, m.registry.values.size))
         batch = random_batch(SMALL, np.random.default_rng(5), n=7)
@@ -367,7 +374,7 @@ class TestForwardBackward:
         # a batch's rows are summed inside GEMMs, so permuting them may
         # change the rounding of the mean gradient but not its value; the
         # same batch in the same order gives the same bits
-        m = XCrossNetModel.init(SMALL)
+        m = XCrossNetModel.init(SMALL64)
         m.registry.set_flat(np.random.default_rng(11).uniform(
             -0.3, 0.3, m.registry.values.size))
         batch = random_batch(SMALL, np.random.default_rng(6), n=9)
@@ -435,32 +442,41 @@ class TestCheckpoint:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_bytes_match_the_copying_writer(self, tmp_path):
-        # version-1 bytes: the header line, then each entry's values as
-        # "<f8", in registry order
-        m = XCrossNetModel.init(SMALL)
-        path = tmp_path / "model.xcn"
-        save_checkpoint(m, path)
-        header = {"format": "xcrossnet-checkpoint", "version": 1,
-                  "config": dataclasses.asdict(m.config), "param_counts": m.num_parameters(),
-                  "registry": m.registry.names()}
-        want = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + \
-            b"".join(e.values.astype("<f8").tobytes() for e in m.registry)
-        assert path.read_bytes() == want
+        # version-2 bytes: the header line, then each entry's values
+        # little-endian in the config's dtype, in registry order
+        for config, stored in ((SMALL, "<f4"), (SMALL64, "<f8")):
+            m = XCrossNetModel.init(config)
+            path = tmp_path / "model.xcn"
+            save_checkpoint(m, path)
+            header = {"format": "xcrossnet-checkpoint", "version": 2,
+                      "config": dataclasses.asdict(m.config),
+                      "param_counts": m.num_parameters(), "registry": m.registry.names()}
+            want = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + \
+                b"".join(e.values.astype(stored).tobytes() for e in m.registry)
+            assert path.read_bytes() == want
 
     def test_each_entry_loads_its_registry_order_slice(self, tmp_path):
-        # a version-1 file built by hand whose payload numbers the values
-        m = XCrossNetModel(SMALL)
-        header = {"format": "xcrossnet-checkpoint", "version": 1,
-                  "config": dataclasses.asdict(m.config), "param_counts": m.num_parameters(),
-                  "registry": m.registry.names()}
-        path = tmp_path / "model.xcn"
-        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n"
-                         + np.arange(m.registry.values.size, dtype="<f8").tobytes())
-        at = 0
-        for e in load_checkpoint(path).registry:
-            assert np.array_equal(e.values.ravel(), np.arange(at, at + e.values.size))
-            at += e.values.size
-        assert at == m.registry.values.size
+        # files built by hand whose payload numbers the values: version 1,
+        # whose config has no dtype and whose payload is float64, and
+        # version 2 in float32
+        for version, dtype in ((1, "float64"), (2, "float32")):
+            m = XCrossNetModel(dataclasses.replace(SMALL, dtype=dtype))
+            config = dataclasses.asdict(m.config)
+            if version == 1:
+                del config["dtype"]
+            header = {"format": "xcrossnet-checkpoint", "version": version, "config": config,
+                      "param_counts": m.num_parameters(), "registry": m.registry.names()}
+            path = tmp_path / "model.xcn"
+            path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + np.arange(
+                m.registry.values.size, dtype=np.dtype(dtype).newbyteorder("<")).tobytes())
+            loaded = load_checkpoint(path)
+            assert loaded.config == m.config
+            at = 0
+            for e in loaded.registry:
+                assert e.values.dtype == dtype
+                assert np.array_equal(e.values.ravel(), np.arange(at, at + e.values.size))
+                at += e.values.size
+            assert at == m.registry.values.size
 
     def test_truncated_blob(self, tmp_path):
         # a payload 16 bytes short or 8 bytes long is refused
@@ -478,7 +494,8 @@ class TestCheckpoint:
         path = tmp_path / "model.xcn"
         save_checkpoint(m, path)
         header, _, blob = path.read_bytes().partition(b"\n")
-        patched = header.replace(b'"version": 1', b'"version": 99')
+        patched = header.replace(b'"version": 2', b'"version": 99')
+        assert patched != header
         (tmp_path / "bad.xcn").write_bytes(patched + b"\n" + blob)
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "bad.xcn")

@@ -134,7 +134,7 @@ def dense_moments(registry, state):
     seen = state.slots >= 0
     flats = []
     for run, rows in ((state.m, state.m_rows), (state.v, state.v_rows)):
-        flat = np.zeros(registry.values.size)
+        flat = np.zeros_like(registry.values)
         dense, block = registry.split(flat)
         dense[...] = run
         block[seen] = rows[state.slots[seen]]
@@ -200,7 +200,9 @@ class TestRowSparseUpdate:
         for f, vocab in enumerate(WIDE.vocab_sizes):
             expected = np.zeros((vocab, WIDE.embed_dim))
             np.add.at(expected, batch.sparse[:, f], grad_e[:, f])
-            assert np.array_equal(m.registry[f"embed.field{f}"].view(grad), expected)
+            # summed in float64, then rounded to the table's dtype
+            assert np.array_equal(m.registry[f"embed.field{f}"].view(grad),
+                                  expected.astype(grad.dtype))
         # the compact gradient holds exactly the looked-up rows of each field
         assert np.array_equal(m.registry.embed_rows,
                               np.unique(batch.sparse + m.embedding.offsets))
@@ -233,75 +235,81 @@ class TestRowSparseUpdate:
 
     def test_every_row_touched_equals_dense_adam(self):
         # vocab 4 and a batch that looks up every id of every field: k lazy
-        # steps give the bits of k plain Adam steps
-        config = dataclasses.replace(TINY, vocab_sizes=(4,) * 4)
-        rng = np.random.default_rng(14)
-        lazy, dense = XCrossNetModel.init(config), XCrossNetModel.init(config)
-        state = optim.AdamState.init(lazy.registry)
-        m_ref = np.zeros(dense.registry.values.size)
-        v_ref = np.zeros(dense.registry.values.size)
-        for t in range(1, 6):
-            batch = tiny_batch(rng, n=8, config=config)
-            batch.sparse[:] = np.column_stack(
-                [rng.permutation(np.arange(8) % 4) for _ in range(4)])
-            optim.batch_loss_and_grad(lazy, batch)
-            optim.adam_step(lazy.registry, state, lr=0.01, lam=1e-3)
-            optim.batch_loss_and_grad(dense, batch)
-            dense_adam_step(dense.registry, m_ref, v_ref, t, lr=0.01, lam=1e-3)
-        assert np.array_equal(lazy.registry.values, dense.registry.values)
-        m_lazy, v_lazy = dense_moments(lazy.registry, state)
-        assert np.array_equal(m_lazy, m_ref)
-        assert np.array_equal(v_lazy, v_ref)
+        # steps give the bits of k plain Adam steps, in either dtype
+        for dtype in ("float32", "float64"):
+            config = dataclasses.replace(TINY, vocab_sizes=(4,) * 4, dtype=dtype)
+            rng = np.random.default_rng(14)
+            lazy, dense = XCrossNetModel.init(config), XCrossNetModel.init(config)
+            state = optim.AdamState.init(lazy.registry)
+            m_ref = np.zeros_like(dense.registry.values)
+            v_ref = np.zeros_like(dense.registry.values)
+            for t in range(1, 6):
+                batch = tiny_batch(rng, n=8, config=config)
+                batch.sparse[:] = np.column_stack(
+                    [rng.permutation(np.arange(8) % 4) for _ in range(4)])
+                optim.batch_loss_and_grad(lazy, batch)
+                optim.adam_step(lazy.registry, state, lr=0.01, lam=1e-3)
+                optim.batch_loss_and_grad(dense, batch)
+                dense_adam_step(dense.registry, m_ref, v_ref, t, lr=0.01, lam=1e-3)
+            assert np.array_equal(lazy.registry.values, dense.registry.values)
+            m_lazy, v_lazy = dense_moments(lazy.registry, state)
+            assert np.array_equal(m_lazy, m_ref)
+            assert np.array_equal(v_lazy, v_ref)
 
     def test_in_place_step_matches_the_expression_bitwise(self):
         # three steps at lambda > 0 with batches that miss most table rows:
         # the in-place dense pass and the gathered row pass give the bits
-        # of the one-expression LazyAdam step, values and moments alike
-        rng = np.random.default_rng(16)
-        fast, ref = XCrossNetModel.init(WIDE), XCrossNetModel.init(WIDE)
-        state = optim.AdamState.init(fast.registry)
-        m_ref = np.zeros(ref.registry.values.size)
-        v_ref = np.zeros(ref.registry.values.size)
-        for t in range(1, 4):
-            batch = tiny_batch(rng, n=6, config=WIDE)
-            optim.batch_loss_and_grad(fast, batch)
-            optim.adam_step(fast.registry, state, lr=0.01, lam=1e-4)
-            optim.batch_loss_and_grad(ref, batch)
-            dense_adam_step(ref.registry, m_ref, v_ref, t, lr=0.01, lam=1e-4, lazy=True)
-        assert fast.registry.values.tobytes() == ref.registry.values.tobytes()
-        m_fast, v_fast = dense_moments(fast.registry, state)
-        assert m_fast.tobytes() == m_ref.tobytes()
-        assert v_fast.tobytes() == v_ref.tobytes()
-        untouched = v_ref == 0.0
-        assert untouched.any() and not untouched.all()
+        # of the one-expression LazyAdam step, values and moments alike, in
+        # either dtype
+        for dtype in ("float32", "float64"):
+            config = dataclasses.replace(WIDE, dtype=dtype)
+            rng = np.random.default_rng(16)
+            fast, ref = XCrossNetModel.init(config), XCrossNetModel.init(config)
+            state = optim.AdamState.init(fast.registry)
+            m_ref = np.zeros_like(ref.registry.values)
+            v_ref = np.zeros_like(ref.registry.values)
+            for t in range(1, 4):
+                batch = tiny_batch(rng, n=6, config=config)
+                optim.batch_loss_and_grad(fast, batch)
+                optim.adam_step(fast.registry, state, lr=0.01, lam=1e-4)
+                optim.batch_loss_and_grad(ref, batch)
+                dense_adam_step(ref.registry, m_ref, v_ref, t, lr=0.01, lam=1e-4, lazy=True)
+            assert fast.registry.values.tobytes() == ref.registry.values.tobytes()
+            m_fast, v_fast = dense_moments(fast.registry, state)
+            assert m_fast.tobytes() == m_ref.tobytes()
+            assert v_fast.tobytes() == v_ref.tobytes()
+            untouched = v_ref == 0.0
+            assert untouched.any() and not untouched.all()
 
     def test_rows_first_updated_at_later_steps_match_the_expression_bitwise(self):
         # six steps: each batch looks up four rows per field that no earlier
         # batch touched, in a shuffled row order, and two of the rows looked
         # up so far, so the rows' slots are taken out of row order
-        rng = np.random.default_rng(18)
-        fast, ref = XCrossNetModel.init(WIDE), XCrossNetModel.init(WIDE)
-        state = optim.AdamState.init(fast.registry)
-        m_ref = np.zeros(ref.registry.values.size)
-        v_ref = np.zeros(ref.registry.values.size)
-        orders = [rng.permutation(vocab) for vocab in WIDE.vocab_sizes]
-        for t in range(1, 7):
-            batch = tiny_batch(rng, n=6, config=WIDE)
-            batch.sparse[:] = np.column_stack(
-                [np.concatenate([order[4 * t - 4:4 * t],
-                                 rng.choice(order[:4 * t], 2, replace=False)])
-                 for order in orders])
-            optim.batch_loss_and_grad(fast, batch)
-            optim.adam_step(fast.registry, state, lr=0.01, lam=1e-4)
-            optim.batch_loss_and_grad(ref, batch)
-            dense_adam_step(ref.registry, m_ref, v_ref, t, lr=0.01, lam=1e-4, lazy=True)
-        assert fast.registry.values.tobytes() == ref.registry.values.tobytes()
-        m_fast, v_fast = dense_moments(fast.registry, state)
-        assert m_fast.tobytes() == m_ref.tobytes()
-        assert v_fast.tobytes() == v_ref.tobytes()
-        slots = state.slots[state.slots >= 0]
-        assert state.used == slots.size == 24 * WIDE.sparse_fields
-        assert np.any(np.diff(slots) < 0)
+        for dtype in ("float32", "float64"):
+            config = dataclasses.replace(WIDE, dtype=dtype)
+            rng = np.random.default_rng(18)
+            fast, ref = XCrossNetModel.init(config), XCrossNetModel.init(config)
+            state = optim.AdamState.init(fast.registry)
+            m_ref = np.zeros_like(ref.registry.values)
+            v_ref = np.zeros_like(ref.registry.values)
+            orders = [rng.permutation(vocab) for vocab in config.vocab_sizes]
+            for t in range(1, 7):
+                batch = tiny_batch(rng, n=6, config=config)
+                batch.sparse[:] = np.column_stack(
+                    [np.concatenate([order[4 * t - 4:4 * t],
+                                     rng.choice(order[:4 * t], 2, replace=False)])
+                     for order in orders])
+                optim.batch_loss_and_grad(fast, batch)
+                optim.adam_step(fast.registry, state, lr=0.01, lam=1e-4)
+                optim.batch_loss_and_grad(ref, batch)
+                dense_adam_step(ref.registry, m_ref, v_ref, t, lr=0.01, lam=1e-4, lazy=True)
+            assert fast.registry.values.tobytes() == ref.registry.values.tobytes()
+            m_fast, v_fast = dense_moments(fast.registry, state)
+            assert m_fast.tobytes() == m_ref.tobytes()
+            assert v_fast.tobytes() == v_ref.tobytes()
+            slots = state.slots[state.slots >= 0]
+            assert state.used == slots.size == 24 * config.sparse_fields
+            assert np.any(np.diff(slots) < 0)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
                         reason="reads the resident set size from /proc/self/statm")

@@ -188,3 +188,32 @@ class TestReluKinkRisk:
         model, batch = self.model_and_batch()
         model.mlp.biases[layer][1] = 0.0
         assert oracle.relu_kink_risk(model.mlp, model.forward(batch)[1].mlp)
+
+
+class TestGradcheckRefusals:
+    CONFIG = ModelConfig(dense_fields=2, sparse_fields=2, vocab_sizes=(3, 3), embed_dim=2,
+                         product_size=2, cross_depth=1, mlp_widths=(4,), seed=1)
+
+    def test_point_is_float64_whatever_the_config_dtype(self):
+        assert self.CONFIG.dtype == "float32"
+        model, _ = oracle.gradcheck_point(self.CONFIG, seed=0)
+        assert model.registry.values.dtype == np.float64
+        assert model.config.dtype == "float64"
+
+    def test_float32_model_is_refused_naming_its_dtype(self):
+        model = XCrossNetModel.init(self.CONFIG)
+        _, batch = oracle.gradcheck_point(self.CONFIG, seed=0)
+        with pytest.raises(ValueError, match="gradcheck needs a float64 model, got float32"):
+            oracle.gradcheck_model(model, batch)
+
+    def test_no_well_conditioned_point(self, monkeypatch):
+        # no draw has every |logit| under a negative cap
+        monkeypatch.setattr(oracle, "LOGIT_CAP", -1.0)
+        with pytest.raises(NumericError, match=f"found in {oracle.MAX_TRIES} draws"):
+            oracle.gradcheck_point(self.CONFIG, seed=0)
+
+    def test_non_finite_loss_at_the_point(self):
+        model, batch = oracle.gradcheck_point(self.CONFIG, seed=0)
+        model.registry["mlp.out_b"].values[0] = np.nan
+        with pytest.raises(NumericError, match="loss is non-finite at the gradcheck point"):
+            oracle.gradcheck_model(model, batch)
