@@ -37,6 +37,7 @@ def _configure_threads() -> None:
 _configure_threads()
 
 import argparse
+import ctypes
 import dataclasses
 import itertools
 import json
@@ -230,16 +231,46 @@ def _load_training_data(cfg):
     return train_ds, valid_ds, vocab
 
 
+# The thread-count getters of OpenBLAS builds: numpy's wheels load
+# scipy-openblas, with 64-bit integers; other builds load OpenBLAS itself.
+BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads")
+
+
+def _blas_threads() -> int | None:
+    """The thread count of the OpenBLAS library numpy loaded, asked of the
+    library itself; None where no library the process maps (as
+    /proc/self/maps lists them) has a known getter."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as maps:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps
+                            if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in BLAS_THREAD_GETTERS:
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter()
+    return None
+
+
 def _runtime() -> dict:
     """What a bitwise rerun needs beyond config.json: BLAS sums round
     differently at another thread count or in another build, so the thread
-    variables in effect (None where unset) and the numpy and BLAS versions."""
+    variables in effect (None where unset), the thread count the BLAS runs
+    with, and the numpy and BLAS versions."""
     try:
         blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     except TypeError:  # numpy before 1.26 cannot return its build config
         blas = {}
     return {**{var: os.environ.get(var) for var in ("XCN_THREADS", *THREAD_VARS)},
-            "numpy": np.__version__,
+            "blas_threads": _blas_threads(), "numpy": np.__version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version")}}
 
 

@@ -16,8 +16,8 @@ handled by a few numpy passes over its bytes:
 - each categorical token becomes a fixed-width big-endian key, one 8-byte
   word for a token of up to 8 bytes and more words for a longer one, whose
   order is the tokens' string order; build_vocab counts the keys with
-  np.unique, and the parser maps them to ids by searchsorted against the
-  vocab's sorted keys;
+  np.unique and keeps the frequent ones, in order, as the vocab, and the
+  parser maps keys to ids by searchsorted against them;
 - dense tokens of up to 18 ASCII digits are parsed arithmetically, which
   is exact; every other dense token goes through Python float().
 
@@ -105,22 +105,38 @@ class Dataset:
 
 
 class FieldVocab:
-    """Per-field token -> id maps; id 0 is reserved for missing/unknown."""
+    """Per-field vocab: field i maps the token of key keys[i][j] (see _token_keys;
+    keys[i] ascends) to ids[i][j], and an unknown or empty token to id 0."""
 
-    def __init__(self, mappings: list[dict[str, int]]):
-        self.mappings = mappings
+    def __init__(self, keys: list[np.ndarray], ids: list[np.ndarray]):
+        self.keys, self.ids = keys, ids
+
+    @classmethod
+    def from_mappings(cls, mappings: list[dict[str, int]]) -> "FieldVocab":
+        """The vocab of per-field {token: id} dicts."""
+        keys, ids = [], []
+        for mapping in mappings:
+            encoded = [t.encode("utf-8", "surrogatepass") for t in mapping]
+            lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+            buf = np.frombuffer(b"".join([*encoded, _PAD.encode()]), np.uint8)
+            field = _token_keys(_words(buf), np.cumsum(lengths) - lengths, lengths)
+            order = np.argsort(field)
+            keys.append(field[order])
+            ids.append(np.fromiter(mapping.values(), np.int64, len(mapping))[order])
+        return cls(keys, ids)
 
     def sizes(self) -> tuple[int, ...]:
         # +1 for the reserved OOV/missing id
-        return tuple(len(m) + 1 for m in self.mappings)
+        return tuple(len(k) + 1 for k in self.keys)
 
     def to_json(self) -> str:
-        return json.dumps({"fields": self.mappings}, sort_keys=True)
+        return json.dumps({"fields": [dict(zip(_key_tokens(k), i.tolist()))
+                                      for k, i in zip(self.keys, self.ids)]}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "FieldVocab":
         """Raises DataError unless text is {"fields": [{token: id, ...}, ...]}
-        with every id of a field in 1..(number of its tokens)."""
+        with every id of a field in 1..(number of its tokens), and no tab in a token."""
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -133,13 +149,15 @@ class FieldVocab:
                 if type(idx) is not int or not 1 <= idx <= len(mapping):
                     raise DataError(f"vocab field {i}: token {token!r} has id "
                                     f"{idx!r}, not in 1..{len(mapping)}")
-        return cls(fields)
+                if "\t" in token:
+                    raise DataError(f"vocab field {i}: token {token!r} holds a tab")
+        return cls.from_mappings(fields)
 
     @classmethod
     def identity(cls, vocab_sizes) -> "FieldVocab":
         """Maps token "c<i>" to id i; "c0" is deliberately absent so it
         falls through to the reserved id 0, as any unknown token does."""
-        return cls([{f"c{i}": i for i in range(1, v)} for v in vocab_sizes])
+        return cls.from_mappings([{f"c{i}": i for i in range(1, v)} for v in vocab_sizes])
 
 
 def read_lines(path):
@@ -178,24 +196,17 @@ def _words(buf: np.ndarray) -> np.ndarray:
     return np.ndarray((len(buf) - 7,), dtype=">u8", buffer=buf, strides=(1,))
 
 
-def _key_width(lengths: np.ndarray) -> int:
-    """Words per key for tokens of these byte lengths."""
-    return max(1, -(-int(lengths.max(initial=0)) // 8))
-
-
-def _width_of(keys: np.ndarray) -> int:
-    return 1 if keys.dtype == np.uint64 else keys.dtype.itemsize // 8
-
-
 def _token_keys(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-                width: int) -> np.ndarray:
-    """Fixed-width keys of the tokens at starts (byte offsets) with these
-    byte lengths: uint64 for width 1, else a void of `width` big-endian words.
+                width: int = 0) -> np.ndarray:
+    """Keys of `width` words, by default the fewest that hold the longest
+    token, of the tokens at starts (byte offsets) with these byte lengths:
+    uint64 for width 1, else a void of `width` big-endian words.
 
     For tokens of up to 8*width bytes, keys are equal exactly when the
     tokens are, and compare as the tokens do (UTF-8 byte order is code
     point order); the empty token's key is 0 and no other token's is.
     """
+    width = width or max(1, -(-int(lengths.max(initial=0)) // 8))
     last = len(words) - 1
     cols = [(words[np.minimum(starts + 8 * j, last)] + _ONES)
             & _KEEP[np.clip(lengths - 8 * j, 0, 8)] for j in range(width)]
@@ -204,14 +215,18 @@ def _token_keys(words: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
     return np.stack(cols, axis=1).astype(">u8").view(f"V{8 * width}").ravel()
 
 
-def _widen(keys: np.ndarray, width: int) -> np.ndarray:
-    """keys padded with zero words to `width` words; order and equality hold."""
-    have = _width_of(keys)
+def _at_width(keys: np.ndarray, width: int = 0) -> np.ndarray:
+    """keys with zero words added or cut to make `width` words, by default
+    the fewest that hold every key; order and equality hold while every
+    word cut is zero in every key."""
+    have = keys.itemsize // 8
+    words = keys[:, None] if have == 1 else keys.view(">u8").reshape(len(keys), have)
+    width = width or max(1, int(words.any(axis=0).sum()))
     if have == width:
         return keys
     out = np.zeros((len(keys), width), dtype=">u8")
-    out[:, :have] = keys[:, None] if have == 1 else keys.view(">u8").reshape(-1, have)
-    return out.view(f"V{8 * width}").ravel()
+    out[:, :have] = words[:, :width]
+    return out[:, 0].astype(np.uint64) if width == 1 else out.view(f"V{8 * width}").ravel()
 
 
 def _key_tokens(keys: np.ndarray) -> list[str]:
@@ -278,10 +293,9 @@ class _Chunk:
         starts = self.bounds[:rows, start:stop] + 1
         return starts.ravel(), (self.bounds[:rows, start + 1:stop + 1] - starts).ravel()
 
-    def keys(self, col: int, width: int | None = None):
+    def keys(self, col: int, width: int = 0):
         """Keys of field col (width: see _token_keys), and the byte lengths."""
         starts, lengths = self.spans(col, col + 1)
-        width = width or _key_width(lengths)
         return _token_keys(self.words, starts, lengths, width), lengths
 
     def strings(self, starts: np.ndarray, lengths: np.ndarray) -> list[str]:
@@ -331,8 +345,8 @@ class _KeyCounts:
     def merge(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct keys in ascending order and their counts."""
         parts = [(self.keys, self.counts), *self.parts]
-        width = max(_width_of(keys) for keys, _ in parts)
-        keys = np.concatenate([_widen(keys, width) for keys, _ in parts])
+        width = max(keys.itemsize // 8 for keys, _ in parts)
+        keys = np.concatenate([_at_width(keys, width) for keys, _ in parts])
         self.keys, inverse = np.unique(keys, return_inverse=True)
         counts = np.concatenate([counts for _, counts in parts])
         self.counts = np.bincount(inverse, weights=counts,
@@ -357,44 +371,22 @@ def build_vocab(lines, n_dense: int, n_sparse: int, min_freq: int = 10) -> Field
 
     for _ in _each_chunk(lines, 1 + n_dense + n_sparse, count):
         pass
-    mappings = []
+    vocab = FieldVocab([], [])
     for counts in fields:
         keys, n = counts.merge()
         kept = n >= min_freq
+        ids = np.empty(np.count_nonzero(kept), dtype=np.int64)
         # keys ascend, so a stable sort by count keeps ties in token order
-        order = np.argsort(-n[kept], kind="stable")
-        tokens = _key_tokens(keys[kept][order])
-        mappings.append(dict(zip(tokens, range(1, len(tokens) + 1))))
-    return FieldVocab(mappings)
+        ids[np.argsort(-n[kept], kind="stable")] = np.arange(1, len(ids) + 1)
+        # tokens dropped as rare may have made the keys wider than the kept need
+        vocab.keys.append(_at_width(keys[kept]))
+        vocab.ids.append(ids)
+    return vocab
 
 
 # ---------------------------------------------------------------------------
 # parsing
 # ---------------------------------------------------------------------------
-
-
-class _FieldTable:
-    """One field's vocab as sorted token keys and their ids."""
-
-    def __init__(self, mapping: dict[str, int]):
-        tokens = [t for t in mapping if t]  # the empty token always maps to 0
-        encoded = [t.encode("utf-8", "surrogatepass") for t in tokens]
-        lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
-        buf = np.frombuffer(b"".join([*encoded, _PAD.encode()]), np.uint8)
-        self.width = _key_width(lengths)
-        keys = _token_keys(_words(buf), np.cumsum(lengths) - lengths, lengths, self.width)
-        order = np.argsort(keys)
-        self.keys = keys[order]
-        self.ids = np.array([mapping[t] for t in tokens], dtype=np.int64)[order]
-
-    def lookup(self, chunk: _Chunk, col: int) -> np.ndarray:
-        keys, lengths = chunk.keys(col, self.width)
-        if not len(self.keys):
-            return np.zeros(len(keys), dtype=np.int64)
-        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
-        # a token longer than the vocab's keys would match its own prefix
-        hit = (self.keys[pos] == keys) & (lengths <= 8 * self.width)
-        return np.where(hit, self.ids[pos], 0)
 
 
 def _digit_values(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -435,7 +427,7 @@ def _dense_values(chunk: _Chunk, rows: int, n_dense: int) -> np.ndarray:
     return values.reshape(rows, n_dense)
 
 
-def _parse_chunk(chunk: _Chunk, tables: list[_FieldTable], n_dense: int) -> Dataset:
+def _parse_chunk(chunk: _Chunk, vocab: FieldVocab, n_dense: int) -> Dataset:
     """The rows of a chunk; raises DataError at its first bad line."""
     starts, lengths = chunk.spans(0, 1)
     label = chunk.buf[starts] - np.uint8(ord("0"))
@@ -448,9 +440,17 @@ def _parse_chunk(chunk: _Chunk, tables: list[_FieldTable], n_dense: int) -> Data
         token = chunk.strings(starts[rows:rows + 1], lengths[rows:rows + 1])[0]
         chunk.fail(rows, f"label must be 0 or 1, got {token!r}")
     chunk.check_count()
-    sparse = np.empty((chunk.n_ok, len(tables)), dtype=np.int64)
-    for i, table in enumerate(tables):
-        sparse[:, i] = table.lookup(chunk, 1 + n_dense + i)
+    sparse = np.zeros((chunk.n_ok, len(vocab.keys)), dtype=np.int64)
+    for i, (table, ids) in enumerate(zip(vocab.keys, vocab.ids)):
+        if not len(table):
+            continue
+        width = table.itemsize // 8
+        keys, lengths = chunk.keys(1 + n_dense + i, width)
+        pos = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+        # an empty token is missing whatever a vocab maps it to, and a token
+        # longer than the vocab's keys would match its own prefix
+        hit = (table[pos] == keys) & (lengths > 0) & (lengths <= 8 * width)
+        sparse[:, i] = np.where(hit, ids[pos], 0)
     return Dataset(dense, sparse, label.astype(np.float64))
 
 
@@ -458,12 +458,11 @@ def parse_chunks(lines, vocab: FieldVocab, n_dense: int, n_sparse: int):
     """The Dataset of each CHUNK_LINES Criteo-format lines of lines (an
     iterable of str), each parsed as it is read; the vocab's field count is
     checked at the call."""
-    if len(vocab.mappings) != n_sparse:
-        raise DataError(f"vocab has {len(vocab.mappings)} fields, "
+    if len(vocab.keys) != n_sparse:
+        raise DataError(f"vocab has {len(vocab.keys)} fields, "
                         f"the data {n_sparse} categorical fields")
-    tables = [_FieldTable(m) for m in vocab.mappings]
     return _each_chunk(lines, 1 + n_dense + n_sparse,
-                       lambda chunk: _parse_chunk(chunk, tables, n_dense))
+                       lambda chunk: _parse_chunk(chunk, vocab, n_dense))
 
 
 def parse_lines(lines, vocab: FieldVocab, n_dense: int, n_sparse: int) -> Dataset:

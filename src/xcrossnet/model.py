@@ -33,6 +33,10 @@ CHECKPOINT_VERSION = 2
 # the model's. float64 is the reference that gradcheck and the oracles use.
 DTYPES = ("float32", "float64")
 
+# Values per init draw. It bounds init's float64 temporaries whatever an
+# entry's size, so a float32 model never holds a table-sized float64 copy.
+INIT_CHUNK = 65536
+
 @dataclass
 class ModelConfig:
     """Topology and init seed.
@@ -260,31 +264,30 @@ class XCrossNetModel:
         embedding tables (N(0, 0.01)), product theta and order-1 weights
         (N(0, 0.01)), concat weight (N(0, 0.01)), MLP matrices (uniform
         +- sqrt(6 / (fan_in + fan_out))). Biases start at zero and draw
-        nothing. Every dtype draws the same float64 stream. A float64 model
-        draws its normals straight into the value vector (a standard normal
-        scaled in place is bitwise rng.normal(0, std)), so the tables need
-        no temporary; a float32 model draws each entry into one float64
-        buffer of the largest entry's size and rounds it into its view.
+        nothing. Every dtype draws the same float64 stream, INIT_CHUNK
+        values at a time through one float64 buffer (drawn in pieces, a
+        stream has the bits of one draw, and a standard normal scaled in
+        place is bitwise rng.normal(0, std)), and copies or rounds each
+        piece into the value vector.
         """
         problems = config.validate()
         if problems:
             raise ValueError("invalid model config: " + "; ".join(problems))
         model = cls(config)
-        buffer = None if config.dtype == "float64" else \
-            np.empty(max(e.values.size for e in model.registry))
+        buffer = np.empty(INIT_CHUNK)
         rng = np.random.default_rng(config.seed)
         for (_, _, draw), entry in zip(_layout(config), model.registry):
             if not draw:
                 continue
-            out = entry.values if buffer is None else \
-                buffer[:entry.values.size].reshape(entry.values.shape)
-            if draw[0] == "normal":
-                rng.standard_normal(out=out)
-                out *= draw[1]
-            else:
-                out[...] = rng.uniform(-draw[1], draw[1], out.shape)
-            if out is not entry.values:
-                entry.values[...] = out
+            flat = entry.values.reshape(-1)
+            for start in range(0, flat.size, INIT_CHUNK):
+                n = min(INIT_CHUNK, flat.size - start)
+                if draw[0] == "normal":
+                    piece = rng.standard_normal(out=buffer[:n])
+                    piece *= draw[1]
+                else:
+                    piece = rng.uniform(-draw[1], draw[1], n)
+                flat[start:start + n] = piece
         return model
 
     # -- forward / backward -------------------------------------------------

@@ -1,8 +1,11 @@
 import dataclasses
 import gzip
+import hashlib
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -134,9 +137,11 @@ class TestTrain:
     def test_runtime_json_records_what_a_bitwise_rerun_needs(self, trained_dir):
         # the thread settings in effect and the numpy and BLAS builds
         runtime = json.loads((trained_dir / "runtime.json").read_text())
-        assert set(runtime) == {"XCN_THREADS", *cli.THREAD_VARS, "numpy", "blas"}
+        assert set(runtime) == {"XCN_THREADS", *cli.THREAD_VARS, "blas_threads", "numpy",
+                                "blas"}
         for var in ("XCN_THREADS", *cli.THREAD_VARS):
             assert runtime[var] == os.environ.get(var)
+        assert runtime["blas_threads"] == cli._blas_threads()
         assert runtime["numpy"] == np.__version__
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert runtime["blas"] == {"name": blas["name"], "version": blas["version"]}
@@ -149,6 +154,29 @@ class TestTrain:
 
         monkeypatch.setattr(cli.np, "show_config", old_show_config)
         assert cli._runtime()["blas"] == {"name": None, "version": None}
+
+    @pytest.mark.parametrize("threads", [None, "1", "2"])
+    def test_runtime_records_the_blas_thread_count(self, threads):
+        # the count the library runs with, read from it: with every thread
+        # variable unset, OpenBLAS picks its own, at most the core count
+        env = {key: value for key, value in os.environ.items()
+               if key not in ("XCN_THREADS", *cli.THREAD_VARS)}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        run = subprocess.run([sys.executable, "-c", "import json; from xcrossnet import cli; "
+                              "print(json.dumps(cli._runtime()))"],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        count = json.loads(run.stdout)["blas_threads"]
+        if threads:
+            assert count == int(threads)
+        else:
+            assert type(count) is int and 1 <= count <= os.cpu_count()
+
+    def test_blas_threads_are_null_without_a_known_getter(self, monkeypatch):
+        monkeypatch.setattr(cli, "BLAS_THREAD_GETTERS", ("no_such_getter",))
+        assert cli._runtime()["blas_threads"] is None
 
     def test_rerun_checkpoint_bitwise_identical(self, synth_dir, trained_dir,
                                                 tmp_path, capsys):
@@ -535,6 +563,41 @@ class TestTrain:
         assert code == 130
         assert (tmp_path / "checkpoint.xcn").exists()
         assert kv(out)["interrupted"] == "true"
+
+
+def criteo_shaped_lines(n):
+    """n Criteo-shaped lines (13 dense fields, 26 sparse) whose tokens
+    include empty, non-ASCII and longer-than-8-byte ones; in the even
+    fields the long tokens are rare."""
+    lines = []
+    for r in range(n):
+        dense = [str((r * (i + 3)) % 17) if (r + i) % 5 else "" for i in range(13)]
+        sparse = [["", f"{(r * 7 + f) % 6:08x}", f"long-token-{f}-{r % (3 if f % 2 else 400)}",
+                   "é" * (f % 4 + 1), f"{r % 9}"][(r * 3 + f) % 5] for f in range(26)]
+        lines.append("\t".join([str(r * 5 % 7 % 2), *dense, *sparse]) + "\n")
+    return lines
+
+
+class TestVocabJsonBytes:
+    """vocab.json keeps the bytes that train wrote when the vocab was held
+    as {token: id} dicts."""
+
+    def test_synth_run(self, synth_run):
+        assert (synth_run / "vocab.json").read_text() == \
+            '{"fields": [' + ", ".join(['{"c1": 1, "c2": 2, "c3": 3}'] * 4) + ']}\n'
+
+    def test_criteo_shaped_file_run(self, tmp_path, capsys):
+        path = tmp_path / "rows.tsv"
+        path.write_text("".join(criteo_shaped_lines(600)), encoding="utf-8")
+        code, _, _ = run_cli(["train", "--train-data", str(path), "--epochs", "0",
+                              "--out", str(tmp_path / "run")], capsys)
+        assert code == 0
+        text = (tmp_path / "run" / "vocab.json").read_bytes()
+        assert (len(text), hashlib.sha256(text).hexdigest()) == \
+            (5901, "5e85f594239eb5c8c03a0a5322fcf07b8abf8c157a38a707a5fb234327ad5222")
+        assert json.loads(text)["fields"][1] == {
+            "éé": 1, "long-token-1-0": 2, "long-token-1-1": 3, "long-token-1-2": 4,
+            **{f"{i:08x}": 5 + i for i in range(6)}, **{str(i): 11 + i for i in range(9)}}
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

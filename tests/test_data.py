@@ -1,5 +1,6 @@
 import dataclasses
 import gzip
+import json
 import math
 import os
 import subprocess
@@ -18,7 +19,14 @@ from hypothesis import strategies as st
 from xcrossnet import data, metrics
 from xcrossnet.errors import DataError
 
-VOCAB2 = data.FieldVocab([{"a": 1, "b": 2}, {"x": 1}])
+VOCAB2 = data.FieldVocab.from_mappings([{"a": 1, "b": 2}, {"x": 1}])
+
+
+def vocab_dicts(vocab):
+    """The vocab's per-field {token: id} dicts, in id order, read through
+    its JSON form."""
+    return [dict(sorted(m.items(), key=lambda item: item[1]))
+            for m in json.loads(vocab.to_json())["fields"]]
 
 
 class TestNormalization:
@@ -95,22 +103,22 @@ class TestBuildVocab:
         lines = [f"0\t1\tt{i}\n" for i in range(5)]
         vocab = data.build_vocab(lines, 1, 1, min_freq=2)
         assert vocab.sizes() == (1,)
-        assert "t3" not in vocab.mappings[0]
+        assert "t3" not in vocab_dicts(vocab)[0]
 
     def test_lexicographic_tie_break(self):
         lines = [f"0\t1\t{t}\n" for t in ["b", "a", "b", "a", "a", "b", "c"]]
         vocab = data.build_vocab(lines, 1, 1, min_freq=1)
         # a and b tie at 3, a wins lexicographically; c trails
-        assert vocab.mappings[0]["a"] == 1
-        assert vocab.mappings[0]["b"] == 2
-        assert vocab.mappings[0]["c"] == 3
+        assert vocab_dicts(vocab)[0]["a"] == 1
+        assert vocab_dicts(vocab)[0]["b"] == 2
+        assert vocab_dicts(vocab)[0]["c"] == 3
 
     def test_rebuild_is_identical(self):
         rng = np.random.default_rng(0)
         lines = [f"0\t1\tt{rng.integers(0, 20)}\n" for _ in range(200)]
         a = data.build_vocab(lines, 1, 1, min_freq=3)
         b = data.build_vocab(lines, 1, 1, min_freq=3)
-        assert a.mappings == b.mappings
+        assert vocab_dicts(a) == vocab_dicts(b)
 
     def test_ties_in_a_large_vocab_keep_token_order(self):
         tokens = [f"t{i:03d}" for i in range(300)] + ["x" * 9 + str(i) for i in range(40)]
@@ -118,12 +126,76 @@ class TestBuildVocab:
         order = np.random.default_rng(5).permutation(len(lines))
         lines = [lines[i] for i in order]
         vocab = data.build_vocab(lines, 1, 1, min_freq=2)
-        assert list(vocab.mappings[0].items()) == \
+        assert list(vocab_dicts(vocab)[0].items()) == \
             list(reference_vocab(lines, 1, 1, 2)[0].items())
 
     def test_json_roundtrip(self):
         restored = data.FieldVocab.from_json(VOCAB2.to_json())
-        assert restored.mappings == VOCAB2.mappings
+        assert vocab_dicts(restored) == vocab_dicts(VOCAB2)
+
+
+# NUL, CR, LF, non-ASCII text, lone surrogates (none followed by its low
+# half) and tokens of more than 8 bytes
+VOCAB_TOKENS = st.one_of(
+    st.sampled_from(["a", "\x00", "a\x00", "\r", "a\r", "b\nc", "é", "中文字符串测试",
+                     "abcdefgh", "abcdefghi", "x" * 17, "\ud800", "a\udfff", "\udc80\ud800"]),
+    st.text(st.characters(blacklist_characters="\t", blacklist_categories=("Cs",)),
+            max_size=12))
+
+
+class TestVocabForms:
+    """The vocab is held as the sorted keys that parsing searches; only its
+    JSON form spells the tokens."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(VOCAB_TOKENS, min_size=2, max_size=2), min_size=1, max_size=30),
+           st.integers(1, 3))
+    def test_json_round_trip_keeps_lookups_and_bytes(self, rows, min_freq):
+        lines = ["\t".join(["0", *row]) for row in rows]
+        vocab = data.build_vocab(lines, 0, 2, min_freq)
+        assert vocab_dicts(vocab) == reference_vocab(lines, 0, 2, min_freq)
+        text = vocab.to_json()
+        restored = data.FieldVocab.from_json(text)
+        assert restored.sizes() == vocab.sizes()
+        assert restored.to_json() == text
+        assert data.parse_lines(lines, restored, 0, 2).sparse.tobytes() == \
+            data.parse_lines(lines, vocab, 0, 2).sparse.tobytes()
+
+    def test_a_hand_written_vocab_may_map_the_empty_token(self):
+        # an empty field is missing, so it maps to 0 whatever the vocab
+        # says; the token still counts in the field's size
+        fields = [{"": 1, "a": 2}, {"x": 1}]
+        vocab = data.FieldVocab.from_json(json.dumps({"fields": fields}))
+        assert vocab.sizes() == (3, 2)
+        ds = data.parse_lines(["1\t2\t3\t\tx", "0\t\t\ta\t"], vocab, 2, 2)
+        assert ds.sparse.tolist() == [[0, 1], [2, 0]]
+        assert json.loads(vocab.to_json())["fields"] == fields
+
+    def test_a_token_holding_a_tab_is_refused(self):
+        # no field holds a tab, and the JSON form could not spell it
+        with pytest.raises(DataError, match=r"^vocab field 1: token 'a\\tb' holds a tab$"):
+            data.FieldVocab.from_json('{"fields": [{"a": 1}, {"b": 1, "a\\tb": 2}]}')
+
+    def test_rare_long_tokens_do_not_widen_the_keys(self):
+        # a 9-byte token counted once makes the counted keys 2 words wide;
+        # once it is dropped as rare, the kept keys take 1 word again
+        lines = ["0\ta"] * 2 + ["0\tabcdefghi"]
+        assert data.build_vocab(lines, 0, 1, min_freq=2).keys[0].dtype == np.uint64
+        assert data.build_vocab(lines, 0, 1, min_freq=1).keys[0].dtype == np.dtype("V16")
+
+    def test_a_loaded_vocab_holds_its_keys_and_ids_only(self):
+        # 10^5 tokens: an 8-byte key and an 8-byte id each, where
+        # {token: id} dicts take about 120 B a token
+        fields = [{f"{f}{i:07x}": i + 1 for i in range(25_000)} for f in range(4)]
+        text = json.dumps({"fields": fields})
+        tracemalloc.start()
+        try:
+            vocab = data.FieldVocab.from_json(text)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert vocab.sizes() == (25_001,) * 4
+        assert 16 * 10 ** 5 <= size <= 17 * 10 ** 5
 
 
 class TestIngestionPurity:
@@ -143,7 +215,7 @@ class TestIngestionPurity:
         train_lines = ["0\t1\tseen\n"] * 12
         valid_lines = ["1\t1\tvalonly\n"] * 50
         vocab = data.build_vocab(train_lines, 1, 1, min_freq=10)
-        assert vocab.mappings[0]["seen"] == 1
+        assert vocab_dicts(vocab)[0]["seen"] == 1
         # a token that only exists in validation data stays OOV
         row = data.parse_criteo_line(valid_lines[0], vocab, 1, 1)
         assert row.sparse[0][0] == 0
@@ -161,11 +233,12 @@ class TestIngestionPurity:
         plain, packed = tmp_path / "rows.tsv", tmp_path / "rows.tsv.gz"
         plain.write_bytes("1\t2\t\u00e9\n".encode("utf-8"))
         packed.write_bytes(gzip.compress(plain.read_bytes()))
-        script = ("import locale, sys\n"
+        script = ("import json, locale, sys\n"
                   "from xcrossnet import data\n"
                   "print(locale.getpreferredencoding(False))\n"
                   "for path in sys.argv[1:]:\n"
-                  "    print(ascii(data.build_vocab(data.read_lines(path), 1, 1, 1).mappings))\n")
+                  "    vocab = data.build_vocab(data.read_lines(path), 1, 1, 1)\n"
+                  "    print(ascii(json.loads(vocab.to_json())['fields']))\n")
         env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
                "PYTHONPATH": str(Path(data.__file__).resolve().parents[1])}
         run = subprocess.run([sys.executable, "-c", script, str(plain), str(packed)],
@@ -270,7 +343,7 @@ class TestChunkedIngest:
             lines = list(data.read_lines(path))
             vocab = data.build_vocab(data.read_lines(path), n_dense, n_sparse, f["min_freq"])
             expected = reference_vocab(lines, n_dense, n_sparse, f["min_freq"])
-            assert [list(m.items()) for m in vocab.mappings] == \
+            assert [list(m.items()) for m in vocab_dicts(vocab)] == \
                 [list(m.items()) for m in expected]
             ds = data.load_tsv(path, vocab, n_dense, n_sparse)
         assert_same_rows(ds, reference_rows(lines, expected, n_dense, n_sparse))
@@ -283,14 +356,14 @@ class TestChunkedIngest:
         lines = ["1\t2\ta", "0\t3\ta\n\n", "1\t4\tb\nc\n", "0\t\tb\nc", "1\t5\ta\r\n"]
         vocab = data.build_vocab(lines, 1, 1, min_freq=1)
         expected = reference_vocab(lines, 1, 1, 1)
-        assert vocab.mappings == expected
-        assert list(vocab.mappings[0]) == ["a", "b\nc", "a\r"]
+        assert vocab_dicts(vocab) == expected
+        assert list(vocab_dicts(vocab)[0]) == ["a", "b\nc", "a\r"]
         assert_same_rows(data.parse_lines(lines, vocab, 1, 1),
                          reference_rows(lines, expected, 1, 1))
 
     def test_vocab_of_long_tokens_maps_only_whole_tokens(self):
         # a token longer than every vocab token must not match its prefix
-        vocab = data.FieldVocab([{"abcdefghijklmnop": 1, "b": 2}])
+        vocab = data.FieldVocab.from_mappings([{"abcdefghijklmnop": 1, "b": 2}])
         ds = data.parse_lines(["0\tabcdefghijklmnop", "0\tabcdefghijklmnopq",
                                "0\tabcdefgh", "0\tb"], vocab, 0, 1)
         assert ds.sparse[:, 0].tolist() == [1, 0, 0, 2]
@@ -338,7 +411,7 @@ class TestParseChunks:
 
     def test_vocab_field_count_is_checked_at_the_call(self):
         with pytest.raises(DataError, match="vocab has 1 fields, the data 2"):
-            data.parse_chunks(iter(()), data.FieldVocab([{"a": 1}]), 2, 2)
+            data.parse_chunks(iter(()), data.FieldVocab.from_mappings([{"a": 1}]), 2, 2)
 
     def test_no_lines_parse_to_no_rows(self):
         ds = data.parse_lines([], VOCAB2, 2, 2)
@@ -408,7 +481,7 @@ class TestErrorsNameTheLine:
 class TestVocabShape:
     @pytest.mark.parametrize("fields", [1, 3])
     def test_field_count_mismatch(self, tmp_path, fields):
-        vocab = data.FieldVocab([{"a": 1}] * fields)
+        vocab = data.FieldVocab.from_mappings([{"a": 1}] * fields)
         with pytest.raises(DataError, match=f"vocab has {fields} fields"):
             data.parse_criteo_line(GOOD + "\n", vocab, 2, 2)
         path = tmp_path / "rows.tsv"

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from xcrossnet import data, metrics, optim
-from xcrossnet.model import ModelConfig, XCrossNetModel, load_checkpoint, save_checkpoint
+from xcrossnet.model import (INIT_CHUNK, ModelConfig, XCrossNetModel, load_checkpoint,
+                             save_checkpoint)
 
 CONFIG = ModelConfig(dense_fields=4, sparse_fields=4, vocab_sizes=(6,) * 4, embed_dim=4,
                      product_size=3, cross_depth=2, mlp_widths=(8, 5), seed=2)
@@ -85,10 +86,11 @@ def test_float32_init_rounds_the_float64_draws():
         want.astype(np.float32).tobytes()
 
 
-def test_float32_init_holds_one_entry_sized_float64_buffer():
-    # vocab 10^5 x 3: the values and one float64 buffer of a table's size,
-    # never a float64 copy of the whole (sum vocab, K) block
+def test_float32_init_holds_one_piece_sized_float64_buffer():
+    # vocab 10^5 x 3: the values and float64 pieces of INIT_CHUNK values,
+    # never a float64 copy of a table, let alone of the (sum vocab, K) block
     config = dataclasses.replace(CONFIG, sparse_fields=3, vocab_sizes=(100_000,) * 3)
+    XCrossNetModel.init(CONFIG)  # what a first init allocates once is not traced
     tracemalloc.start()
     try:
         model = XCrossNetModel.init(config)
@@ -96,9 +98,9 @@ def test_float32_init_holds_one_entry_sized_float64_buffer():
     finally:
         tracemalloc.stop()
     values = model.registry.values
-    buffer = 8 * model.registry["embed.field0"].values.size
-    assert values.nbytes + buffer <= peak < values.nbytes + 1.5 * buffer
-    assert 8 * model.registry.embed_block.size >= 2.5 * buffer
+    piece = 8 * INIT_CHUNK
+    assert values.nbytes + piece <= peak < values.nbytes + 1.5 * piece
+    assert 8 * model.registry["embed.field0"].values.size >= 6 * piece
 
 
 def test_float32_checkpoint_round_trips_bitwise(tmp_path):
