@@ -18,8 +18,12 @@ handled by a few numpy passes over its bytes:
   order is the tokens' string order; build_vocab counts the keys with
   np.unique and keeps the frequent ones, in order, as the vocab, and the
   parser maps keys to ids by searchsorted against them;
-- dense tokens of up to 18 ASCII digits are parsed arithmetically, which
-  is exact; every other dense token goes through Python float().
+- dense tokens are parsed in three tiers, each giving float(token)'s bits:
+  up to 18 ASCII digits as int64; then [+-]digits[.digits] of up to 19
+  digits as a uint64 mantissa w, read 8 digits at a time from the words,
+  over 10**q for q fraction digits, rounded once (see _dense_values); and
+  every other token (exponents, longer ones, nan, inf, errors) by Python
+  float().
 
 The vocab ordering rule is unchanged: ids 1.. in order of (count
 descending, token ascending). An error names the 1-based line number of the
@@ -40,6 +44,7 @@ import gzip
 import itertools
 import json
 import math
+import re
 import zlib
 from dataclasses import dataclass
 
@@ -104,6 +109,10 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
+#: A high surrogate followed by a low one, which JSON escapes as a pair.
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+
+
 class FieldVocab:
     """Per-field vocab: field i maps the token of key keys[i][j] (see _token_keys;
     keys[i] ascends) to ids[i][j], and an unknown or empty token to id 0."""
@@ -113,25 +122,39 @@ class FieldVocab:
 
     @classmethod
     def from_mappings(cls, mappings: list[dict[str, int]]) -> "FieldVocab":
-        """The vocab of per-field {token: id} dicts."""
-        keys, ids = [], []
-        for mapping in mappings:
-            encoded = [t.encode("utf-8", "surrogatepass") for t in mapping]
-            lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
-            buf = np.frombuffer(b"".join([*encoded, _PAD.encode()]), np.uint8)
-            field = _token_keys(_words(buf), np.cumsum(lengths) - lengths, lengths)
-            order = np.argsort(field)
-            keys.append(field[order])
-            ids.append(np.fromiter(mapping.values(), np.int64, len(mapping))[order])
-        return cls(keys, ids)
+        """The vocab of per-field {token: id} dicts; raises DataError unless
+        every id of a field is in 1..(number of its tokens), and no token
+        holds a tab."""
+        vocab = cls([], [])
+        for i, mapping in enumerate(mappings):
+            table = _field_table(mapping)
+            if table is None:
+                for token, idx in mapping.items():  # names the first bad token
+                    if type(idx) is not int or not 1 <= idx <= len(mapping):
+                        raise DataError(f"vocab field {i}: token {token!r} has id "
+                                        f"{idx!r}, not in 1..{len(mapping)}")
+                    if "\t" in token:
+                        raise DataError(f"vocab field {i}: token {token!r} holds a tab")
+            vocab.keys.append(table[0])
+            vocab.ids.append(table[1])
+        return vocab
 
     def sizes(self) -> tuple[int, ...]:
         # +1 for the reserved OOV/missing id
         return tuple(len(k) + 1 for k in self.keys)
 
     def to_json(self) -> str:
-        return json.dumps({"fields": [dict(zip(_key_tokens(k), i.tolist()))
-                                      for k, i in zip(self.keys, self.ids)]}, sort_keys=True)
+        """Raises DataError for a token that holds a high surrogate followed
+        by a low one: JSON would read the two back as one character."""
+        fields = []
+        for i, (keys, ids) in enumerate(zip(self.keys, self.ids)):
+            tokens = _key_tokens(keys)
+            if _SURROGATE_PAIR.search("\t".join(tokens)):
+                token = next(filter(_SURROGATE_PAIR.search, tokens))
+                raise DataError(f"vocab field {i}: token {token!r} holds a surrogate "
+                                "pair, which JSON reads back as one character")
+            fields.append(dict(zip(tokens, ids.tolist())))
+        return json.dumps({"fields": fields}, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "FieldVocab":
@@ -144,13 +167,6 @@ class FieldVocab:
         fields = obj.get("fields") if isinstance(obj, dict) else None
         if not isinstance(fields, list) or not all(isinstance(m, dict) for m in fields):
             raise DataError('vocab must be {"fields": [{token: id, ...}, ...]}')
-        for i, mapping in enumerate(fields):
-            for token, idx in mapping.items():
-                if type(idx) is not int or not 1 <= idx <= len(mapping):
-                    raise DataError(f"vocab field {i}: token {token!r} has id "
-                                    f"{idx!r}, not in 1..{len(mapping)}")
-                if "\t" in token:
-                    raise DataError(f"vocab field {i}: token {token!r} holds a tab")
         return cls.from_mappings(fields)
 
     @classmethod
@@ -158,6 +174,28 @@ class FieldVocab:
         """Maps token "c<i>" to id i; "c0" is deliberately absent so it
         falls through to the reserved id 0, as any unknown token does."""
         return cls.from_mappings([{f"c{i}": i for i in range(1, v)} for v in vocab_sizes])
+
+
+def _field_table(mapping: dict) -> tuple[np.ndarray, np.ndarray] | None:
+    """A field's keys in ascending order and their ids, or None unless every
+    id is an int in 1..len(mapping) and no token holds a tab: checked for
+    the whole field at once."""
+    if not set(map(type, mapping.values())) <= {int}:
+        return None
+    buf = np.frombuffer("\t".join([*mapping, _PAD]).encode("utf-8", "surrogatepass"), np.uint8)
+    ends = np.flatnonzero(buf == _TAB)
+    if len(ends) != len(mapping):  # a token holds a tab
+        return None
+    try:
+        ids = np.fromiter(mapping.values(), np.int64, len(mapping))
+    except OverflowError:  # an int beyond int64 is out of range too
+        return None
+    if len(ids) and not 1 <= ids.min() <= ids.max() <= len(ids):
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))[:len(ends)]
+    keys = _token_keys(_words(buf), starts, ends - starts)
+    order = np.argsort(keys)
+    return keys[order], ids[order]
 
 
 def read_lines(path):
@@ -183,6 +221,8 @@ _TAB, _NL = 9, 10
 _PAD = "\0" * 8
 #: Longest all-digit dense token parsed arithmetically: int64 holds 18 digits.
 _MAX_DIGITS = 18
+#: Most digits of a decimal dense token parsed arithmetically: uint64 holds 19.
+_MAX_DECIMAL = 19
 #: Added to a key word, raises each byte by one without a carry (UTF-8 has no
 #: 0xFF byte), so a NUL byte inside a token differs from the zero padding.
 _ONES = np.uint64(0x0101010101010101)
@@ -299,15 +339,14 @@ class _Chunk:
         return _token_keys(self.words, starts, lengths, width), lengths
 
     def strings(self, starts: np.ndarray, lengths: np.ndarray) -> list[str]:
-        """The str of each byte span, for spans in order that do not overlap."""
+        """The str of each byte span, in time proportional to their bytes."""
         if not len(starts):
             return []
-        # mark each span with the delimiter after it, gather, decode once
-        edges = np.zeros(len(self.buf) + 1, dtype=np.int8)
-        edges[starts] += 1
-        edges[starts + lengths + 1] -= 1
-        picked = self.buf[np.cumsum(edges[:-1], dtype=np.int8).view(bool)]
-        picked[np.cumsum(lengths + 1) - 1] = _TAB  # the only byte no token holds
+        # gather each span and the delimiter after it, then decode once
+        ends = np.cumsum(lengths + 1)
+        picked = self.buf[np.arange(ends[-1]) + np.repeat(starts - ends + lengths + 1,
+                                                          lengths + 1)]
+        picked[ends - 1] = _TAB  # the only byte no token holds
         return picked.tobytes().decode("utf-8", "surrogatepass").split("\t")[:-1]
 
 
@@ -402,13 +441,114 @@ def _digit_values(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> n
     return values
 
 
+def _bytes(byte: int) -> np.uint64:
+    """The word with this value in each of its 8 bytes."""
+    return np.uint64(byte * 0x0101010101010101)
+
+
+_LOW7, _TOP, _ZERO_CHARS = _bytes(0x7F), _bytes(0x80), _bytes(ord("0"))
+#: _RUN[e] counts the bytes before the first 0x80 flag of flags whose float64
+#: has the biased exponent e (2**b has 1023 + b; no flag, 0): 8 where none is.
+_RUN = np.full(1087, 8, dtype=np.int64)
+_RUN[1086 - 8 * np.arange(8)] = np.arange(8)
+#: _ALIGN[k] shifts the first k bytes of a word to its end.
+_ALIGN = np.array([0] + [64 - 8 * k for k in range(1, 9)], dtype=np.uint64)
+#: Add up 8 digits held one a byte: in pairs, then pairs of pairs; see _digit_runs.
+_PAIRS = np.uint64(0x000000FF000000FF)
+_FOURS_LOW, _FOURS_HIGH = np.uint64(10 ** 4 + (1 << 32)), np.uint64(10 ** 6 + (100 << 32))
+_POW10 = np.array([10 ** k for k in range(_MAX_DECIMAL + 1)], dtype=np.uint64)
+#: _SCALES[q] is 10**q and _SCALES[len(_POW10) + q] is -10**q, exact doubles.
+_SCALES = np.concatenate([_POW10, -_POW10.astype(np.float64)]).astype(np.float64)
+#: A long double of 64 (x87 extended) or 113 (IEEE quad) significant bits
+#: holds every uint64 and these powers of ten, so it rounds their quotient once.
+_LONG_DOUBLE_EXACT = np.finfo(np.longdouble).nmant in (63, 112)
+
+
+def _digit_runs(words: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The value and the length of the run of ASCII digits at each start of a
+    chunk's buffer, read from its big-endian words 8 bytes at a time: a run
+    of more than 24 counts 24, and values hold for runs of up to
+    _MAX_DECIMAL digits."""
+    value = np.zeros(len(starts), dtype=np.uint64)
+    count = np.zeros(len(starts), dtype=np.int64)
+    more, last = np.ones(len(starts), dtype=bool), len(words) - 1
+    for j in (0, 8, 16):
+        x = words[np.minimum(starts + j, last)] ^ _ZERO_CHARS  # a digit's byte is its value
+        # 0x80 in each byte above 9, which no digit is; no sum carries between bytes
+        flags = (((x & _LOW7) + _bytes(0x80 - 10)) | x) & _TOP
+        run = _RUN[flags.astype(np.float64).view(np.int64) >> 52] * more  # exact: 1 bit a byte
+        x = (x & _KEEP[run]) >> _ALIGN[run]  # the run's digits, at the end of the word
+        # in each 16-bit lane, tens * 10 + units; then, in the upper half of
+        # each product, lanes 3 and 1 and lanes 2 and 0 at their powers of ten
+        x += (x >> np.uint64(8)) * np.uint64(10)
+        x = ((x & _PAIRS) * _FOURS_LOW
+             + ((x >> np.uint64(16)) & _PAIRS) * _FOURS_HIGH) >> np.uint64(32)
+        value = value * _POW10[run] + x
+        count += run
+        more &= run == 8
+        if not more.any():
+            break
+    return value, count
+
+
+def _decimal_values(buf: np.ndarray, words: np.ndarray, starts: np.ndarray,
+                    lengths: np.ndarray) -> np.ndarray:
+    """float(token) of each token [+-]digits[.digits] of 1 to _MAX_DECIMAL
+    digits in all, from w / 10**q rounded once; nan for any other token, and
+    where that rounding is not available: see _dense_values."""
+    sign = buf[starts]
+    signed = (sign == ord("+")) | (sign == ord("-"))
+    starts, lengths = starts + signed, lengths - signed
+    whole, n_whole = _digit_runs(words, starts)
+    point = buf[starts + n_whole] == ord(".")
+    fraction, q = _digit_runs(words, starts + n_whole + point)
+    n = n_whole + q
+    ok = (n + point == lengths) & (n >= 1) & (n <= _MAX_DECIMAL)
+    q = np.minimum(q, _MAX_DECIMAL)
+    w = whole * _POW10[q] + fraction
+    # the token is w / ±10**q, and a division rounds alike on either side of 0
+    scale = _SCALES[q + len(_POW10) * (sign == ord("-"))]
+    # Clinger's fast path: where w <= 2**53, w and the scale are exact doubles
+    values = np.where(ok, w.astype(np.float64) / scale, np.nan)
+    wide = np.flatnonzero(ok & (w > 2 ** 53))
+    if _LONG_DOUBLE_EXACT:
+        r = w[wide].astype(np.longdouble) / scale[wide].astype(np.longdouble)
+        near = r.astype(np.float64)
+        beside = np.nextafter(near, np.where(r > near, np.inf, -np.inf))
+        values[wide] = np.where(2 * r == near.astype(np.longdouble) + beside, np.nan, near)
+    else:
+        values[wide] = np.nan
+    return values
+
+
 def _dense_values(chunk: _Chunk, rows: int, n_dense: int) -> np.ndarray:
     """Raw dense values (0 where missing) of the first rows lines; raises
-    DataError at the first token, in file order, that is no finite number."""
+    DataError at the first token, in file order, that is no finite number.
+
+    Each value is float(token), bitwise, from the first of three tiers that
+    takes its token:
+
+    - a token of 1 to _MAX_DIGITS ASCII digits is an int64, which rounds to
+      float64 as float() does;
+    - a token [+-]digits[.digits] of 1 to _MAX_DECIMAL digits is the exact
+      quotient w / 10**q of its digits w (a uint64) and a power of ten. Where
+      w <= 2**53, both are exact doubles, so one float64 division rounds it
+      correctly (Clinger's fast path). Otherwise a long double of 64 or more
+      significant bits holds w and 10**q exactly and rounds their quotient
+      once; rounding that to float64 is correct unless the long double lies
+      exactly halfway between two doubles, where rounding twice can differ,
+      so such a token is left to the next tier, as is every wide one where
+      the long double is narrower;
+    - every other token goes through Python float().
+    """
     starts, lengths = chunk.spans(1, 1 + n_dense, rows)
     # int64 -> float64 rounds to nearest, as float() does: exact for these
     values = _digit_values(chunk.buf, starts, lengths).astype(np.float64)
     slow = np.flatnonzero(values < 0)
+    decimal = _decimal_values(chunk.buf, chunk.words, starts[slow], lengths[slow])
+    done = ~np.isnan(decimal)
+    values[slow[done]] = decimal[done]
+    slow = slow[~done]
     tokens = chunk.strings(starts[slow], lengths[slow])
     try:
         parsed = np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from xcrossnet import cli, data, metrics, optim
-from xcrossnet.errors import NumericError
+from xcrossnet.errors import NumericError, XCrossNetError
 from xcrossnet.model import XCrossNetModel, ModelConfig, load_checkpoint, save_checkpoint
 
 
@@ -1085,3 +1085,22 @@ class TestThreadCap:
         monkeypatch.setenv("XCN_THREADS", value)
         cli._configure_threads()
         assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
+class TestEntryPoint:
+    def test_a_bare_package_error_exits_1(self, monkeypatch, capsys):
+        # an XCrossNetError of no subclass that main maps to its own code
+        def fail(args):
+            raise XCrossNetError("something went wrong")
+
+        monkeypatch.setattr(cli, "cmd_inspect", fail)
+        code, out, err = run_cli(["inspect", "--checkpoint", "unused.xcn"], capsys)
+        assert (code, out, err) == (cli.EXIT_CHECK_FAILED, "", "error: something went wrong\n")
+        assert cli.EXIT_CHECK_FAILED == 1
+
+    def test_the_module_runs_as_a_script(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        run = subprocess.run([sys.executable, "-m", "xcrossnet.cli", "--help"], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("usage: xcrossnet ")

@@ -3,6 +3,7 @@ import gzip
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -170,6 +171,31 @@ class TestVocabForms:
         ds = data.parse_lines(["1\t2\t3\t\tx", "0\t\t\ta\t"], vocab, 2, 2)
         assert ds.sparse.tolist() == [[0, 1], [2, 0]]
         assert json.loads(vocab.to_json())["fields"] == fields
+
+    @pytest.mark.parametrize("fields, message", [
+        ([{"a": 1}, {"a": 1, "b": 4, "c": 0}], "vocab field 1: token 'b' has id 4, not in 1..3"),
+        ([{"a": 1, "b": True}], "vocab field 0: token 'b' has id True, not in 1..2"),
+        ([{"a": 1.0}], "vocab field 0: token 'a' has id 1.0, not in 1..1"),
+        ([{"a": 2 ** 64, "b": 1}], f"vocab field 0: token 'a' has id {2 ** 64}, not in 1..2"),
+        ([{"a\tb": 9, "c": 1}], "vocab field 0: token 'a\\tb' has id 9, not in 1..2"),
+        ([{"a": 1, "b\tc": 2, "d": 9}], "vocab field 0: token 'b\\tc' holds a tab"),
+    ])
+    def test_a_bad_vocab_names_its_first_bad_token(self, fields, message):
+        # the field is checked as a whole, and read token by token on failure
+        with pytest.raises(DataError) as err:
+            data.FieldVocab.from_json(json.dumps({"fields": fields}))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("tokens, field", [([], 0), (["a"], 1)])
+    def test_to_json_refuses_a_surrogate_pair(self, tokens, field):
+        # JSON writes the pair as two escapes and reads it back as U+1F600,
+        # which the vocab would then not map
+        pair = chr(0xD83D) + chr(0xDE00)
+        vocab = data.build_vocab(["\t".join(["0", *tokens, pair])], 0, len(tokens) + 1, 1)
+        with pytest.raises(DataError) as err:
+            vocab.to_json()
+        assert str(err.value) == (f"vocab field {field}: token '\\ud83d\\ude00' holds a "
+                                  "surrogate pair, which JSON reads back as one character")
 
     def test_a_token_holding_a_tab_is_refused(self):
         # no field holds a tab, and the JSON form could not spell it
@@ -381,6 +407,121 @@ class TestChunkedIngest:
             tracemalloc.stop()
         assert len(ds) == 50_000
         assert peak <= 13.5e6
+
+
+#: [+-]digits[.digits], whose digits the decimal tier reads
+DECIMAL = re.compile(r"[+-]?([0-9]*)\.?([0-9]*)")
+
+
+def one_line(tokens):
+    """A chunk of one line with these dense tokens, and their spans."""
+    chunk = data._Chunk(iter(["\t".join(["0", *tokens])]), 0, 1 + len(tokens))
+    return (chunk, *chunk.spans(1, 1 + len(tokens)))
+
+
+def decimal_tier(tokens):
+    """The decimal tier's value of each token, nan where it leaves the token
+    to float()."""
+    chunk, starts, lengths = one_line(tokens)
+    return data._decimal_values(chunk.buf, chunk.words, starts, lengths)
+
+
+def dense_bits(tokens):
+    """The bytes of the tokens' raw values as _dense_values parses them."""
+    chunk = one_line(tokens)[0]
+    return data._dense_values(chunk, 1, len(tokens)).tobytes()
+
+
+def float_bits(tokens):
+    return np.array([float(t) for t in tokens], dtype=np.float64).tobytes()
+
+
+def tier_digits(token):
+    """The digits of a token of the decimal tier's grammar, else ''."""
+    match = DECIMAL.fullmatch(token)
+    return "".join(match.groups()) if match else ""
+
+
+def check_tier(tokens):
+    """Every value the tier gives is float(token)'s, and it gives one for
+    each token of its grammar with 1 to 19 digits whose w is at most 2**53."""
+    for token, value in zip(tokens, decimal_tier(tokens)):
+        digits = tier_digits(token)
+        if np.isnan(value):
+            assert not 1 <= len(digits) <= 19 or int(digits) > 2 ** 53, token
+        else:
+            assert 1 <= len(digits) <= 19, token
+            assert np.float64(value).tobytes() == float_bits([token]), token
+
+
+SIGNED_DIGITS = st.builds(
+    lambda sign, digits, dot: sign + (digits if dot < 0 else digits[:dot] + "." + digits[dot:]),
+    st.sampled_from(["", "+", "-"]), st.text("0123456789", min_size=1, max_size=21),
+    st.integers(-1, 21))
+
+
+class TestDecimalTier:
+    """Dense tokens [+-]digits[.digits] of up to 19 digits are parsed by
+    numpy and rounded exactly: to float(token)'s bits."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False).map(repr) | SIGNED_DIGITS,
+                    min_size=1, max_size=40))
+    def test_matches_float_bitwise(self, tokens):
+        check_tier(tokens)
+        assert dense_bits(tokens) == float_bits(tokens)
+
+    def test_edge_syntax(self):
+        tokens = ["5.", ".5", "+.5", "-0", "-.0", "-0.", "+0", "0" * 19, "9" * 19,
+                  "0." + "9" * 18, "-" + "1" * 19, "1" * 20, "+", "-", ".", "-.", "1.2.3",
+                  "+-1", "1-", "1e5", " 1", "1 ", "1_0", "٣", "0x10", "nan", "inf"]
+        check_tier(tokens)
+        assert decimal_tier(["5.", ".5", "+.5", "-0", "-.0"]).tobytes() == \
+            float_bits(["5.", ".5", "+.5", "-0", "-.0"])
+        assert np.isnan(decimal_tier(["+", "-", ".", "-.", "1.2.3", "1" * 20])).all()
+
+    def test_midpoints_above_2_to_the_53_keep_float(self):
+        # 2**53 + 1 and 2**53 + 3 lie halfway between two doubles, so a
+        # rounded quotient cannot tell which way float() rounds them
+        midpoints = ["9007199254740993", "9007199254740993.", "9007199254740993.0",
+                     "-9007199254740993.000", "9007199254740995", "0.9007199254740993e0"]
+        check_tier(midpoints)
+        assert np.isnan(decimal_tier(midpoints)).all()
+        assert dense_bits(midpoints) == float_bits(midpoints)
+        assert not np.isnan(decimal_tier(["900719925474099.3", "9007199254740992.5"])).any()
+
+    @pytest.mark.parametrize("lines", [["1\t2", "0\t-10"], ["1\t2\n", "0\t-10"]])
+    def test_a_last_line_without_its_newline(self, lines, tmp_path):
+        path = tmp_path / "rows.tsv"
+        path.write_text("1\t2\n0\t-10")
+        vocab = data.FieldVocab.from_mappings([])
+        for ds in (data.parse_lines(lines, vocab, 1, 0), data.load_tsv(path, vocab, 1, 0)):
+            assert ds.dense.tobytes() == data.normalize_dense(np.array([[2.0], [-10.0]])).tobytes()
+
+    def test_a_narrow_long_double_leaves_wide_tokens_to_float(self, monkeypatch):
+        tokens = list(map(repr, np.random.default_rng(3).uniform(-1, 1, 200).tolist()))
+        assert not np.isnan(decimal_tier(tokens)).any()
+        monkeypatch.setattr(data, "_LONG_DOUBLE_EXACT", False)
+        values = decimal_tier(tokens)
+        # 16 or more digits make w > 2**53, and those go to float()
+        assert 0 < np.isnan(values).sum() < len(tokens)
+        check_tier(tokens)
+        assert dense_bits(tokens) == float_bits(tokens)
+
+    def test_float_parses_only_the_tokens_the_tier_leaves(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        values = np.concatenate([rng.uniform(-1, 1, 3000), rng.normal(0, 1e4, 1000),
+                                 rng.uniform(-1e-3, 1e-3, 100)])
+        tokens = list(map(repr, values.tolist()))
+        left = [t for t in tokens if "e" in t or len(tier_digits(t)) > 19]
+        assert 0 < len(left) < len(tokens) // 10
+        called = []
+        monkeypatch.setattr(data, "float", lambda token: called.append(token) or float(token),
+                            raising=False)
+        lines = ["\t".join(["0", *tokens[i:i + 4]]) for i in range(0, len(tokens), 4)]
+        ds = data.parse_lines(lines, data.FieldVocab.from_mappings([]), 4, 0)
+        assert called == left
+        assert ds.dense.tobytes() == data.normalize_dense(values.reshape(-1, 4)).tobytes()
 
 
 CHUNK = 4
